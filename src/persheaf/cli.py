@@ -8,6 +8,7 @@ routes to the same barcode as a hard failure).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .bipersistence import check_commutative, grid
@@ -23,7 +24,7 @@ from .formats import (
     serialize_json,
 )
 from .graded import NotFreeError, diagram_graded_barcode
-from .labeled import LabeledFiltration, mixed_feature_barcodes, unicolored_pipeline
+from .labeled import LabeledFiltration, label_diagram, unicolored_pipeline
 from .linalg import Field
 from .persistence import barcodes_equal
 from .sheaves import validate_diagram, validate_sheaf
@@ -282,6 +283,8 @@ def _labeled_input(args):
     thresholds = [float(t) for t in args.thresholds.split(",") if t.strip()]
     if not thresholds:
         raise _UsageError("--thresholds needs at least one value")
+    if not all(math.isfinite(t) for t in thresholds):
+        raise _UsageError(f"--thresholds must be finite, got {args.thresholds!r}")
     p = args.field if args.field is not None else 2
     max_dim = getattr(args, "max_dim", 1)
     x = vietoris_rips(Field(p), points, thresholds, max_dim)
@@ -291,17 +294,18 @@ def _labeled_input(args):
 def _cmd_labeled(args) -> int:
     lf = _labeled_input(args)
     m = lf.filtration.steps
-    reports = [
-        BarcodeReport.of(
-            k,
-            _finish_barcode(
-                mixed_feature_barcodes(lf, args.hom_n, k), args.closed_end, m
-            ),
-            "pointwise",
-            lf.filtration.field.p,
+    diagram = label_diagram(lf, args.hom_n)
+    reports = []
+    for k in _degrees(args, lf.label_complex.dim):
+        _, barcode = persistent_cohomology(diagram, k)
+        reports.append(
+            BarcodeReport.of(
+                k,
+                _finish_barcode(barcode, args.closed_end, m),
+                "pointwise",
+                lf.filtration.field.p,
+            )
         )
-        for k in _degrees(args, lf.label_complex.dim)
-    ]
     return _emit(reports, args)
 
 

@@ -177,18 +177,16 @@ def chain_complex(cosheaf: CellularCosheaf) -> ChainComplex:
 
 
 def _quotient(field, cycles: np.ndarray, killed: np.ndarray) -> np.ndarray:
-    """Columns of cycles that extend span(killed) to a basis of span(cycles)."""
-    kept = []
-    cur = killed
-    rnk = field.rank(cur)
-    for j in range(cycles.shape[1]):
-        cand = np.hstack([cur, cycles[:, j : j + 1]])
-        r2 = field.rank(cand)
-        if r2 > rnk:
-            kept.append(j)
-            cur = cand
-            rnk = r2
-    return cycles[:, kept].copy()
+    """Columns of cycles that extend span(killed) to a basis of span(cycles).
+
+    One column reduction of [killed | cycles]: a cycle column keeps a
+    pivot exactly when it is independent of killed and of the cycle
+    columns before it.
+    """
+    nk = killed.shape[1]
+    _, _, owner = field._column_echelon(np.hstack([killed, cycles]))
+    kept = sorted(j - nk for j in owner.values() if j >= nk)
+    return cycles[:, kept]
 
 
 class QuotientBasis:

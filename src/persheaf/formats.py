@@ -53,12 +53,28 @@ def complex_to_data(x: FilteredComplex) -> dict:
     }
 
 
-def complex_from_data(data: dict) -> FilteredComplex:
-    simplices = [
-        Simplex(s["id"], tuple(s["vertices"]), s["entry"])
-        for s in data["simplices"]
-    ]
-    return FilteredComplex(Field(data["field"]), simplices, steps=data["steps"])
+def _require(data, key: str, where: str):
+    """data[key]; a ValueError naming the key and its JSON path if absent."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{where}: expected a JSON object")
+    if key not in data:
+        raise ValueError(f"{where}: missing key {key!r}")
+    return data[key]
+
+
+def complex_from_data(data: dict, where: str = "complex") -> FilteredComplex:
+    simplices = []
+    for i, s in enumerate(_require(data, "simplices", where)):
+        at = f"{where}.simplices[{i}]"
+        simplices.append(
+            Simplex(
+                _require(s, "id", at),
+                tuple(_require(s, "vertices", at)),
+                _require(s, "entry", at),
+            )
+        )
+    field = Field(_require(data, "field", where))
+    return FilteredComplex(field, simplices, steps=_require(data, "steps", where))
 
 
 def _matrix_to_lists(m) -> list:
@@ -85,10 +101,14 @@ def sheaf_to_data(sheaf: CellularSheaf, embed_complex: bool = True) -> dict:
     return data
 
 
-def sheaf_from_data(data: dict, complex_: FilteredComplex | None = None) -> CellularSheaf:
+def sheaf_from_data(
+    data: dict, complex_: FilteredComplex | None = None, where: str = "sheaf"
+) -> CellularSheaf:
+    stalk_data = _require(data, "stalks", where)
+    restriction_data = _require(data, "restrictions", where)
     embedded = data.get("complex")
     if embedded is not None:
-        built = complex_from_data(embedded)
+        built = complex_from_data(embedded, f"{where}.complex")
         if complex_ is None:
             complex_ = built
         elif not complex_.same_data(built):
@@ -96,10 +116,12 @@ def sheaf_from_data(data: dict, complex_: FilteredComplex | None = None) -> Cell
     if complex_ is None:
         raise ValueError("sheaf data has no complex and none was provided")
     p = complex_.field.p
-    stalks = {sid: int(d) for sid, d in data["stalks"].items()}
+    stalks = {sid: int(d) for sid, d in stalk_data.items()}
     restrictions = {}
-    for entry in data["restrictions"]:
-        restrictions[(entry["face"], entry["coface"])] = matrix(entry["matrix"], p)
+    for i, entry in enumerate(restriction_data):
+        at = f"{where}.restrictions[{i}]"
+        key = (_require(entry, "face", at), _require(entry, "coface", at))
+        restrictions[key] = matrix(_require(entry, "matrix", at), p)
     return CellularSheaf(complex_, stalks, restrictions)
 
 
@@ -122,9 +144,11 @@ def diagram_to_data(diagram: SheafDiagram, embed_complex: bool = True) -> dict:
 
 
 def diagram_from_data(data: dict, complex_: FilteredComplex | None = None) -> SheafDiagram:
+    snapshot_data = _require(data, "snapshots", "diagram")
+    step_data = _require(data, "steps", "diagram")
     embedded = data.get("complex")
     if embedded is not None:
-        built = complex_from_data(embedded)
+        built = complex_from_data(embedded, "diagram.complex")
         if complex_ is None:
             complex_ = built
         elif not complex_.same_data(built):
@@ -132,9 +156,12 @@ def diagram_from_data(data: dict, complex_: FilteredComplex | None = None) -> Sh
     if complex_ is None:
         raise ValueError("diagram data has no complex and none was provided")
     p = complex_.field.p
-    snapshots = [sheaf_from_data(s, complex_) for s in data["snapshots"]]
+    snapshots = [
+        sheaf_from_data(s, complex_, f"diagram.snapshots[{i}]")
+        for i, s in enumerate(snapshot_data)
+    ]
     steps = []
-    for i, comp_data in enumerate(data["steps"]):
+    for i, comp_data in enumerate(step_data):
         comp = {sid: matrix(m, p) for sid, m in comp_data.items()}
         steps.append(SheafMorphism(snapshots[i], snapshots[i + 1], comp))
     return SheafDiagram(snapshots, steps)

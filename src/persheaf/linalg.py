@@ -107,27 +107,39 @@ class Field:
         column's pivot is its lowest nonzero row; a later column whose
         low collides with an owned row gets a multiple of the owning
         column added until it finds a fresh low or empties out.
+
+        The working matrix and the ops are stored transposed, so each
+        column is one contiguous row that is updated in place; reduced
+        and ops are returned as transposed views of that storage.
         """
         p = self.p
-        r = self.normalize(m).copy()
-        n_cols = r.shape[1]
-        v = identity(n_cols) if track else None
+        rt = np.remainder(np.asarray(m, dtype=np.int64).T, p, order="C")
+        n_cols = rt.shape[0]
+        vt = identity(n_cols) if track else None
         owner: dict[int, int] = {}
+        inverse: dict[int, int] = {}
         for j in range(n_cols):
+            col = rt[j]
+            end = col.size
             while True:
-                nz = np.nonzero(r[:, j])[0]
+                nz = col[:end].nonzero()[0]
                 if nz.size == 0:
                     break
                 low = int(nz[-1])
                 l = owner.get(low)
                 if l is None:
                     owner[low] = j
+                    inverse[low] = self.inv(col[low])
                     break
-                coef = (int(r[low, j]) * self.inv(r[low, l])) % p
-                r[:, j] = (r[:, j] - coef * r[:, l]) % p
+                # entries stay below p < 2^31, so coef * row < 2^62
+                coef = (int(col[low]) * inverse[low]) % p
+                col -= coef * rt[l]
+                col %= p
                 if track:
-                    v[:, j] = (v[:, j] - coef * v[:, l]) % p
-        return r, v, owner
+                    vt[j] -= coef * vt[l]
+                    vt[j] %= p
+                end = low
+        return rt.T, (vt.T if track else None), owner
 
     def rank(self, m) -> int:
         _, _, owner = self._column_echelon(m)
@@ -136,14 +148,12 @@ class Field:
     def kernel_basis(self, m) -> np.ndarray:
         """Columns spanning ker(m); count is cols - rank, m @ result = 0."""
         r, v, _ = self._column_echelon(m, track=True)
-        zero_cols = [j for j in range(r.shape[1]) if not r[:, j].any()]
-        return v[:, zero_cols]
+        return v[:, ~r.any(axis=0)]
 
     def image_basis(self, m) -> np.ndarray:
         """Columns spanning the column space of m, from the echelon form."""
         r, _, _ = self._column_echelon(m)
-        cols = [j for j in range(r.shape[1]) if r[:, j].any()]
-        return r[:, cols]
+        return r[:, r.any(axis=0)]
 
     def solve(self, a, b):
         """One solution x of a @ x = b per column of b, or None.
@@ -160,22 +170,27 @@ class Field:
         rows, cols = a.shape
         if b.shape[0] != rows:
             raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-        aug = np.hstack([a, b]).copy()
+        aug = np.hstack([a, b])
         pivots = []
         prow = 0
         for c in range(cols):
             if prow >= rows:
                 break
-            nz = np.nonzero(aug[prow:, c])[0]
+            nz = aug[prow:, c].nonzero()[0]
             if nz.size == 0:
                 continue
             r0 = prow + int(nz[0])
             if r0 != prow:
                 aug[[prow, r0]] = aug[[r0, prow]]
             aug[prow] = (aug[prow] * self.inv(aug[prow, c])) % p
-            for r in range(rows):
-                if r != prow and aug[r, c]:
-                    aug[r] = (aug[r] - aug[r, c] * aug[prow]) % p
+            # clear column c in every other row at once; the pivot row
+            # is zero left of c, so only columns c.. change
+            hit = aug[:, c].nonzero()[0]
+            hit = hit[hit != prow]
+            if hit.size:
+                aug[hit, c:] = (
+                    aug[hit, c:] - np.outer(aug[hit, c], aug[prow, c:])
+                ) % p
             pivots.append((prow, c))
             prow += 1
         if prow < rows and np.any(aug[prow:, cols:]):

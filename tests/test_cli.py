@@ -6,6 +6,8 @@ output streams stay visible to the assertions.
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -266,6 +268,82 @@ def test_empty_thresholds(capsys):
     )
     assert code == 1
     assert "at least one value" in err
+
+
+@pytest.mark.parametrize("command", ["labeled", "unicolored"])
+@pytest.mark.parametrize("value", ["nan", "0.5,inf", "0.5,-inf"])
+def test_non_finite_thresholds(capsys, command, value):
+    argv = [command, fx("points.csv"), "--thresholds", value]
+    if command == "labeled":
+        argv += ["--max-dim", "2", "--hom-n", "1"]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("usage error: --thresholds must be finite")
+
+
+def _drop_key(tmp_path, name, edit):
+    with open(fx(name), encoding="utf-8") as fh:
+        data = json.load(fh)
+    edit(data)
+    path = tmp_path / name
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "command, name, edit, message",
+    [
+        (
+            "cohomology", "triangle.json",
+            lambda d: d.pop("simplices"),
+            "complex: missing key 'simplices'",
+        ),
+        (
+            "cohomology", "triangle.json",
+            lambda d: d["simplices"][2].pop("vertices"),
+            "complex.simplices[2]: missing key 'vertices'",
+        ),
+        (
+            "validate", "triangle_sheaf.json",
+            lambda d: d["restrictions"][0].pop("matrix"),
+            "sheaf.restrictions[0]: missing key 'matrix'",
+        ),
+        (
+            "validate", "triangle_sheaf.json",
+            lambda d: d["complex"].pop("steps"),
+            "sheaf.complex: missing key 'steps'",
+        ),
+        (
+            "persist-a", "edge_diagram.json",
+            lambda d: d["snapshots"][1]["restrictions"][0].pop("matrix"),
+            "diagram.snapshots[1].restrictions[0]: missing key 'matrix'",
+        ),
+        (
+            "persist-a", "edge_diagram.json",
+            lambda d: d.pop("steps"),
+            "diagram: missing key 'steps'",
+        ),
+    ],
+)
+def test_missing_json_key_is_invalid_input(capsys, tmp_path, command, name, edit, message):
+    path = _drop_key(tmp_path, name, edit)
+    argv = {
+        "cohomology": ["cohomology", path, fx("triangle_sheaf.json")],
+        "validate": ["validate", path],
+        "persist-a": ["persist-a", path],
+    }[command]
+    code, out, err = run(capsys, argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_python_dash_m(tmp_path):
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-m", "persheaf", "validate", fx("triangle_sheaf.json")],
+        capture_output=True, text=True, env=env, cwd=tmp_path,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "ok\n", "")
 
 
 def test_engine_mismatch_is_a_hard_failure(capsys, monkeypatch):

@@ -24,9 +24,10 @@ from persheaf import (
     simplicial_homology_basis,
     SheafMorphism,
 )
+from persheaf.cohomology import _quotient
 
 from genrandom import random_complex, random_sheaf
-from oracles import betti, sections_dim
+from oracles import betti, rref_rank, sections_dim
 
 F2 = Field(2)
 
@@ -181,3 +182,71 @@ def test_plain_homology_of_the_circle():
     assert simplicial_homology_basis(x, 1).dim == 1
     ch = simplicial_chain_complex(x)
     assert ch.dim(0) == 3 and ch.dim(1) == 3
+
+
+QUOTIENT_PRIMES = [2, 3, 5, 2 ** 31 - 1]
+
+
+def quotient_by_rank_loop(p, cycles, killed):
+    """The one-rank-per-column selection _quotient replaces, on the oracle's rank."""
+    kept = []
+    cur = killed
+    rnk = rref_rank(cur, p)
+    for j in range(cycles.shape[1]):
+        cand = np.hstack([cur, cycles[:, j : j + 1]])
+        r2 = rref_rank(cand, p)
+        if r2 > rnk:
+            kept.append(j)
+            cur = cand
+            rnk = r2
+    return cycles[:, kept]
+
+
+def random_dependent_columns(rng, p, base, count):
+    """Columns drawn from span(base), fresh random vectors, zeros and repeats."""
+    rows = base.shape[0]
+    cols = []
+    for _ in range(count):
+        kind = rng.integers(4)
+        if kind == 0 and base.shape[1]:
+            coef = rng.integers(0, p, size=base.shape[1], dtype=np.int64)
+            col = sum(int(c) * base[:, i].astype(object) for i, c in enumerate(coef))
+            col = np.array(col % p, dtype=np.int64)
+        elif kind == 1 and cols:
+            col = cols[rng.integers(len(cols))] * int(rng.integers(1, p)) % p
+        elif kind == 2:
+            col = np.zeros(rows, dtype=np.int64)
+        else:
+            col = rng.integers(0, p, size=rows, dtype=np.int64)
+        cols.append(col)
+    return np.array(cols, dtype=np.int64).reshape(count, rows).T
+
+
+@pytest.mark.parametrize("p", QUOTIENT_PRIMES)
+def test_quotient_matches_per_column_rank_loop(p):
+    field = Field(p)
+    rng = np.random.default_rng(p % 1009)
+    for _ in range(150):
+        rows = int(rng.integers(0, 7))
+        base = rng.integers(0, p, size=(rows, int(rng.integers(0, 4))), dtype=np.int64)
+        killed = random_dependent_columns(rng, p, base, int(rng.integers(0, 4)))
+        cycles = random_dependent_columns(rng, p, base, int(rng.integers(0, 7)))
+        got = _quotient(field, cycles, killed)
+        want = quotient_by_rank_loop(p, cycles, killed)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+def test_tracked_echelon_at_the_largest_prime():
+    p = 2 ** 31 - 1
+    field = Field(p)
+    rng = np.random.default_rng(7)
+    for shape in [(5, 9), (9, 5), (8, 8), (1, 6), (6, 1)]:
+        base = rng.integers(0, p, size=(shape[0], 3), dtype=np.int64)
+        m = random_dependent_columns(rng, p, base, shape[1])
+        reduced, ops, owner = field._column_echelon(m, track=True)
+        exact = (m.astype(object) @ ops.astype(object)) % p
+        assert np.array_equal(exact.astype(np.int64), reduced)
+        assert len(owner) == rref_rank(m, p)
+        for low, j in owner.items():
+            assert reduced[low, j] and not reduced[low + 1 :, j].any()

@@ -123,3 +123,17 @@ def test_large_prime_matmul():
     b = matrix([[p - 1], [p - 3]], p)
     want = np.array([[(p - 1) * (p - 1) + (p - 2) * (p - 3)], [3 * (p - 1) + 4 * (p - 3)]]) % p
     assert np.array_equal(f.matmul(a, b), want)
+
+
+def test_solve_at_the_largest_prime():
+    p = 2 ** 31 - 1
+    f = Field(p)
+    rng = np.random.default_rng(3)
+    for rows, cols in [(4, 6), (6, 4), (5, 5)]:
+        a = rng.integers(0, p, size=(rows, cols), dtype=np.int64)
+        a[:, -1] = (a[:, 0] + 3 * a[:, 1]) % p
+        x = rng.integers(0, p, size=(cols, 2), dtype=np.int64)
+        b = f.matmul(a, x)
+        got = f.solve(a, b)
+        assert got is not None
+        assert np.array_equal(f.matmul(a, got), b)
