@@ -47,6 +47,7 @@ from .cohomology import (
     induced_by_sheaf_morphism,
     induced_by_simplicial_map,
     persistent_cohomology,
+    persistent_cohomology_by_degree,
     simplicial_chain_complex,
     simplicial_homology_basis,
 )
@@ -69,6 +70,7 @@ from .graded import (
     NotFreeError,
     SlicedComplex,
     diagram_graded_barcode,
+    diagram_graded_barcode_by_degree,
     diagram_to_graded_sheaf,
     evaluate_at,
     evaluate_sheaf_at,
@@ -85,9 +87,17 @@ from .typet import (
     mirrored_g_diagram,
     pullback_chain,
     type_t_direct,
+    type_t_direct_by_degree,
     type_t_graded,
+    type_t_graded_by_degree,
 )
-from .bipersistence import BiGrid, check_commutative, grid, rank_invariant
+from .bipersistence import (
+    BiGrid,
+    check_commutative,
+    grid,
+    grid_by_degree,
+    rank_invariant,
+)
 from .labeled import (
     LabeledFiltration,
     full_label_complex,

@@ -19,9 +19,9 @@ from .cohomology import (
     induced_by_simplicial_map,
 )
 from .linalg import identity
-from .sheaves import SheafDiagram, SheafMorphism, pullback, validate_diagram
+from .sheaves import SheafDiagram, SheafMorphism, _check_diagram, pullback
 
-__all__ = ["BiGrid", "grid", "check_commutative", "rank_invariant"]
+__all__ = ["BiGrid", "grid", "grid_by_degree", "check_commutative", "rank_invariant"]
 
 
 class BiGrid:
@@ -76,6 +76,59 @@ class BiGrid:
         return len(self.dims[0])
 
 
+def grid_by_degree(diagram: SheafDiagram, degrees) -> dict:
+    """The H^k grid of a valid diagram for every k in degrees.
+
+    Pullbacks, their cochain complexes and the restricted morphisms are
+    built once; bases and induced maps are redone per degree.
+    """
+    x = diagram.complex
+    mt = x.steps
+    ma = len(diagram.snapshots)
+    rows = []
+    morphisms = []
+    for u in range(mt):
+        i = mt - 1 - u
+        restricted = [pullback(x.step_inclusion(i), snap) for snap in diagram.snapshots]
+        rows.append([CochainComplex(pb, validate=False) for pb in restricted])
+        ids = [s.id for s in x.subcomplex(i).simplices]
+        morphisms.append(
+            [
+                SheafMorphism(
+                    restricted[j],
+                    restricted[j + 1],
+                    {sid: diagram.steps[j].component(sid) for sid in ids},
+                )
+                for j in range(ma - 1)
+            ]
+        )
+    drops = [x.step_inclusion(mt - 2 - u, mt - 1 - u) for u in range(mt - 1)]
+    out = {}
+    for k in degrees:
+        bases = [[cohomology_basis(cc.sheaf, k, cc) for cc in row] for row in rows]
+        hmaps = [
+            [
+                induced_by_sheaf_morphism(
+                    phi, source_basis=bases[u][j], target_basis=bases[u][j + 1]
+                )
+                for j, phi in enumerate(row)
+            ]
+            for u, row in enumerate(morphisms)
+        ]
+        vmaps = [
+            [
+                induced_by_simplicial_map(
+                    f, source_basis=bases[u][j], target_basis=bases[u + 1][j]
+                )
+                for j in range(ma)
+            ]
+            for u, f in enumerate(drops)
+        ]
+        dims = [[b.dim for b in row] for row in bases]
+        out[k] = BiGrid(x.field, dims, hmaps, vmaps)
+    return out
+
+
 def grid(diagram: SheafDiagram, k: int) -> BiGrid:
     """The H^k grid of a diagram over all steps of its filtered complex.
 
@@ -84,51 +137,8 @@ def grid(diagram: SheafDiagram, k: int) -> BiGrid:
     diagram's morphisms, vertical ones by the step inclusions; bases
     are fixed once per grid position and shared by both directions.
     """
-    problems = validate_diagram(diagram)
-    if problems:
-        raise ValueError("invalid diagram: " + "; ".join(problems))
-    x = diagram.complex
-    field = x.field
-    mt = x.steps
-    ma = len(diagram.snapshots)
-    restricted = []
-    bases = []
-    for u in range(mt):
-        i = mt - 1 - u
-        incl = x.step_inclusion(i)
-        row = [pullback(incl, snap) for snap in diagram.snapshots]
-        restricted.append(row)
-        bases.append(
-            [cohomology_basis(pb, k, CochainComplex(pb, validate=False)) for pb in row]
-        )
-    dims = [[b.dim for b in row] for row in bases]
-    hmaps = []
-    for u in range(mt):
-        i = mt - 1 - u
-        ids = [s.id for s in x.subcomplex(i).simplices]
-        row = []
-        for j in range(ma - 1):
-            comp = {sid: diagram.steps[j].component(sid) for sid in ids}
-            phi = SheafMorphism(restricted[u][j], restricted[u][j + 1], comp)
-            row.append(
-                induced_by_sheaf_morphism(
-                    phi, source_basis=bases[u][j], target_basis=bases[u][j + 1]
-                )
-            )
-        hmaps.append(row)
-    vmaps = []
-    for u in range(mt - 1):
-        i = mt - 1 - u
-        f = x.step_inclusion(i - 1, i)
-        vmaps.append(
-            [
-                induced_by_simplicial_map(
-                    f, source_basis=bases[u][j], target_basis=bases[u + 1][j]
-                )
-                for j in range(ma)
-            ]
-        )
-    return BiGrid(field, dims, hmaps, vmaps)
+    _check_diagram(diagram)
+    return grid_by_degree(diagram, [k])[k]
 
 
 def check_commutative(g: BiGrid):

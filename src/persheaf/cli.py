@@ -2,7 +2,11 @@
 
 Exit codes: 0 success, 1 usage error, 2 invalid input, 3 engine
 mismatch (the cross-checking modes treat any disagreement between two
-routes to the same barcode as a hard failure).
+routes to the same barcode as a hard failure), 4 internal error (a
+broken internal invariant, reported in one line on stderr).
+
+persist-t, persist-a and bipersist validate their input once, build
+what every degree shares once, and then do only the per-degree work.
 """
 
 from __future__ import annotations
@@ -11,8 +15,12 @@ import argparse
 import math
 import sys
 
-from .bipersistence import check_commutative, grid
-from .cohomology import cohomology_basis, persistent_cohomology
+from .bipersistence import check_commutative, grid_by_degree
+from .cohomology import (
+    cohomology_basis,
+    persistent_cohomology,
+    persistent_cohomology_by_degree,
+)
 from .complexes import vietoris_rips
 from .formats import (
     BarcodeReport,
@@ -23,12 +31,12 @@ from .formats import (
     render_reports,
     serialize_json,
 )
-from .graded import NotFreeError, diagram_graded_barcode
+from .graded import NotFreeError, diagram_graded_barcode_by_degree
 from .labeled import LabeledFiltration, label_diagram, unicolored_pipeline
 from .linalg import Field
 from .persistence import barcodes_equal
 from .sheaves import validate_diagram, validate_sheaf
-from .typet import type_t_direct, type_t_graded
+from .typet import type_t_direct_by_degree, type_t_graded_by_degree
 
 __all__ = ["main", "entry"]
 
@@ -165,6 +173,32 @@ def _cmd_cohomology(args) -> int:
     return 0
 
 
+def _cross_checked(args, degrees, m, p, pointwise, graded, name, note=""):
+    """Emit one report per degree, or exit 3 if the two engines disagree.
+
+    pointwise and graded map each degree to its barcode, or are None
+    for an engine that did not run; graded bars are reported when there
+    are any.  note goes to stderr once per degree.
+    """
+    reports = []
+    for k in degrees:
+        sys.stderr.write(note)
+        slow = pointwise[k] if pointwise is not None else None
+        fast = graded[k] if graded is not None else None
+        if slow is not None and fast is not None and not barcodes_equal(slow, fast):
+            sys.stderr.write(
+                f"engine mismatch at degree {k}: "
+                f"{name} {slow!r} != graded {fast!r}\n"
+            )
+            return 3
+        barcode = fast if fast is not None else slow
+        engine = "graded" if fast is not None else "pointwise"
+        reports.append(
+            BarcodeReport.of(k, _finish_barcode(barcode, args.closed_end, m), engine, p)
+        )
+    return _emit(reports, args)
+
+
 def _cmd_persist_a(args) -> int:
     diagram = parse_diagram(args.diagram)
     complex_ = diagram.complex
@@ -172,40 +206,24 @@ def _cmd_persist_a(args) -> int:
     if problems:
         sys.stderr.write("\n".join(problems) + "\n")
         return 2
-    m = len(diagram.snapshots)
-    reports = []
-    for k in _degrees(args, complex_.dim):
-        pointwise = graded = None
-        if args.engine in ("pointwise", "both"):
-            _, pointwise = persistent_cohomology(diagram, k)
-        if args.engine in ("graded", "both"):
-            try:
-                graded = diagram_graded_barcode(diagram, k)
-            except NotFreeError as exc:
-                if args.engine == "graded":
-                    sys.stderr.write(f"{exc}\n")
-                    return 2
-                sys.stderr.write(
-                    f"note: {exc}; falling back to the pointwise engine\n"
-                )
-        if pointwise is not None and graded is not None:
-            if not barcodes_equal(pointwise, graded):
-                sys.stderr.write(
-                    f"engine mismatch at degree {k}: "
-                    f"pointwise {pointwise!r} != graded {graded!r}\n"
-                )
-                return 3
-        barcode = graded if graded is not None else pointwise
-        engine = "graded" if graded is not None else "pointwise"
-        reports.append(
-            BarcodeReport.of(
-                k,
-                _finish_barcode(barcode, args.closed_end, m),
-                engine,
-                complex_.field.p,
-            )
-        )
-    return _emit(reports, args)
+    degrees = _degrees(args, complex_.dim)
+    graded = pointwise = None
+    note = ""
+    if args.engine in ("graded", "both"):
+        try:
+            graded = diagram_graded_barcode_by_degree(diagram, degrees)
+        except NotFreeError as exc:
+            if args.engine == "graded":
+                sys.stderr.write(f"{exc}\n")
+                return 2
+            note = f"note: {exc}; falling back to the pointwise engine\n"
+    if args.engine in ("pointwise", "both"):
+        found = persistent_cohomology_by_degree(diagram, degrees)
+        pointwise = {k: barcode for k, (_, barcode) in found.items()}
+    return _cross_checked(
+        args, degrees, diagram.length, complex_.field.p,
+        pointwise, graded, "pointwise", note,
+    )
 
 
 def _cmd_persist_t(args) -> int:
@@ -215,32 +233,16 @@ def _cmd_persist_t(args) -> int:
     if problems:
         sys.stderr.write("\n".join(problems) + "\n")
         return 2
-    m = complex_.steps
-    reports = []
-    for k in _degrees(args, complex_.dim):
-        direct = graded = None
-        if args.engine in ("direct", "both"):
-            _, direct = type_t_direct(sheaf, k)
-        if args.engine in ("graded", "both"):
-            graded = type_t_graded(sheaf, k)
-        if direct is not None and graded is not None:
-            if not barcodes_equal(direct, graded):
-                sys.stderr.write(
-                    f"engine mismatch at degree {k}: "
-                    f"direct {direct!r} != graded {graded!r}\n"
-                )
-                return 3
-        barcode = graded if graded is not None else direct
-        engine = "graded" if graded is not None else "pointwise"
-        reports.append(
-            BarcodeReport.of(
-                k,
-                _finish_barcode(barcode, args.closed_end, m),
-                engine,
-                complex_.field.p,
-            )
-        )
-    return _emit(reports, args)
+    degrees = _degrees(args, complex_.dim)
+    direct = graded = None
+    if args.engine in ("direct", "both"):
+        found = type_t_direct_by_degree(sheaf, degrees)
+        direct = {k: barcode for k, (_, barcode) in found.items()}
+    if args.engine in ("graded", "both"):
+        graded = type_t_graded_by_degree(sheaf, degrees)
+    return _cross_checked(
+        args, degrees, complex_.steps, complex_.field.p, direct, graded, "direct"
+    )
 
 
 def _cmd_bipersist(args) -> int:
@@ -251,16 +253,15 @@ def _cmd_bipersist(args) -> int:
     if problems:
         sys.stderr.write("\n".join(problems) + "\n")
         return 2
-    results = []
-    for k in _degrees(args, complex_.dim):
-        g = grid(diagram, k)
+    grids = grid_by_degree(diagram, _degrees(args, complex_.dim))
+    for k, g in grids.items():
         bad = check_commutative(g)
         if bad is not None:
             sys.stderr.write(
                 f"grid at degree {k} fails to commute at square {bad}\n"
             )
             return 3
-        results.append((k, g.dims))
+    results = [(k, g.dims) for k, g in grids.items()]
     if args.format == "json":
         data = [
             {"degree": k, "dims": dims, "field": complex_.field.p}
@@ -350,6 +351,9 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except AssertionError as exc:
+        sys.stderr.write(f"internal error: {exc}\n")
+        return 4
 
 
 def entry():

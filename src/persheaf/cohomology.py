@@ -23,8 +23,8 @@ from .sheaves import (
     constant,
     dualize,
     pullback,
+    _check_diagram,
     validate_cosheaf,
-    validate_diagram,
     validate_sheaf,
 )
 
@@ -41,6 +41,7 @@ __all__ = [
     "induced_by_simplicial_map",
     "chain_inclusion_matrix",
     "persistent_cohomology",
+    "persistent_cohomology_by_degree",
 ]
 
 
@@ -335,25 +336,33 @@ def chain_inclusion_matrix(sub, sup, k: int) -> np.ndarray:
     return m
 
 
+def persistent_cohomology_by_degree(diagram: SheafDiagram, degrees) -> dict:
+    """persistent_cohomology of a valid diagram for every k in degrees.
+
+    Each snapshot's cochain complex is assembled once; only the bases,
+    induced maps and decomposition are redone per degree.
+    """
+    field = diagram.complex.field
+    cochains = [CochainComplex(sheaf, validate=False) for sheaf in diagram.snapshots]
+    out = {}
+    for k in degrees:
+        bases = [cohomology_basis(cc.sheaf, k, cc) for cc in cochains]
+        maps = [
+            induced_by_sheaf_morphism(
+                phi, source_basis=bases[i], target_basis=bases[i + 1]
+            )
+            for i, phi in enumerate(diagram.steps)
+        ]
+        module = PersistenceModule(field, [b.dim for b in bases], maps)
+        out[k] = module, decompose_by_ranks(module)
+    return out
+
+
 def persistent_cohomology(diagram: SheafDiagram, k: int):
     """Pointwise persistence of H^k along a diagram of sheaf morphisms.
 
     Returns the persistence module of induced maps together with its
     rank-formula barcode.
     """
-    problems = validate_diagram(diagram)
-    if problems:
-        raise ValueError("invalid diagram: " + "; ".join(problems))
-    field = diagram.complex.field
-    bases = []
-    for sheaf in diagram.snapshots:
-        cc = CochainComplex(sheaf, validate=False)
-        bases.append(cohomology_basis(sheaf, k, cc))
-    maps = [
-        induced_by_sheaf_morphism(
-            phi, source_basis=bases[i], target_basis=bases[i + 1]
-        )
-        for i, phi in enumerate(diagram.steps)
-    ]
-    module = PersistenceModule(field, [b.dim for b in bases], maps)
-    return module, decompose_by_ranks(module)
+    _check_diagram(diagram)
+    return persistent_cohomology_by_degree(diagram, [k])[k]

@@ -12,6 +12,8 @@ import csv
 import json
 from dataclasses import dataclass
 
+import numpy as np
+
 from .complexes import FilteredComplex, Simplex
 from .linalg import Field, matrix
 from .persistence import Barcode
@@ -53,28 +55,87 @@ def complex_to_data(x: FilteredComplex) -> dict:
     }
 
 
-def _require(data, key: str, where: str):
-    """data[key]; a ValueError naming the key and its JSON path if absent."""
+_KINDS = {dict: "a JSON object", list: "a list", int: "an integer"}
+
+
+def _got(value) -> str:
+    if isinstance(value, (dict, list)):
+        return _KINDS[type(value)]
+    return json.dumps(value)
+
+
+def _typed(value, kind, where: str):
+    """value if it has the JSON type kind, else a ValueError naming where.
+
+    Booleans are not integers here, and neither is 1.0.
+    """
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"{where}: expected {_KINDS[kind]}, got {_got(value)}")
+    return value
+
+
+def _require(data, key: str, where: str, kind=None):
+    """data[key]; a ValueError naming the key and its JSON path if absent.
+
+    With kind, the value must also have that JSON type.
+    """
     if not isinstance(data, dict):
         raise ValueError(f"{where}: expected a JSON object")
     if key not in data:
         raise ValueError(f"{where}: missing key {key!r}")
-    return data[key]
+    value = data[key]
+    if kind is None or type(value) is kind:
+        return value
+    return _typed(value, kind, f"{where}.{key}")
+
+
+def _all_integers(values, where: str):
+    """Check every item of a JSON list, or every value of an object."""
+    items = values.items() if isinstance(values, dict) else enumerate(values)
+    for key, v in items:
+        if type(v) is not int:
+            _typed(v, int, f"{where}[{key!r}]")
+
+
+def _matrix(value, p: int, where: str) -> np.ndarray:
+    """A JSON list of integer rows as a matrix mod p.
+
+    The entries are checked once, by the dtype numpy infers for the
+    whole array: anything but an integer dtype (a float such as 1.5, a
+    string, null, an integer beyond 64 bits) is refused, not truncated.
+    """
+    if not isinstance(value, list):
+        raise ValueError(f"{where}: expected a list of rows, got {_got(value)}")
+    if not value:
+        return matrix(value, p)
+    try:
+        a = np.array(value)
+    except ValueError:
+        a = None
+    if a is None or a.ndim != 2:
+        raise ValueError(f"{where}: expected a list of rows of equal length")
+    if a.size and a.dtype.kind != "i":
+        raise ValueError(f"{where}: expected integer entries")
+    return a.astype(np.int64, copy=False) % p
 
 
 def complex_from_data(data: dict, where: str = "complex") -> FilteredComplex:
     simplices = []
-    for i, s in enumerate(_require(data, "simplices", where)):
+    for i, s in enumerate(_require(data, "simplices", where, list)):
         at = f"{where}.simplices[{i}]"
+        vertices = _require(s, "vertices", at, list)
+        _all_integers(vertices, f"{at}.vertices")
         simplices.append(
             Simplex(
                 _require(s, "id", at),
-                tuple(_require(s, "vertices", at)),
-                _require(s, "entry", at),
+                tuple(vertices),
+                _require(s, "entry", at, int),
             )
         )
-    field = Field(_require(data, "field", where))
-    return FilteredComplex(field, simplices, steps=_require(data, "steps", where))
+    field = Field(_require(data, "field", where, int))
+    return FilteredComplex(
+        field, simplices, steps=_require(data, "steps", where, int)
+    )
 
 
 def _matrix_to_lists(m) -> list:
@@ -104,8 +165,8 @@ def sheaf_to_data(sheaf: CellularSheaf, embed_complex: bool = True) -> dict:
 def sheaf_from_data(
     data: dict, complex_: FilteredComplex | None = None, where: str = "sheaf"
 ) -> CellularSheaf:
-    stalk_data = _require(data, "stalks", where)
-    restriction_data = _require(data, "restrictions", where)
+    stalk_data = _require(data, "stalks", where, dict)
+    restriction_data = _require(data, "restrictions", where, list)
     embedded = data.get("complex")
     if embedded is not None:
         built = complex_from_data(embedded, f"{where}.complex")
@@ -116,13 +177,13 @@ def sheaf_from_data(
     if complex_ is None:
         raise ValueError("sheaf data has no complex and none was provided")
     p = complex_.field.p
-    stalks = {sid: int(d) for sid, d in stalk_data.items()}
+    _all_integers(stalk_data, f"{where}.stalks")
     restrictions = {}
     for i, entry in enumerate(restriction_data):
         at = f"{where}.restrictions[{i}]"
         key = (_require(entry, "face", at), _require(entry, "coface", at))
-        restrictions[key] = matrix(_require(entry, "matrix", at), p)
-    return CellularSheaf(complex_, stalks, restrictions)
+        restrictions[key] = _matrix(_require(entry, "matrix", at), p, f"{at}.matrix")
+    return CellularSheaf(complex_, stalk_data, restrictions)
 
 
 def diagram_to_data(diagram: SheafDiagram, embed_complex: bool = True) -> dict:
@@ -144,8 +205,13 @@ def diagram_to_data(diagram: SheafDiagram, embed_complex: bool = True) -> dict:
 
 
 def diagram_from_data(data: dict, complex_: FilteredComplex | None = None) -> SheafDiagram:
-    snapshot_data = _require(data, "snapshots", "diagram")
-    step_data = _require(data, "steps", "diagram")
+    snapshot_data = _require(data, "snapshots", "diagram", list)
+    step_data = _require(data, "steps", "diagram", list)
+    if len(step_data) != max(len(snapshot_data) - 1, 0):
+        raise ValueError(
+            f"diagram.steps: expected one entry between consecutive snapshots, "
+            f"got {len(step_data)} for {len(snapshot_data)} snapshots"
+        )
     embedded = data.get("complex")
     if embedded is not None:
         built = complex_from_data(embedded, "diagram.complex")
@@ -162,7 +228,11 @@ def diagram_from_data(data: dict, complex_: FilteredComplex | None = None) -> Sh
     ]
     steps = []
     for i, comp_data in enumerate(step_data):
-        comp = {sid: matrix(m, p) for sid, m in comp_data.items()}
+        at = f"diagram.steps[{i}]"
+        comp = {
+            sid: _matrix(m, p, f"{at}[{sid!r}]")
+            for sid, m in _typed(comp_data, dict, at).items()
+        }
         steps.append(SheafMorphism(snapshots[i], snapshots[i + 1], comp))
     return SheafDiagram(snapshots, steps)
 

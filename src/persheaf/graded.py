@@ -1,22 +1,35 @@
-"""Free graded modules over F[t] and the graded reduction to barcodes.
+"""Free graded modules over F[t] and the degree-ordered reduction to barcodes.
 
 A graded matrix stores scalar entries only; the t-power of entry (i, j)
-is implied by the generator degrees, column minus row.  Kernels come
-from column reduction in increasing column degree, which only ever adds
-earlier columns into later ones and so stays homogeneous.  Torsion is
-read off a diagonalization whose pivots take the smallest implied power
-first; every elimination re-checks the degree constraint and raises if
-it would need a negative power, which no valid input can trigger.
+is implied by the generator degrees, column minus row.  Each map of a
+graded complex is column-reduced once, lowest pivot first, with rows
+and columns in (degree, position) order: the standard persistence
+reduction (Zomorodian and Carlsson, "Computing persistent homology",
+2005), which serves every degree that reads the map.  Adding an earlier
+column into a later one multiplies it by a nonnegative power of t, so
+the reduction stays homogeneous; a pivot that would need a negative
+power is a broken invariant and raises AssertionError.  A pivot (i, j)
+of the map into a position gives the bar (deg i, deg j - 1) when the
+degrees differ; a generator whose column the map out of the position
+empties, and that no pivot kills, gives an open bar.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
 from .complexes import FilteredComplex, incidence_sign
 from .linalg import Field, matrix, zeros
 from .persistence import Barcode
-from .sheaves import CellularSheaf, SheafDiagram, _codim1_pairs
+from .sheaves import (
+    CellularSheaf,
+    SheafDiagram,
+    _check_diagram,
+    _codim1_pairs,
+    _diamonds,
+)
 
 __all__ = [
     "NotFreeError",
@@ -34,6 +47,7 @@ __all__ = [
     "graded_homology_barcode",
     "diagram_to_graded_sheaf",
     "diagram_graded_barcode",
+    "diagram_graded_barcode_by_degree",
     "evaluate_at",
     "evaluate_sheaf_at",
     "SlicedComplex",
@@ -48,6 +62,11 @@ def _unit_column(n: int, i: int) -> np.ndarray:
     col = zeros(n, 1)
     col[i, 0] = 1
     return col
+
+
+def _degree_order(degrees) -> list:
+    """Positions sorted by (degree, position)."""
+    return sorted(range(len(degrees)), key=lambda i: (degrees[i], i))
 
 
 class GradedFreeModule:
@@ -89,15 +108,36 @@ class HomogeneousMatrix:
         if self.scalar.shape != want:
             raise ValueError(f"scalar shape {self.scalar.shape}, degrees want {want}")
         rz, cz = np.nonzero(self.scalar)
-        for i, j in zip(rz, cz):
-            if self.col_degrees[int(j)] < self.row_degrees[int(i)]:
-                raise ValueError(
-                    f"entry ({int(i)}, {int(j)}) would need a negative t-power"
-                )
+        bad = np.flatnonzero(
+            np.array(self.col_degrees, dtype=np.int64)[cz]
+            < np.array(self.row_degrees, dtype=np.int64)[rz]
+        )
+        if bad.size:
+            i, j = int(rz[bad[0]]), int(cz[bad[0]])
+            raise ValueError(f"entry ({i}, {j}) would need a negative t-power")
 
     @property
     def shape(self):
         return self.scalar.shape
+
+    @cached_property
+    def pivots(self) -> dict:
+        """Pivot row -> column of the degree-ordered lowest-pivot reduction.
+
+        Rows and columns are taken in (degree, position) order, so adding
+        an earlier column into a later one multiplies it by a nonnegative
+        power of t; a pivot that needs a negative one is a broken
+        invariant.  Positions are the stored ones; the reduction runs
+        once per matrix.
+        """
+        rows = _degree_order(self.row_degrees)
+        cols = _degree_order(self.col_degrees)
+        _, _, owner = self.field._column_echelon(self.scalar[np.ix_(rows, cols)])
+        pivots = {rows[i]: cols[j] for i, j in owner.items()}
+        for i, j in pivots.items():
+            if self.col_degrees[j] < self.row_degrees[i]:
+                raise AssertionError(f"pivot ({i}, {j}) would need a negative t-power")
+        return pivots
 
     def compose(self, other: "HomogeneousMatrix") -> "HomogeneousMatrix":
         """self after other; plain scalar product, degrees from the outside."""
@@ -192,122 +232,80 @@ class GradedChainComplex:
 def _graded_kernel(field: Field, scalar, col_degrees):
     """Homogeneous kernel basis of a graded map, with generator degrees.
 
-    Columns are reduced in increasing (degree, position) order by
-    lowest-nonzero-row pivots; zero columns' tracked combinations form
-    the kernel basis, each of the degree of the column it reduced.
+    Columns are reduced in (degree, position) order, so only columns of
+    lower or equal degree are ever added into later ones; the tracked
+    combination that empties a column is a kernel vector of that
+    column's degree.  Barcodes do not need it: they only ask which
+    columns the reduction empties.
     """
-    p = field.p
-    scalar = field.normalize(scalar)
-    n = scalar.shape[1]
-    order = sorted(range(n), key=lambda j: (col_degrees[j], j))
-    r = scalar[:, order].copy()
-    v = zeros(n, n)
-    for pos, j in enumerate(order):
-        v[j, pos] = 1
-    owner: dict[int, int] = {}
-    for pos in range(n):
-        while True:
-            nz = np.nonzero(r[:, pos])[0]
-            if nz.size == 0:
-                break
-            low = int(nz[-1])
-            other = owner.get(low)
-            if other is None:
-                owner[low] = pos
-                break
-            coef = (int(r[low, pos]) * field.inv(r[low, other])) % p
-            r[:, pos] = (r[:, pos] - coef * r[:, other]) % p
-            v[:, pos] = (v[:, pos] - coef * v[:, other]) % p
-    kept = [pos for pos in range(n) if not r[:, pos].any()]
-    basis = v[:, kept].copy()
-    kdeg = tuple(col_degrees[order[pos]] for pos in kept)
-    rz, cz = np.nonzero(basis)
-    for i, j in zip(rz, cz):
-        if col_degrees[int(i)] > kdeg[int(j)]:
-            raise AssertionError("reduction produced an inhomogeneous kernel column")
-    return basis, kdeg
+    cols = _degree_order(col_degrees)
+    reduced, ops, _ = field._column_echelon(np.asarray(scalar)[:, cols], track=True)
+    emptied = np.flatnonzero(~reduced.any(axis=0))
+    basis = zeros(len(cols), emptied.size)
+    basis[cols] = ops[:, emptied]
+    return basis, tuple(col_degrees[cols[a]] for a in emptied)
+
+
+def _graded_quotient_bars(out_map: HomogeneousMatrix, in_map: HomogeneousMatrix):
+    """Bars of ker(out_map) / im(in_map), read from the two maps' pivots.
+
+    A pivot (i, j) of in_map kills generator i at the degree of column
+    j: a bar (deg i, deg j - 1), or none when the two degrees agree.  A
+    generator whose column out_map empties and that no pivot kills
+    lives forever.  A killed generator whose column out_map does not
+    empty means the maps do not compose to zero.
+    """
+    degrees = in_map.row_degrees
+    killers = in_map.col_degrees
+    killed = in_map.pivots
+    kept = set(out_map.pivots.values())
+    if not kept.isdisjoint(killed):
+        raise AssertionError("a killed generator is not a cycle")
+    bars = [
+        (degrees[i], killers[j] - 1)
+        for i, j in killed.items()
+        if killers[j] > degrees[i]
+    ]
+    bars.extend(
+        (degrees[i], None)
+        for i in range(len(degrees))
+        if i not in kept and i not in killed
+    )
+    return bars
 
 
 def _graded_snf_bars(field: Field, rel, row_degrees, col_degrees):
     """Bars of the module presented by rel over generators of row_degrees.
 
-    Pivots take the entry of smallest implied power (ties by position).
-    By that minimality every other nonzero row of the pivot column has
-    lower or equal degree, so clearing the column with row operations
-    is homogeneous; the pivot column is then isolated, so clearing the
-    pivot row cannot disturb anything else.
+    That module is the kernel of the zero map on the generators modulo
+    the image of rel.
     """
-    p = field.p
-    x = field.normalize(rel).copy()
-    nr, nc = x.shape
-    act_r = set(range(nr))
-    act_c = set(range(nc))
-    bars = []
-    while True:
-        best = None
-        for i in sorted(act_r):
-            row = x[i]
-            for j in sorted(act_c):
-                if row[j]:
-                    key = (col_degrees[j] - row_degrees[i], i, j)
-                    if best is None or key < best:
-                        best = key
-        if best is None:
-            break
-        pw, i, j = best
-        if pw < 0:
-            raise AssertionError("presentation entry with a negative implied power")
-        pivot_inv = field.inv(x[i, j])
-        for i2 in sorted(act_r):
-            if i2 == i or not x[i2, j]:
-                continue
-            if row_degrees[i2] > row_degrees[i]:
-                raise AssertionError("row elimination would break homogeneity")
-            coef = (int(x[i2, j]) * pivot_inv) % p
-            x[i2, :] = (x[i2, :] - coef * x[i, :]) % p
-        for j2 in sorted(act_c):
-            if j2 != j and x[i, j2] and col_degrees[j2] < col_degrees[j]:
-                raise AssertionError("column elimination would break homogeneity")
-        x[i, :] = 0
-        act_r.discard(i)
-        act_c.discard(j)
-        if pw >= 1:
-            bars.append((row_degrees[i], row_degrees[i] + pw - 1))
-    bars.extend((row_degrees[i], None) for i in sorted(act_r))
-    return bars
-
-
-def _graded_quotient_bars(field, out_map: HomogeneousMatrix, in_map: HomogeneousMatrix):
-    """Bars of ker(out_map) / im(in_map)."""
-    basis, kdeg = _graded_kernel(field, out_map.scalar, out_map.col_degrees)
-    rel = field.solve(basis, in_map.scalar)
-    if rel is None:
-        raise AssertionError("incoming image does not lie in the kernel")
-    rz, cz = np.nonzero(rel)
-    for i, j in zip(rz, cz):
-        if in_map.col_degrees[int(j)] < kdeg[int(i)]:
-            raise AssertionError("relation coordinates are not homogeneous")
-    return _graded_snf_bars(field, rel, kdeg, in_map.col_degrees)
+    gens = GradedFreeModule(row_degrees)
+    return _graded_quotient_bars(
+        _zero_hom(field, GradedFreeModule(()), gens),
+        HomogeneousMatrix(field, rel, row_degrees, col_degrees),
+    )
 
 
 def graded_barcode(gc: GradedComplex, k: int) -> Barcode:
     """Interval multiset of the degree-k cohomology of a graded complex."""
-    return Barcode(
-        _graded_quotient_bars(gc.field, gc.map_out(k), gc.map_out(k - 1))
-    )
+    return Barcode(_graded_quotient_bars(gc.map_out(k), gc.map_out(k - 1)))
 
 
 def graded_homology_barcode(gch: GradedChainComplex, k: int) -> Barcode:
     """Interval multiset of the degree-k homology of a graded chain complex."""
-    return Barcode(
-        _graded_quotient_bars(gch.field, gch.boundary(k), gch.boundary(k + 1))
-    )
+    return Barcode(_graded_quotient_bars(gch.boundary(k), gch.boundary(k + 1)))
 
 
-class GradedSheaf:
-    """Per-simplex free graded modules with homogeneous restrictions."""
+class _GradedStalks:
+    """Per-simplex free graded modules with one stored map per incidence.
 
-    def __init__(self, complex_: FilteredComplex, degrees, restriction):
+    Stored maps are keyed (source id, target id); a map touching a
+    module of rank 0 need not be stored.  Subclasses name their maps
+    in _kind.
+    """
+
+    def __init__(self, complex_: FilteredComplex, degrees, maps):
         self.complex = complex_
         self.degrees = {
             s.id: tuple(int(d) for d in degrees.get(s.id, ()))
@@ -316,203 +314,133 @@ class GradedSheaf:
         if any(d < 0 for ds in self.degrees.values() for d in ds):
             raise ValueError("generator degrees must be nonnegative")
         p = complex_.field.p
-        self._restriction = {
-            (fid, cid): matrix(m, p) for (fid, cid), m in restriction.items()
-        }
+        self._maps = {key: matrix(m, p) for key, m in maps.items()}
 
     def module(self, sid: str) -> GradedFreeModule:
         return GradedFreeModule(self.degrees[sid])
+
+    def _map(self, source_id: str, target_id: str) -> HomogeneousMatrix:
+        rows = self.degrees[target_id]
+        cols = self.degrees[source_id]
+        stored = self._maps.get((source_id, target_id))
+        if stored is None:
+            if rows and cols:
+                raise KeyError(
+                    f"no {self._kind} stored for {source_id!r} -> {target_id!r}"
+                )
+            stored = zeros(len(rows), len(cols))
+        return HomogeneousMatrix(self.complex.field, stored, rows, cols)
+
+
+class GradedSheaf(_GradedStalks):
+    """Graded modules with homogeneous restrictions, face to coface."""
+
+    _kind = "restriction"
 
     def restriction(self, face_id: str, coface_id: str) -> HomogeneousMatrix:
-        rows = self.degrees[coface_id]
-        cols = self.degrees[face_id]
-        stored = self._restriction.get((face_id, coface_id))
-        if stored is None:
-            if rows and cols:
-                raise KeyError(
-                    f"no restriction stored for {face_id!r} -> {coface_id!r}"
-                )
-            stored = zeros(len(rows), len(cols))
-        return HomogeneousMatrix(self.complex.field, stored, rows, cols)
+        return self._map(face_id, coface_id)
 
 
-class GradedCosheaf:
-    """Per-simplex free graded modules with homogeneous extensions."""
+class GradedCosheaf(_GradedStalks):
+    """Graded modules with homogeneous extensions, coface to face."""
 
-    def __init__(self, complex_: FilteredComplex, degrees, extension):
-        self.complex = complex_
-        self.degrees = {
-            s.id: tuple(int(d) for d in degrees.get(s.id, ()))
-            for s in complex_.simplices
-        }
-        if any(d < 0 for ds in self.degrees.values() for d in ds):
-            raise ValueError("generator degrees must be nonnegative")
-        p = complex_.field.p
-        self._extension = {
-            (cid, fid): matrix(m, p) for (cid, fid), m in extension.items()
-        }
-
-    def module(self, sid: str) -> GradedFreeModule:
-        return GradedFreeModule(self.degrees[sid])
+    _kind = "extension"
 
     def extension(self, coface_id: str, face_id: str) -> HomogeneousMatrix:
-        rows = self.degrees[face_id]
-        cols = self.degrees[coface_id]
-        stored = self._extension.get((coface_id, face_id))
-        if stored is None:
-            if rows and cols:
-                raise KeyError(
-                    f"no extension stored for {coface_id!r} -> {face_id!r}"
-                )
-            stored = zeros(len(rows), len(cols))
-        return HomogeneousMatrix(self.complex.field, stored, rows, cols)
+        return self._map(coface_id, face_id)
+
+
+def _checked_maps(stalks: _GradedStalks, down: bool):
+    """Each incidence's map keyed (face id, coface id), and the problems.
+
+    Problems are maps that are missing or would need a negative
+    t-power, then diamonds whose two composites differ.  down says the
+    maps run from coface to face.
+    """
+    field = stalks.complex.field
+    problems = []
+    maps = {}
+
+    def arrow(face, coface):
+        a, b = (coface, face) if down else (face, coface)
+        return a.id, b.id
+
+    for f, t in _codim1_pairs(stalks.complex):
+        source, target = arrow(f, t)
+        try:
+            maps[(f.id, t.id)] = stalks._map(source, target)
+        except (KeyError, ValueError) as err:
+            problems.append(f"{source!r} -> {target!r}: {err}")
+    if problems:
+        return maps, problems
+    for s, ra, rb, t in _diamonds(stalks.complex):
+        via = []
+        for r in (ra, rb):
+            near, far = maps[(s.id, r.id)].scalar, maps[(r.id, t.id)].scalar
+            via.append(field.matmul(near, far) if down else field.matmul(far, near))
+        if not np.array_equal(*via):
+            source, target = arrow(s, t)
+            problems.append(f"diamond {source!r} -> {target!r} does not commute")
+    return maps, problems
 
 
 def validate_graded_sheaf(gs: GradedSheaf) -> list:
     """Homogeneity problems and non-commuting diamonds, as strings."""
-    field = gs.complex.field
-    problems = []
-    maps = {}
-    for f, t in _codim1_pairs(gs.complex):
-        try:
-            maps[(f.id, t.id)] = gs.restriction(f.id, t.id)
-        except (KeyError, ValueError) as err:
-            problems.append(f"{f.id!r} -> {t.id!r}: {err}")
-    if problems:
-        return problems
-    for t in gs.complex.simplices:
-        if t.dim < 2:
-            continue
-        verts = t.vertices
-        for i in range(len(verts)):
-            for j in range(i + 1, len(verts)):
-                sv = tuple(v for a, v in enumerate(verts) if a not in (i, j))
-                s = gs.complex.by_vertices.get(sv)
-                ra = gs.complex.by_vertices.get(
-                    tuple(v for a, v in enumerate(verts) if a != i)
-                )
-                rb = gs.complex.by_vertices.get(
-                    tuple(v for a, v in enumerate(verts) if a != j)
-                )
-                if s is None or ra is None or rb is None:
-                    continue
-                via_a = field.matmul(
-                    maps[(ra.id, t.id)].scalar, maps[(s.id, ra.id)].scalar
-                )
-                via_b = field.matmul(
-                    maps[(rb.id, t.id)].scalar, maps[(s.id, rb.id)].scalar
-                )
-                if not np.array_equal(via_a, via_b):
-                    problems.append(f"diamond {s.id!r} -> {t.id!r} does not commute")
-    return problems
+    return _checked_maps(gs, down=False)[1]
 
 
 def validate_graded_cosheaf(gco: GradedCosheaf) -> list:
-    field = gco.complex.field
-    problems = []
-    maps = {}
-    for f, t in _codim1_pairs(gco.complex):
-        try:
-            maps[(t.id, f.id)] = gco.extension(t.id, f.id)
-        except (KeyError, ValueError) as err:
-            problems.append(f"{t.id!r} -> {f.id!r}: {err}")
+    return _checked_maps(gco, down=True)[1]
+
+
+def _assemble(stalks: _GradedStalks, down: bool, what: str):
+    """Generator spaces per dimension and the signed maps between them.
+
+    Coboundaries k -> k+1 for a sheaf; boundaries k+1 -> k when down.
+    Each block is placed at its face's and coface's offsets.
+    """
+    maps, problems = _checked_maps(stalks, down)
     if problems:
-        return problems
-    for t in gco.complex.simplices:
-        if t.dim < 2:
-            continue
-        verts = t.vertices
-        for i in range(len(verts)):
-            for j in range(i + 1, len(verts)):
-                sv = tuple(v for a, v in enumerate(verts) if a not in (i, j))
-                s = gco.complex.by_vertices.get(sv)
-                ra = gco.complex.by_vertices.get(
-                    tuple(v for a, v in enumerate(verts) if a != i)
-                )
-                rb = gco.complex.by_vertices.get(
-                    tuple(v for a, v in enumerate(verts) if a != j)
-                )
-                if s is None or ra is None or rb is None:
-                    continue
-                via_a = field.matmul(
-                    maps[(ra.id, s.id)].scalar, maps[(t.id, ra.id)].scalar
-                )
-                via_b = field.matmul(
-                    maps[(rb.id, s.id)].scalar, maps[(t.id, rb.id)].scalar
-                )
-                if not np.array_equal(via_a, via_b):
-                    problems.append(f"diamond {t.id!r} -> {s.id!r} does not commute")
-    return problems
-
-
-class _GradedBlocks:
-    """Concatenated generator layout per simplex dimension."""
-
-    def __init__(self, complex_, degrees):
-        self.spaces = []
-        self.offsets = []
-        for k in range(complex_.dim + 1):
-            off = {}
-            degs = []
-            for s in complex_.simplices_of_dim(k):
-                off[s.id] = len(degs)
-                degs.extend(degrees[s.id])
-            self.offsets.append(off)
-            self.spaces.append(GradedFreeModule(degs))
+        raise ValueError(f"invalid graded {what}: " + "; ".join(problems))
+    x = stalks.complex
+    field = x.field
+    spaces, offsets = [], []
+    for k in range(x.dim + 1):
+        off, degs = {}, []
+        for s in x.simplices_of_dim(k):
+            off[s.id] = len(degs)
+            degs.extend(stalks.degrees[s.id])
+        offsets.append(off)
+        spaces.append(GradedFreeModule(degs))
+    blocks = [[] for _ in range(x.dim)]
+    for f, t in _codim1_pairs(x):
+        blocks[f.dim].append((f, t))
+    homs = []
+    for k, pairs in enumerate(blocks):
+        lo, hi = spaces[k], spaces[k + 1]
+        rows, cols = (lo, hi) if down else (hi, lo)
+        scalar = zeros(rows.rank, cols.rank)
+        for f, t in pairs:
+            block = maps[(f.id, t.id)].scalar
+            if block.size == 0:
+                continue
+            fo, to = offsets[k][f.id], offsets[k + 1][t.id]
+            ro, co = (fo, to) if down else (to, fo)
+            scalar[ro : ro + block.shape[0], co : co + block.shape[1]] = (
+                incidence_sign(f, t) * block
+            ) % field.p
+        homs.append(HomogeneousMatrix(field, scalar, rows.degrees, cols.degrees))
+    return spaces, homs
 
 
 def graded_cochain_complex(gs: GradedSheaf) -> GradedComplex:
     """Assemble the signed coboundaries of a graded sheaf."""
-    problems = validate_graded_sheaf(gs)
-    if problems:
-        raise ValueError("invalid graded sheaf: " + "; ".join(problems))
-    field = gs.complex.field
-    layout = _GradedBlocks(gs.complex, gs.degrees)
-    maps = []
-    for k in range(gs.complex.dim):
-        lo, hi = layout.spaces[k], layout.spaces[k + 1]
-        scalar = zeros(hi.rank, lo.rank)
-        for f, t in _codim1_pairs(gs.complex):
-            if t.dim != k + 1:
-                continue
-            block = gs.restriction(f.id, t.id).scalar
-            if block.size == 0:
-                continue
-            ro = layout.offsets[k + 1][t.id]
-            co = layout.offsets[k][f.id]
-            sign = incidence_sign(f, t)
-            scalar[ro : ro + block.shape[0], co : co + block.shape[1]] = (
-                sign * block
-            ) % field.p
-        maps.append(HomogeneousMatrix(field, scalar, hi.degrees, lo.degrees))
-    return GradedComplex(field, layout.spaces, maps)
+    return GradedComplex(gs.complex.field, *_assemble(gs, False, "sheaf"))
 
 
 def graded_chain_complex(gco: GradedCosheaf) -> GradedChainComplex:
     """Assemble the signed boundaries of a graded cosheaf."""
-    problems = validate_graded_cosheaf(gco)
-    if problems:
-        raise ValueError("invalid graded cosheaf: " + "; ".join(problems))
-    field = gco.complex.field
-    layout = _GradedBlocks(gco.complex, gco.degrees)
-    boundaries = []
-    for k in range(1, gco.complex.dim + 1):
-        lo, hi = layout.spaces[k - 1], layout.spaces[k]
-        scalar = zeros(lo.rank, hi.rank)
-        for f, t in _codim1_pairs(gco.complex):
-            if t.dim != k:
-                continue
-            block = gco.extension(t.id, f.id).scalar
-            if block.size == 0:
-                continue
-            ro = layout.offsets[k - 1][f.id]
-            co = layout.offsets[k][t.id]
-            sign = incidence_sign(f, t)
-            scalar[ro : ro + block.shape[0], co : co + block.shape[1]] = (
-                sign * block
-            ) % field.p
-        boundaries.append(HomogeneousMatrix(field, scalar, lo.degrees, hi.degrees))
-    return GradedChainComplex(field, layout.spaces, boundaries)
+    return GradedChainComplex(gco.complex.field, *_assemble(gco, True, "cosheaf"))
 
 
 def diagram_to_graded_sheaf(diagram: SheafDiagram) -> GradedSheaf:
@@ -571,10 +499,20 @@ def diagram_to_graded_sheaf(diagram: SheafDiagram) -> GradedSheaf:
     return GradedSheaf(diagram.complex, degrees, restriction)
 
 
+def diagram_graded_barcode_by_degree(diagram: SheafDiagram, degrees) -> dict:
+    """Fast-path barcodes of a valid stalk-wise injective diagram, by degree.
+
+    The graded sheaf and its cochain complex are built once, and each
+    coboundary is reduced once, whichever degrees read it.
+    """
+    gc = graded_cochain_complex(diagram_to_graded_sheaf(diagram))
+    return {k: graded_barcode(gc, k) for k in degrees}
+
+
 def diagram_graded_barcode(diagram: SheafDiagram, k: int) -> Barcode:
     """Fast-path barcode of a stalk-wise injective diagram at degree k."""
-    gs = diagram_to_graded_sheaf(diagram)
-    return graded_barcode(graded_cochain_complex(gs), k)
+    _check_diagram(diagram)
+    return diagram_graded_barcode_by_degree(diagram, [k])[k]
 
 
 class SlicedComplex:

@@ -275,6 +275,13 @@ def validate_diagram(diagram: SheafDiagram) -> list:
     return problems
 
 
+def _check_diagram(diagram: SheafDiagram):
+    """Raise ValueError("invalid diagram: ...") unless the diagram validates."""
+    problems = validate_diagram(diagram)
+    if problems:
+        raise ValueError("invalid diagram: " + "; ".join(problems))
+
+
 def constant(complex_: FilteredComplex, d: int) -> CellularSheaf:
     """The constant sheaf: every stalk F^d, every restriction the identity."""
     stalks = {s.id: d for s in complex_.simplices}

@@ -32,8 +32,10 @@ from .sheaves import (
 __all__ = [
     "pullback_chain",
     "type_t_direct",
+    "type_t_direct_by_degree",
     "filtration_cosheaf",
     "type_t_graded",
+    "type_t_graded_by_degree",
     "g_chain",
     "mirrored_g_diagram",
 ]
@@ -51,6 +53,29 @@ def pullback_chain(sheaf: CellularSheaf) -> list:
     return [pullback(x.step_inclusion(i), sheaf) for i in range(x.steps)]
 
 
+def type_t_direct_by_degree(sheaf: CellularSheaf, degrees) -> dict:
+    """type_t_direct of a valid sheaf for every k in degrees.
+
+    The pullbacks and their cochain complexes are built once; only the
+    bases, the induced maps and the decomposition are redone per degree.
+    """
+    x = sheaf.complex
+    cochains = [CochainComplex(pb, validate=False) for pb in pullback_chain(sheaf)]
+    inclusions = [x.step_inclusion(i, i + 1) for i in range(x.steps - 1)]
+    out = {}
+    for k in degrees:
+        bases = [cohomology_basis(cc.sheaf, k, cc) for cc in cochains]
+        maps = [
+            induced_by_simplicial_map(
+                f, source_basis=bases[i + 1], target_basis=bases[i]
+            )
+            for i, f in enumerate(inclusions)
+        ]
+        module = CopersistenceModule(x.field, [b.dim for b in bases], maps)
+        out[k] = module, decompose_copersistence(module)
+    return out
+
+
 def type_t_direct(sheaf: CellularSheaf, k: int):
     """Backward module of H^k over the filtration, with its barcode.
 
@@ -58,23 +83,7 @@ def type_t_direct(sheaf: CellularSheaf, k: int):
     back from step i+1 to step i along the inclusion.
     """
     _check_input(sheaf)
-    x = sheaf.complex
-    m = x.steps
-    restricted = pullback_chain(sheaf)
-    bases = [
-        cohomology_basis(pb, k, CochainComplex(pb, validate=False))
-        for pb in restricted
-    ]
-    maps = [
-        induced_by_simplicial_map(
-            x.step_inclusion(i, i + 1),
-            source_basis=bases[i + 1],
-            target_basis=bases[i],
-        )
-        for i in range(m - 1)
-    ]
-    module = CopersistenceModule(x.field, [b.dim for b in bases], maps)
-    return module, decompose_copersistence(module)
+    return type_t_direct_by_degree(sheaf, [k])[k]
 
 
 def filtration_cosheaf(sheaf: CellularSheaf) -> GradedCosheaf:
@@ -93,11 +102,20 @@ def filtration_cosheaf(sheaf: CellularSheaf) -> GradedCosheaf:
     return GradedCosheaf(x, degrees, extension)
 
 
+def type_t_graded_by_degree(sheaf: CellularSheaf, degrees) -> dict:
+    """Fast-path barcodes of a valid sheaf's filtration, by degree.
+
+    The graded chain complex is built once, and each boundary is
+    reduced once, whichever degrees read it.
+    """
+    gch = graded_chain_complex(filtration_cosheaf(sheaf))
+    return {k: graded_homology_barcode(gch, k) for k in degrees}
+
+
 def type_t_graded(sheaf: CellularSheaf, k: int) -> Barcode:
     """Fast-path barcode of the filtration at cohomological degree k."""
     _check_input(sheaf)
-    gch = graded_chain_complex(filtration_cosheaf(sheaf))
-    return graded_homology_barcode(gch, k)
+    return type_t_graded_by_degree(sheaf, [k])[k]
 
 
 def g_chain(sheaf: CellularSheaf):

@@ -20,27 +20,33 @@ from builders import (
     two_region_filtration,
 )
 from genrandom import random_complex, random_monomorphic_diagram, random_sheaf
-from oracles import betti
+from oracles import betti, persistence_bars
 from persheaf import (
     Barcode,
     CochainComplex,
     Field,
     FilteredComplex,
+    SheafDiagram,
+    SheafMorphism,
     Simplex,
     barcodes_equal,
     check_commutative,
     cohomology_basis,
     constant,
     diagram_graded_barcode,
+    diagram_graded_barcode_by_degree,
     diagram_to_graded_sheaf,
     filtration_cosheaf,
     grid,
     label_diagram,
     mirrored_g_diagram,
     persistent_cohomology,
+    persistent_cohomology_by_degree,
     reflect,
     type_t_direct,
+    type_t_direct_by_degree,
     type_t_graded,
+    type_t_graded_by_degree,
     unicolored_pipeline,
     validate_sheaf,
 )
@@ -272,6 +278,49 @@ def test_structural_invariants(seed):
                 type_t_graded(sheaf, k)
         except AssertionError:
             pytest.fail("graded reduction tripped a degree bookkeeping check")
+
+
+@pytest.mark.parametrize("p", [3, 2**31 - 1])
+def test_backward_engines_agree_at_more_primes(p):
+    """Direct and graded type_t over all degrees at once, beyond {2, 5};
+    a constant rank-1 sheaf must also give the oracle's filtration bars."""
+    rng = random.Random(8600 + p % 1009)
+    for _ in range(20):
+        x = random_complex(rng, Field(p))
+        degrees = list(range(x.dim + 1))
+        for sheaf in (random_sheaf(rng, x), constant(x, 1)):
+            direct = type_t_direct_by_degree(sheaf, degrees)
+            graded = type_t_graded_by_degree(sheaf, degrees)
+            assert list(graded) == degrees
+            for k in degrees:
+                assert barcodes_equal(graded[k], direct[k][1])
+        want = persistence_bars([(s.vertices, s.entry) for s in x.simplices], p)
+        for k in degrees:
+            assert graded[k] == Barcode(want.get(k, []))
+
+
+@pytest.mark.parametrize("p", [3, 2**31 - 1])
+def test_forward_engines_agree_at_more_primes(p):
+    """Pointwise and graded persist-a over all degrees at once, beyond
+    {2, 5}; a diagram of identities on the constant sheaf must give one
+    unbounded bar per oracle Betti number."""
+    rng = random.Random(8700 + p % 1009)
+    for _ in range(20):
+        x = random_complex(rng, Field(p))
+        degrees = list(range(x.dim + 1))
+        one = constant(x, 1)
+        steady = SheafDiagram(
+            [one, one], [SheafMorphism(one, one, {s.id: [[1]] for s in x.simplices})]
+        )
+        vertex_sets = [s.vertices for s in x.simplices]
+        for d in (random_monomorphic_diagram(rng, x), steady):
+            pointwise = persistent_cohomology_by_degree(d, degrees)
+            graded = diagram_graded_barcode_by_degree(d, degrees)
+            assert list(graded) == degrees
+            for k in degrees:
+                assert barcodes_equal(graded[k], pointwise[k][1])
+        for k in degrees:
+            assert graded[k] == Barcode([(0, None)] * betti(vertex_sets, k, p))
 
 
 # ---------------------------------------------------------------- determinism

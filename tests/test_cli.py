@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from persheaf import Barcode, SheafDiagram, SheafMorphism, constant
+from persheaf import Barcode, SheafDiagram, SheafMorphism, constant, sheaves
 from persheaf.cli import main
 from persheaf.formats import (
     diagram_to_data,
@@ -336,6 +336,145 @@ def test_missing_json_key_is_invalid_input(capsys, tmp_path, command, name, edit
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+def _set(path, value):
+    """An edit that puts value at the JSON path given as a list of keys."""
+    def edit(data):
+        for key in path[:-1]:
+            data = data[key]
+        data[path[-1]] = value
+    return edit
+
+
+@pytest.mark.parametrize(
+    "command, name, edit, message",
+    [
+        (
+            "persist-a", "edge_diagram.json",
+            _set(["steps", 0], [[1]]),
+            "diagram.steps[0]: expected a JSON object, got a list",
+        ),
+        (
+            "validate", "triangle_sheaf.json",
+            _set(["restrictions", 0, "matrix"], 5),
+            "sheaf.restrictions[0].matrix: expected a list of rows, got 5",
+        ),
+        (
+            "validate", "triangle_sheaf.json",
+            _set(["stalks"], [1, 1, 1, 1, 1, 1]),
+            "sheaf.stalks: expected a JSON object, got a list",
+        ),
+        (
+            "validate", "triangle_sheaf.json",
+            _set(["stalks", "0.1"], "1"),
+            "sheaf.stalks['0.1']: expected an integer, got \"1\"",
+        ),
+        (
+            "cohomology", "triangle.json",
+            _set(["simplices", 2, "vertices"], 2),
+            "complex.simplices[2].vertices: expected a list, got 2",
+        ),
+        (
+            "cohomology", "triangle.json",
+            _set(["simplices", 2, "vertices"], "2"),
+            "complex.simplices[2].vertices: expected a list, got \"2\"",
+        ),
+        (
+            "persist-a", "edge_diagram.json",
+            _set(["steps"], [{}, {}, {}, {}, {}]),
+            "diagram.steps: expected one entry between consecutive snapshots, "
+            "got 5 for 5 snapshots",
+        ),
+        (
+            "validate", "triangle_sheaf.json",
+            _set(["stalks", "0.1"], 1.5),
+            "sheaf.stalks['0.1']: expected an integer, got 1.5",
+        ),
+        (
+            "validate", "triangle_sheaf.json",
+            _set(["restrictions", 0, "matrix"], [[1.5]]),
+            "sheaf.restrictions[0].matrix: expected integer entries",
+        ),
+        (
+            "validate", "triangle_sheaf.json",
+            _set(["restrictions", 0, "matrix"], [[1, None]]),
+            "sheaf.restrictions[0].matrix: expected integer entries",
+        ),
+        (
+            "validate", "triangle_sheaf.json",
+            _set(["restrictions", 0, "matrix"], [[1], [1, 0]]),
+            "sheaf.restrictions[0].matrix: expected a list of rows of equal length",
+        ),
+        (
+            "validate", "triangle_sheaf.json",
+            _set(["complex", "simplices", 0, "entry"], 0.5),
+            "sheaf.complex.simplices[0].entry: expected an integer, got 0.5",
+        ),
+    ],
+    ids=[
+        "step-is-a-list", "matrix-is-a-number", "stalks-is-a-list",
+        "stalk-is-a-string", "vertices-is-a-number", "vertices-is-a-string",
+        "step-count", "stalk-1.5", "matrix-entry-1.5", "matrix-entry-null",
+        "ragged-matrix", "entry-0.5",
+    ],
+)
+def test_wrongly_typed_json_is_invalid_input(capsys, tmp_path, command, name, edit, message):
+    path = _drop_key(tmp_path, name, edit)
+    argv = {
+        "cohomology": ["cohomology", path, fx("triangle_sheaf.json")],
+        "validate": ["validate", path],
+        "persist-a": ["persist-a", path],
+    }[command]
+    code, out, err = run(capsys, argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_broken_invariant_exits_4(capsys, monkeypatch):
+    def broken(sheaf, degrees):
+        raise AssertionError("pivot (0, 0) would need a negative t-power")
+
+    monkeypatch.setattr("persheaf.cli.type_t_graded_by_degree", broken)
+    code, out, err = run(
+        capsys, ["persist-t", fx("square.json"), fx("square_sheaf.json")]
+    )
+    assert (code, out) == (4, "")
+    assert err == "internal error: pivot (0, 0) would need a negative t-power\n"
+
+
+@pytest.fixture
+def validations(monkeypatch):
+    """(function name, id of its argument) for every validate_sheaf and
+    validate_diagram call, wherever the package looks the name up."""
+    calls = []
+    for name in ("validate_sheaf", "validate_diagram"):
+        original = getattr(sheaves, name)
+
+        def counted(obj, _name=name, _original=original):
+            calls.append((_name, id(obj)))
+            return _original(obj)
+
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("persheaf") and vars(module).get(name) is original:
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_each_invocation_validates_once(capsys, tmp_path, validations):
+    with open(fx("edge_diagram.json"), encoding="utf-8") as fh:
+        embedded = json.load(fh)["complex"]
+    cpath = tmp_path / "complex.json"
+    cpath.write_text(serialize_json(embedded))
+    runs = [
+        (["persist-t", fx("square.json"), fx("square_sheaf.json")], "validate_sheaf"),
+        (["persist-a", fx("edge_diagram.json")], "validate_diagram"),
+        (["bipersist", str(cpath), fx("edge_diagram.json")], "validate_diagram"),
+    ]
+    for argv, top in runs:
+        validations.clear()
+        assert run(capsys, argv)[0] == 0
+        assert [name for name, _ in validations].count(top) == 1, argv
+        assert len(set(validations)) == len(validations), argv
+
+
 def test_python_dash_m(tmp_path):
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     env = dict(os.environ, PYTHONPATH=src)
@@ -348,7 +487,8 @@ def test_python_dash_m(tmp_path):
 
 def test_engine_mismatch_is_a_hard_failure(capsys, monkeypatch):
     monkeypatch.setattr(
-        "persheaf.cli.type_t_graded", lambda sheaf, k: Barcode([(0, 0)])
+        "persheaf.cli.type_t_graded_by_degree",
+        lambda sheaf, degrees: {k: Barcode([(0, 0)]) for k in degrees},
     )
     code, _, err = run(
         capsys,

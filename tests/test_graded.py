@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from persheaf import (
+    Barcode,
     CellularSheaf,
     CochainComplex,
     Field,
@@ -27,9 +28,10 @@ from persheaf import (
     validate_sheaf,
     zeros,
 )
-from persheaf.graded import _graded_kernel, _graded_snf_bars
+from persheaf.graded import _graded_kernel, _graded_quotient_bars, _graded_snf_bars
 
 from builders import edge_diagram
+from oracles import rref_rank
 from genrandom import random_complex, random_monomorphic_diagram
 
 F2 = Field(2)
@@ -69,6 +71,79 @@ def test_presentation_reduction_torsion_length():
 def test_presentation_reduction_keeps_minimal_power():
     bars = _graded_snf_bars(F5, matrix([[1, 1]], 5), (0,), (2, 3))
     assert bars == [(0, 1)]
+
+
+def presentation_bars_by_ranks(rel, row_degrees, col_degrees, p):
+    """Bars of coker(rel) from ranks of its levels, by inclusion-exclusion.
+
+    Level n is F^(generators of degree <= n) modulo the relations of
+    degree <= n; r(a, b) is the rank of level a's image in level b.
+    """
+    rel = np.asarray(rel, dtype=np.int64)
+    top = max(list(row_degrees) + list(col_degrees) + [0]) + 1
+
+    def level(n):
+        gens = [i for i, d in enumerate(row_degrees) if d <= n]
+        rels = [j for j, d in enumerate(col_degrees) if d <= n]
+        return gens, rel[np.ix_(gens, rels)]
+
+    def r(a, b):
+        if a < 0:
+            return 0
+        gens_b, rel_b = level(b)
+        gens_a = [i for i, d in enumerate(row_degrees) if d <= a]
+        incl = np.zeros((len(gens_b), len(gens_a)), dtype=np.int64)
+        for col, g in enumerate(gens_a):
+            incl[gens_b.index(g), col] = 1
+        return rref_rank(np.hstack([rel_b, incl]), p) - rref_rank(rel_b, p)
+
+    bars = []
+    for a in range(top + 1):
+        for b in range(a, top):
+            mult = r(a, b) - r(a - 1, b) - r(a, b + 1) + r(a - 1, b + 1)
+            bars += [(a, b)] * mult
+        bars += [(a, None)] * (r(a, top) - r(a - 1, top))
+    return Barcode(bars)
+
+
+def random_presentation(rng, p):
+    """A homogeneous relation matrix, with zero and dependent columns."""
+    nr, nc = rng.randint(0, 5), rng.randint(0, 6)
+    rows = [rng.randint(0, 4) for _ in range(nr)]
+    cols = [rng.randint(0, 5) for _ in range(nc)]
+    rel = zeros(nr, nc)
+    for j in range(nc):
+        earlier = [c for c in range(j) if cols[c] <= cols[j]]
+        if earlier and rng.random() < 0.3:
+            rel[:, j] = (rng.randrange(1, p) * rel[:, rng.choice(earlier)]) % p
+            continue
+        for i in range(nr):
+            if rows[i] <= cols[j] and rng.random() < 0.5:
+                rel[i, j] = rng.randrange(p)
+    return rel, rows, cols
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 2**31 - 1])
+def test_presentation_bars_match_rank_formula(p):
+    rng = random.Random(p % 1009)
+    for _ in range(60):
+        rel, rows, cols = random_presentation(rng, p)
+        got = Barcode(_graded_snf_bars(Field(p), rel, rows, cols))
+        assert got == presentation_bars_by_ranks(rel, rows, cols, p)
+
+
+def test_reduction_refuses_a_negative_power():
+    hom = HomogeneousMatrix(F2, [[1, 0], [0, 0]], (0, 2), (1, 1))
+    hom.scalar[1, 1] = 1
+    with pytest.raises(AssertionError, match="negative t-power"):
+        hom.pivots
+
+
+def test_quotient_refuses_maps_that_do_not_compose_to_zero():
+    out_map = HomogeneousMatrix(F2, [[1]], (0,), (0,))
+    in_map = HomogeneousMatrix(F2, [[1]], (0,), (1,))
+    with pytest.raises(AssertionError, match="not a cycle"):
+        _graded_quotient_bars(out_map, in_map)
 
 
 def test_graded_kernel_tracks_degrees():
