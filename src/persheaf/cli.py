@@ -5,8 +5,9 @@ mismatch (the cross-checking modes treat any disagreement between two
 routes to the same barcode as a hard failure), 4 internal error (a
 broken internal invariant, reported in one line on stderr).
 
-persist-t, persist-a and bipersist validate their input once, build
-what every degree shares once, and then do only the per-degree work.
+persist-t, persist-a, bipersist and labeled validate their input once,
+build what every degree shares once, and then do only the per-degree
+work.
 """
 
 from __future__ import annotations
@@ -16,11 +17,7 @@ import math
 import sys
 
 from .bipersistence import check_commutative, grid_by_degree
-from .cohomology import (
-    cohomology_basis,
-    persistent_cohomology,
-    persistent_cohomology_by_degree,
-)
+from .cohomology import cohomology_basis, persistent_cohomology_by_degree
 from .complexes import vietoris_rips
 from .formats import (
     BarcodeReport,
@@ -35,7 +32,7 @@ from .graded import NotFreeError, diagram_graded_barcode_by_degree
 from .labeled import LabeledFiltration, label_diagram, unicolored_pipeline
 from .linalg import Field
 from .persistence import barcodes_equal
-from .sheaves import validate_diagram, validate_sheaf
+from .sheaves import _check_diagram, validate_diagram, validate_sheaf
 from .typet import type_t_direct_by_degree, type_t_graded_by_degree
 
 __all__ = ["main", "entry"]
@@ -178,7 +175,8 @@ def _cross_checked(args, degrees, m, p, pointwise, graded, name, note=""):
 
     pointwise and graded map each degree to its barcode, or are None
     for an engine that did not run; graded bars are reported when there
-    are any.  note goes to stderr once per degree.
+    are any.  name is the pointwise engine's name in reports and
+    messages.  note goes to stderr once per degree.
     """
     reports = []
     for k in degrees:
@@ -192,7 +190,7 @@ def _cross_checked(args, degrees, m, p, pointwise, graded, name, note=""):
             )
             return 3
         barcode = fast if fast is not None else slow
-        engine = "graded" if fast is not None else "pointwise"
+        engine = "graded" if fast is not None else name
         reports.append(
             BarcodeReport.of(k, _finish_barcode(barcode, args.closed_end, m), engine, p)
         )
@@ -296,17 +294,19 @@ def _cmd_labeled(args) -> int:
     lf = _labeled_input(args)
     m = lf.filtration.steps
     diagram = label_diagram(lf, args.hom_n)
-    reports = []
-    for k in _degrees(args, lf.label_complex.dim):
-        _, barcode = persistent_cohomology(diagram, k)
-        reports.append(
-            BarcodeReport.of(
-                k,
-                _finish_barcode(barcode, args.closed_end, m),
-                "pointwise",
-                lf.filtration.field.p,
-            )
+    _check_diagram(diagram)
+    found = persistent_cohomology_by_degree(
+        diagram, _degrees(args, lf.label_complex.dim)
+    )
+    reports = [
+        BarcodeReport.of(
+            k,
+            _finish_barcode(barcode, args.closed_end, m),
+            "pointwise",
+            lf.filtration.field.p,
         )
+        for k, (_, barcode) in found.items()
+    ]
     return _emit(reports, args)
 
 

@@ -6,6 +6,13 @@ times the orientation sign.  Chain complexes do the same with cosheaf
 extensions, transposed in direction.  Bases of the resulting
 subquotients keep their representative columns so induced maps can be
 expressed in coordinates.
+
+H^k = ker(delta^k)/im(delta^(k-1)) costs one column reduction of
+delta^k.  It clears (skips) the columns that are pivot rows of
+delta^(k-1), whose pivots each complex keeps once found, so the degrees
+taken in rising order reduce every coboundary once.  Homology runs the
+same way down from the top boundary.  Only the pivot maps are kept,
+never a reduced matrix.
 """
 
 from __future__ import annotations
@@ -74,6 +81,7 @@ class CochainComplex:
         self.field = sheaf.complex.field
         self._blocks = _Blocks(self.complex, sheaf.stalk)
         self._delta: dict[int, np.ndarray] = {}
+        self._pivots: dict[int, dict[int, int]] = {}
         p = self.field.p
         for k in range(self.complex.dim):
             d = zeros(self.dim(k + 1), self.dim(k))
@@ -114,6 +122,14 @@ class CochainComplex:
             return got
         return zeros(self.dim(k + 1), self.dim(k))
 
+    def pivots(self, k: int) -> dict:
+        """Pivot row -> column of delta^k's column reduction.
+
+        Reduced once, clearing delta^(k-1)'s pivot rows when those are
+        known; the pivots are the same either way.
+        """
+        return _pivots(self, self._delta, k, k - 1)
+
 
 class ChainComplex:
     """Stacked cosheaf stalks with signed extension boundaries."""
@@ -128,6 +144,7 @@ class ChainComplex:
         self.field = cosheaf.complex.field
         self._blocks = _Blocks(self.complex, cosheaf.stalk)
         self._boundary: dict[int, np.ndarray] = {}
+        self._pivots: dict[int, dict[int, int]] = {}
         p = self.field.p
         for k in range(1, self.complex.dim + 1):
             d = zeros(self.dim(k - 1), self.dim(k))
@@ -168,6 +185,14 @@ class ChainComplex:
             return got
         return zeros(self.dim(k - 1), self.dim(k))
 
+    def pivots(self, k: int) -> dict:
+        """Pivot row -> column of boundary_k's column reduction.
+
+        Reduced once, clearing boundary_(k+1)'s pivot rows when those
+        are known; the pivots are the same either way.
+        """
+        return _pivots(self, self._boundary, k, k + 1)
+
 
 def cochain_complex(sheaf: CellularSheaf) -> CochainComplex:
     return CochainComplex(sheaf)
@@ -175,6 +200,42 @@ def cochain_complex(sheaf: CellularSheaf) -> CochainComplex:
 
 def chain_complex(cosheaf: CellularCosheaf) -> ChainComplex:
     return ChainComplex(cosheaf)
+
+
+def _pivots(space, maps: dict, k: int, previous: int) -> dict:
+    """space's cached pivot map of maps[k]; none for a map not stored.
+
+    previous is the degree of the map whose pivot rows are columns of
+    maps[k].
+    """
+    got = space._pivots.get(k)
+    if got is None:
+        if k not in maps:
+            return {}
+        clear = space._pivots.get(previous, {})
+        got = space.field._column_echelon(maps[k], clear=clear)[2]
+        space._pivots[k] = got
+    return got
+
+
+def _subquotient(space, k: int, outgoing, incoming, cleared: dict) -> QuotientBasis:
+    """ker(outgoing)/im(incoming) in degree k of space, from one reduction.
+
+    cleared is incoming's pivot map.  A column of outgoing that is a
+    pivot row of incoming reduces to zero, so one tracked reduction of
+    outgoing skips it.  The ops columns of the other zero columns are
+    cycles independent modulo im(incoming): together with incoming's
+    reduced columns they are a basis of ker(outgoing) in which no two
+    vectors share a lowest nonzero row.  incoming's own pivot columns
+    span its image.  outgoing's pivots are kept for the next degree.
+    """
+    reduced, ops, space._pivots[k] = space.field._column_echelon(
+        outgoing, track=True, clear=cleared
+    )
+    cycles = ~reduced.any(axis=0)
+    cycles[list(cleared)] = False
+    killed = incoming[:, sorted(cleared.values())]
+    return QuotientBasis(space, k, ops[:, cycles], killed)
 
 
 def _quotient(field, cycles: np.ndarray, killed: np.ndarray) -> np.ndarray:
@@ -224,10 +285,7 @@ def cohomology_basis(
 ) -> QuotientBasis:
     """H^k as ker(delta^k)/im(delta^{k-1}), with cocycle representatives."""
     cc = cochains if cochains is not None else CochainComplex(sheaf)
-    field = cc.field
-    cycles = field.kernel_basis(cc.delta(k))
-    killed = field.image_basis(cc.delta(k - 1))
-    return QuotientBasis(cc, k, _quotient(field, cycles, killed), killed)
+    return _subquotient(cc, k, cc.delta(k), cc.delta(k - 1), cc.pivots(k - 1))
 
 
 def cosheaf_homology_basis(
@@ -235,10 +293,7 @@ def cosheaf_homology_basis(
 ) -> QuotientBasis:
     """H_k as ker(boundary_k)/im(boundary_{k+1}), with cycle representatives."""
     ch = chains if chains is not None else ChainComplex(cosheaf)
-    field = ch.field
-    cycles = field.kernel_basis(ch.boundary(k))
-    killed = field.image_basis(ch.boundary(k + 1))
-    return QuotientBasis(ch, k, _quotient(field, cycles, killed), killed)
+    return _subquotient(ch, k, ch.boundary(k), ch.boundary(k + 1), ch.pivots(k + 1))
 
 
 def simplicial_chain_complex(complex_: FilteredComplex) -> ChainComplex:

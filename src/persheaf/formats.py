@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -97,26 +98,29 @@ def _all_integers(values, where: str):
             _typed(v, int, f"{where}[{key!r}]")
 
 
-def _matrix(value, p: int, where: str) -> np.ndarray:
-    """A JSON list of integer rows as a matrix mod p.
+def _matrix(value, where: str) -> np.ndarray:
+    """A JSON list of integer rows as an int64 matrix.
 
-    The entries are checked once, by the dtype numpy infers for the
-    whole array: anything but an integer dtype (a float such as 1.5, a
+    The entries are checked by the dtype numpy infers for the whole
+    array: anything but an integer dtype (a float such as 1.5, a
     string, null, an integer beyond 64 bits) is refused, not truncated.
+    numpy reads a boolean among integers as 0 or 1, so the entry types
+    are also collected, in one pass in C.  The sheaf or morphism the
+    matrix goes into reduces it mod p.
     """
     if not isinstance(value, list):
         raise ValueError(f"{where}: expected a list of rows, got {_got(value)}")
     if not value:
-        return matrix(value, p)
+        return matrix(value)
     try:
         a = np.array(value)
     except ValueError:
         a = None
     if a is None or a.ndim != 2:
         raise ValueError(f"{where}: expected a list of rows of equal length")
-    if a.size and a.dtype.kind != "i":
+    if a.size and (a.dtype.kind != "i" or bool in {*map(type, chain(*value))}):
         raise ValueError(f"{where}: expected integer entries")
-    return a.astype(np.int64, copy=False) % p
+    return a.astype(np.int64, copy=False)
 
 
 def complex_from_data(data: dict, where: str = "complex") -> FilteredComplex:
@@ -176,13 +180,12 @@ def sheaf_from_data(
             raise ValueError("embedded complex disagrees with the provided one")
     if complex_ is None:
         raise ValueError("sheaf data has no complex and none was provided")
-    p = complex_.field.p
     _all_integers(stalk_data, f"{where}.stalks")
     restrictions = {}
     for i, entry in enumerate(restriction_data):
         at = f"{where}.restrictions[{i}]"
         key = (_require(entry, "face", at), _require(entry, "coface", at))
-        restrictions[key] = _matrix(_require(entry, "matrix", at), p, f"{at}.matrix")
+        restrictions[key] = _matrix(_require(entry, "matrix", at), f"{at}.matrix")
     return CellularSheaf(complex_, stalk_data, restrictions)
 
 
@@ -221,7 +224,6 @@ def diagram_from_data(data: dict, complex_: FilteredComplex | None = None) -> Sh
             raise ValueError("embedded complex disagrees with the provided one")
     if complex_ is None:
         raise ValueError("diagram data has no complex and none was provided")
-    p = complex_.field.p
     snapshots = [
         sheaf_from_data(s, complex_, f"diagram.snapshots[{i}]")
         for i, s in enumerate(snapshot_data)
@@ -230,7 +232,7 @@ def diagram_from_data(data: dict, complex_: FilteredComplex | None = None) -> Sh
     for i, comp_data in enumerate(step_data):
         at = f"diagram.steps[{i}]"
         comp = {
-            sid: _matrix(m, p, f"{at}[{sid!r}]")
+            sid: _matrix(m, f"{at}[{sid!r}]")
             for sid, m in _typed(comp_data, dict, at).items()
         }
         steps.append(SheafMorphism(snapshots[i], snapshots[i + 1], comp))

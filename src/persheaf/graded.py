@@ -28,6 +28,7 @@ from .sheaves import (
     SheafDiagram,
     _check_diagram,
     _codim1_pairs,
+    _commuting,
     _diamonds,
 )
 
@@ -373,12 +374,16 @@ def _checked_maps(stalks: _GradedStalks, down: bool):
             problems.append(f"{source!r} -> {target!r}: {err}")
     if problems:
         return maps, problems
-    for s, ra, rb, t in _diamonds(stalks.complex):
-        via = []
+    diamonds = list(_diamonds(stalks.complex))
+    squares = []
+    for s, ra, rb, t in diamonds:
+        square = []
         for r in (ra, rb):
             near, far = maps[(s.id, r.id)].scalar, maps[(r.id, t.id)].scalar
-            via.append(field.matmul(near, far) if down else field.matmul(far, near))
-        if not np.array_equal(*via):
+            square += (near, far) if down else (far, near)
+        squares.append(square)
+    for (s, _, _, t), good in zip(diamonds, _commuting(field, squares)):
+        if not good:
             source, target = arrow(s, t)
             problems.append(f"diamond {source!r} -> {target!r} does not commute")
     return maps, problems

@@ -5,6 +5,10 @@ Matrices are dense numpy int64 arrays with entries reduced mod p; a
 columns left to right and pivots on the lowest nonzero row (ties broken
 by column order), so equal inputs always produce equal bases.  All the
 fixture matrices downstream depend on that determinism.
+
+Field._column_echelon is the one column reduction: rank, kernel_basis
+and image_basis read it, the based (co)homology of cohomology.py runs
+it with clearing, and the graded engine runs it on degree-sorted maps.
 """
 
 from __future__ import annotations
@@ -100,13 +104,20 @@ class Field:
         prod = a.astype(object) @ b.astype(object)
         return np.array(prod % self.p, dtype=np.int64)
 
-    def _column_echelon(self, m, track: bool = False):
+    def _column_echelon(self, m, track: bool = False, clear=()):
         """Column reduction; returns (reduced, ops, pivot_row_to_column).
 
-        ops is unipotent with m @ ops = reduced (None unless track).  A
-        column's pivot is its lowest nonzero row; a later column whose
-        low collides with an owned row gets a multiple of the owning
-        column added until it finds a fresh low or empties out.
+        m @ ops = reduced, with ops None unless track.  A column's pivot
+        is its lowest nonzero row; a later column whose low collides
+        with an owned row gets a multiple of the owning column added
+        until it finds a fresh low or empties out.
+
+        clear holds columns the caller knows reduce to zero, such as the
+        pivot rows of the previous map in a complex (the "twist" of
+        Chen and Kerber).  They are zeroed in reduced and in ops without
+        any work, and own no pivot; every other column, and the pivots,
+        come out as they would without clear.  ops is unipotent when
+        clear is empty.
 
         The working matrix and the ops are stored transposed, so each
         column is one contiguous row that is updated in place; reduced
@@ -119,6 +130,11 @@ class Field:
         owner: dict[int, int] = {}
         inverse: dict[int, int] = {}
         for j in range(n_cols):
+            if j in clear:
+                rt[j] = 0
+                if track:
+                    vt[j] = 0
+                continue
             col = rt[j]
             end = col.size
             while True:

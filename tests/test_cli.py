@@ -6,18 +6,24 @@ output streams stay visible to the assertions.
 
 import json
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
-from persheaf import Barcode, SheafDiagram, SheafMorphism, constant, sheaves
+from persheaf import Barcode, Field, SheafDiagram, SheafMorphism, constant, sheaves
 from persheaf.cli import main
 from persheaf.formats import (
+    complex_to_data,
     diagram_to_data,
     parse_complex,
     serialize_json,
+    sheaf_to_data,
 )
+
+from genrandom import random_complex
+from oracles import rref_rank
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -114,6 +120,18 @@ def test_persist_a_engine_tags(capsys):
     report = json.loads(out)
     assert report["engine"] == "pointwise"
     assert report["bars"] == [[1, None], [2, None], [4, None]]
+
+
+@pytest.mark.parametrize("engine, name", [("direct", "direct"), ("both", "graded")])
+def test_persist_t_engine_tags(capsys, engine, name):
+    code, out, err = run(capsys, [
+        "persist-t", fx("square.json"), fx("square_sheaf.json"), "--k", "1",
+        "--format", "json", "--engine", engine,
+    ])
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["engine"] == name
+    assert report["bars"] == [[3, None]]
 
 
 def test_persist_t_square(capsys):
@@ -409,12 +427,22 @@ def _set(path, value):
             _set(["complex", "simplices", 0, "entry"], 0.5),
             "sheaf.complex.simplices[0].entry: expected an integer, got 0.5",
         ),
+        (
+            "validate", "triangle_sheaf.json",
+            _set(["restrictions", 0, "matrix"], [[1, True]]),
+            "sheaf.restrictions[0].matrix: expected integer entries",
+        ),
+        (
+            "persist-a", "edge_diagram.json",
+            _set(["steps", 0, "0.1"], [[1, 0], [False, 1]]),
+            "diagram.steps[0]['0.1']: expected integer entries",
+        ),
     ],
     ids=[
         "step-is-a-list", "matrix-is-a-number", "stalks-is-a-list",
         "stalk-is-a-string", "vertices-is-a-number", "vertices-is-a-string",
         "step-count", "stalk-1.5", "matrix-entry-1.5", "matrix-entry-null",
-        "ragged-matrix", "entry-0.5",
+        "ragged-matrix", "entry-0.5", "matrix-mixes-true", "step-mixes-false",
     ],
 )
 def test_wrongly_typed_json_is_invalid_input(capsys, tmp_path, command, name, edit, message):
@@ -467,12 +495,45 @@ def test_each_invocation_validates_once(capsys, tmp_path, validations):
         (["persist-t", fx("square.json"), fx("square_sheaf.json")], "validate_sheaf"),
         (["persist-a", fx("edge_diagram.json")], "validate_diagram"),
         (["bipersist", str(cpath), fx("edge_diagram.json")], "validate_diagram"),
+        (
+            ["labeled", fx("points.csv"), "--thresholds", "0.5,1.5,2.5",
+             "--max-dim", "2", "--hom-n", "0"],
+            "validate_diagram",
+        ),
     ]
     for argv, top in runs:
         validations.clear()
         assert run(capsys, argv)[0] == 0
         assert [name for name, _ in validations].count(top) == 1, argv
         assert len(set(validations)) == len(validations), argv
+
+
+@pytest.mark.parametrize("k", [None, 1])
+def test_persist_t_reduces_each_coboundary_once(capsys, tmp_path, monkeypatch, k):
+    x = random_complex(random.Random(6), Field(3), 30, min_steps=3)
+    assert x.dim == 2
+    sheaf = constant(x, 2)
+    cpath, spath = tmp_path / "complex.json", tmp_path / "sheaf.json"
+    cpath.write_text(serialize_json(complex_to_data(x)))
+    spath.write_text(serialize_json(sheaf_to_data(sheaf, embed_complex=False)))
+    reduced = []
+    original = Field._column_echelon
+
+    def counted(self, m, *args, **kwargs):
+        reduced.append(m)  # kept alive, so ids stay distinct
+        return original(self, m, *args, **kwargs)
+
+    monkeypatch.setattr(Field, "_column_echelon", counted)
+    # the rank formula's own reductions go to the oracle instead
+    monkeypatch.setattr(Field, "rank", lambda self, m: rref_rank(m, self.p))
+    argv = ["persist-t", str(cpath), str(spath), "--engine", "direct"]
+    argv += [] if k is None else ["--k", str(k)]
+    assert run(capsys, argv)[0] == 0
+    # every degree reduces delta^0 .. delta^2 at each step; H^1 alone
+    # needs delta^0's pivots and delta^1
+    per_step = x.dim + 1 if k is None else 2
+    assert len(reduced) == x.steps * per_step
+    assert len({id(m) for m in reduced}) == len(reduced)
 
 
 def test_python_dash_m(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 
 from persheaf import (
     CellularSheaf,
+    ChainComplex,
     CochainComplex,
     Field,
     FilteredComplex,
@@ -250,3 +251,65 @@ def test_tracked_echelon_at_the_largest_prime():
         assert len(owner) == rref_rank(m, p)
         for low, j in owner.items():
             assert reduced[low, j] and not reduced[low + 1 :, j].any()
+
+
+def test_cleared_echelon_matches_the_full_one():
+    """Clearing the previous map's pivot rows changes nothing else."""
+    for p in QUOTIENT_PRIMES:
+        field = Field(p)
+        rng = random.Random(p)
+        for _ in range(20):
+            cc = CochainComplex(random_sheaf(rng, random_complex(rng, field, 30)))
+            for k in range(cc.complex.dim):
+                m = cc.delta(k)
+                clear = field._column_echelon(cc.delta(k - 1))[2]
+                full, _, owner = field._column_echelon(m, track=True)
+                reduced, ops, got = field._column_echelon(m, track=True, clear=clear)
+                assert got == owner
+                kept = [j for j in range(m.shape[1]) if j not in clear]
+                assert np.array_equal(reduced[:, kept], full[:, kept])
+                assert not reduced[:, list(clear)].any()
+                assert not full[:, list(clear)].any()
+                exact = (m.astype(object) @ ops.astype(object)) % p
+                assert np.array_equal(exact.astype(np.int64), reduced)
+
+
+def check_subquotient(p, outgoing, incoming, basis):
+    """basis spans ker(outgoing)/im(incoming), on the oracle's rank.
+
+    Its size is the rank formula, its representatives are cycles that
+    stay independent modulo basis.killed, and basis.killed is a basis
+    of the image of incoming.
+    """
+    reps, killed = basis.representatives, basis.killed
+    image = rref_rank(incoming, p)
+    assert basis.dim == outgoing.shape[1] - rref_rank(outgoing, p) - image
+    assert not ((outgoing.astype(object) @ reps.astype(object)) % p).any()
+    assert rref_rank(killed, p) == killed.shape[1] == image
+    assert rref_rank(np.hstack([incoming, killed]), p) == image
+    assert rref_rank(np.hstack([killed, reps]), p) == image + basis.dim
+
+
+@pytest.mark.parametrize("p", QUOTIENT_PRIMES)
+def test_cleared_subquotients_match_the_oracles(p):
+    rng = random.Random(900 + p % 1009)
+    field = Field(p)
+    for trial in range(25):
+        x = random_complex(rng, field, 30)
+        vs = [s.vertices for s in x.simplices]
+        degrees = list(range(x.dim + 2))
+        # rising, falling and shuffled orders reach the reductions with
+        # and without the neighbouring pivots already known
+        order = [degrees, degrees[::-1], rng.sample(degrees, len(degrees))][trial % 3]
+        const = constant(x, 1)
+        for sheaf in (const, random_sheaf(rng, x)):
+            cc = CochainComplex(sheaf)
+            ch = ChainComplex(dualize(sheaf))
+            for k in order:
+                basis = cohomology_basis(sheaf, k, cc)
+                check_subquotient(p, cc.delta(k), cc.delta(k - 1), basis)
+                if sheaf is const:
+                    assert basis.dim == betti(vs, k, p)
+                hom = cosheaf_homology_basis(None, k, ch)
+                check_subquotient(p, ch.boundary(k), ch.boundary(k + 1), hom)
+                assert hom.dim == basis.dim

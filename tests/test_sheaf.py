@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ from persheaf import (
     CellularSheaf,
     Field,
     FilteredComplex,
+    GradedCosheaf,
+    GradedSheaf,
     SheafDiagram,
     SheafMorphism,
     Simplex,
@@ -21,9 +24,13 @@ from persheaf import (
     unit_map,
     validate_cosheaf,
     validate_diagram,
+    validate_graded_cosheaf,
+    validate_graded_sheaf,
     validate_morphism,
     validate_sheaf,
 )
+
+from persheaf.sheaves import _diamonds
 
 from genrandom import random_complex, random_sheaf
 
@@ -120,6 +127,74 @@ def test_broken_diamond_is_named():
     restr[("0", "0.2")] = identity(2)
     msgs = validate_sheaf(CellularSheaf(x, dims, restr))
     assert msgs == ["diamond '0' -> '0.1.2' does not commute (via '0.2' vs '0.1')"]
+
+
+def full_simplex(field, n, top):
+    """Every face of dimension <= top of the simplex on n vertices."""
+    return FilteredComplex(field, [
+        Simplex(".".join(map(str, vs)), vs, 0)
+        for d in range(top + 1)
+        for vs in combinations(range(n), d + 1)
+    ])
+
+
+def diamond_messages_one_by_one(field, complex_, composite, arrow):
+    """The per-diamond check: one Field.matmul pair and one comparison each."""
+    out = []
+    for s, ra, rb, t in _diamonds(complex_):
+        if not np.array_equal(composite(s, ra, t), composite(s, rb, t)):
+            a, b = arrow(s, t)
+            out.append(
+                f"diamond {a.id!r} -> {b.id!r} does not commute"
+                f" (via {ra.id!r} vs {rb.id!r})"
+            )
+    return out
+
+
+def test_batched_diamond_check_matches_per_diamond_loop():
+    p = 2 ** 31 - 1
+    field = Field(p)
+    rng = random.Random(2)
+    x = full_simplex(field, 5, 3)
+    checked = 0
+    while checked < 6:
+        # a valid sheaf with stalks of 0 to 12 and large entries: at
+        # this p a 1 x 1 product stays in int64 and a longer one needs
+        # object dtype; then a few restrictions replaced at random
+        sheaf = random_sheaf(rng, x, max_total=checked % 2 * 9 + 3)
+        restr = dict(sheaf._restriction)
+        if len(restr) < 20:
+            continue
+        checked += 1
+        for key in rng.sample(sorted(restr), 6):
+            restr[key] = np.array(
+                [[rng.randrange(p) for _ in row] for row in restr[key]], dtype=np.int64
+            ).reshape(restr[key].shape)
+        sheaf = CellularSheaf(x, sheaf.stalk_dim, restr)
+        want = diamond_messages_one_by_one(
+            field, x,
+            lambda s, r, t: field.matmul(
+                sheaf.restriction(r.id, t.id), sheaf.restriction(s.id, r.id)
+            ),
+            lambda s, t: (s, t),
+        )
+        assert 0 < len(want) < len(list(_diamonds(x)))
+        assert validate_sheaf(sheaf) == want
+        co = dualize(sheaf)
+        want = diamond_messages_one_by_one(
+            field, x,
+            lambda s, r, t: field.matmul(co.extension(r.id, s.id), co.extension(t.id, r.id)),
+            lambda s, t: (t, s),
+        )
+        assert validate_cosheaf(co) == want
+        # the graded validators, with every generator in degree 0
+        degrees = {sid: (0,) * d for sid, d in sheaf.stalk_dim.items()}
+        graded = GradedSheaf(x, degrees, restr)
+        want = [m.split(" (via")[0] for m in validate_sheaf(sheaf)]
+        assert validate_graded_sheaf(graded) == want
+        ext = {(t, f): m.T for (f, t), m in restr.items()}
+        want = [m.split(" (via")[0] for m in validate_cosheaf(co)]
+        assert validate_graded_cosheaf(GradedCosheaf(x, degrees, ext)) == want
 
 
 def test_morphism_naturality():
