@@ -85,7 +85,6 @@ from .typet import (
     filtration_cosheaf,
     g_chain,
     mirrored_g_diagram,
-    pullback_chain,
     type_t_direct,
     type_t_direct_by_degree,
     type_t_graded,

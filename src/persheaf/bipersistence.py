@@ -1,8 +1,10 @@
 """Two-parameter grids: a diagram of sheaves over a growing complex.
 
-Restricting every snapshot of a diagram to every filtration step gives
-a grid of cohomology spaces with maps in two directions: along the
+Taking every snapshot of a diagram over every filtration step gives a
+grid of cohomology spaces with maps in two directions: along the
 diagram, and from each complex down to the previous (smaller) one.
+Each snapshot's cochain complex is assembled once and read at every
+step through its leading blocks (CochainComplex.step).
 Rows are stored with the topological axis reversed, u = steps - 1 - i,
 so that both stored directions point from smaller index to larger and
 every square can be checked for commutativity the same way.
@@ -14,12 +16,13 @@ import numpy as np
 
 from .cohomology import (
     CochainComplex,
+    _cochain_map,
+    _induced,
+    _step_map,
     cohomology_basis,
-    induced_by_sheaf_morphism,
-    induced_by_simplicial_map,
 )
 from .linalg import identity
-from .sheaves import SheafDiagram, SheafMorphism, _check_diagram, pullback
+from .sheaves import SheafDiagram, _check_diagram
 
 __all__ = ["BiGrid", "grid", "grid_by_degree", "check_commutative", "rank_invariant"]
 
@@ -79,50 +82,33 @@ class BiGrid:
 def grid_by_degree(diagram: SheafDiagram, degrees) -> dict:
     """The H^k grid of a valid diagram for every k in degrees.
 
-    Pullbacks, their cochain complexes and the restricted morphisms are
-    built once; bases and induced maps are redone per degree.
+    One cochain complex per snapshot is assembled and viewed at every
+    step.  Per degree, each diagram step's cochain map is built once
+    over the whole complex, and row u uses its leading block; the maps
+    down a column drop trailing rows.
     """
     x = diagram.complex
     mt = x.steps
     ma = len(diagram.snapshots)
-    rows = []
-    morphisms = []
-    for u in range(mt):
-        i = mt - 1 - u
-        restricted = [pullback(x.step_inclusion(i), snap) for snap in diagram.snapshots]
-        rows.append([CochainComplex(pb, validate=False) for pb in restricted])
-        ids = [s.id for s in x.subcomplex(i).simplices]
-        morphisms.append(
-            [
-                SheafMorphism(
-                    restricted[j],
-                    restricted[j + 1],
-                    {sid: diagram.steps[j].component(sid) for sid in ids},
-                )
-                for j in range(ma - 1)
-            ]
-        )
-    drops = [x.step_inclusion(mt - 2 - u, mt - 1 - u) for u in range(mt - 1)]
+    full = [CochainComplex(snap, validate=False) for snap in diagram.snapshots]
+    rows = [[cc.step(mt - 1 - u) for cc in full] for u in range(mt)]
     out = {}
     for k in degrees:
         bases = [[cohomology_basis(cc.sheaf, k, cc) for cc in row] for row in rows]
+        chain_maps = [
+            _cochain_map(phi, full[j], full[j + 1], k)
+            for j, phi in enumerate(diagram.steps)
+        ]
         hmaps = [
             [
-                induced_by_sheaf_morphism(
-                    phi, source_basis=bases[u][j], target_basis=bases[u][j + 1]
-                )
-                for j, phi in enumerate(row)
+                _induced(m, bases[u][j], bases[u][j + 1])
+                for j, m in enumerate(chain_maps)
             ]
-            for u, row in enumerate(morphisms)
+            for u in range(mt)
         ]
         vmaps = [
-            [
-                induced_by_simplicial_map(
-                    f, source_basis=bases[u][j], target_basis=bases[u + 1][j]
-                )
-                for j in range(ma)
-            ]
-            for u, f in enumerate(drops)
+            [_step_map(bases[u][j], bases[u + 1][j]) for j in range(ma)]
+            for u in range(mt - 1)
         ]
         dims = [[b.dim for b in row] for row in bases]
         out[k] = BiGrid(x.field, dims, hmaps, vmaps)
@@ -132,7 +118,7 @@ def grid_by_degree(diagram: SheafDiagram, degrees) -> dict:
 def grid(diagram: SheafDiagram, k: int) -> BiGrid:
     """The H^k grid of a diagram over all steps of its filtered complex.
 
-    Row u holds the restrictions to step i = steps - 1 - u, so the top
+    Row u holds the snapshots over step i = steps - 1 - u, so the top
     row sees the whole complex.  Horizontal maps are induced by the
     diagram's morphisms, vertical ones by the step inclusions; bases
     are fixed once per grid position and shared by both directions.

@@ -1,13 +1,15 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 usage error, 2 invalid input, 3 engine
-mismatch (the cross-checking modes treat any disagreement between two
-routes to the same barcode as a hard failure), 4 internal error (a
-broken internal invariant, reported in one line on stderr).
+Exit codes: 0 success, 1 usage error (a negative --k, --max-dim or
+--hom-n among them), 2 invalid input, 3 engine mismatch (the
+cross-checking modes treat any disagreement between two routes to the
+same barcode as a hard failure), 4 internal error (a broken internal
+invariant, reported in one line on stderr).
 
 persist-t, persist-a, bipersist and labeled validate their input once,
 build what every degree shares once, and then do only the per-degree
-work.
+work; a filtration's complex is assembled once and read at every step
+through its leading blocks.
 """
 
 from __future__ import annotations
@@ -47,6 +49,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _nonnegative_int(text: str) -> int:
+    """A nonnegative integer option value (a degree or a dimension)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def _create_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--field", type=int, default=None)
@@ -64,11 +77,11 @@ def _create_parser() -> _Parser:
     p = sub.add_parser("cohomology", parents=[common])
     p.add_argument("complex")
     p.add_argument("sheaf")
-    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--k", type=_nonnegative_int, default=None)
 
     p = sub.add_parser("persist-a", parents=[common])
     p.add_argument("diagram")
-    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--k", type=_nonnegative_int, default=None)
     p.add_argument(
         "--engine", choices=("graded", "pointwise", "both"), default="both"
     )
@@ -76,7 +89,7 @@ def _create_parser() -> _Parser:
     p = sub.add_parser("persist-t", parents=[common])
     p.add_argument("complex")
     p.add_argument("sheaf")
-    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--k", type=_nonnegative_int, default=None)
     p.add_argument(
         "--engine", choices=("direct", "graded", "both"), default="both"
     )
@@ -84,19 +97,19 @@ def _create_parser() -> _Parser:
     p = sub.add_parser("bipersist", parents=[common])
     p.add_argument("complex")
     p.add_argument("diagram")
-    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--k", type=_nonnegative_int, default=None)
 
     p = sub.add_parser("labeled", parents=[common])
     p.add_argument("points")
     p.add_argument("--thresholds", required=True)
-    p.add_argument("--max-dim", type=int, required=True)
-    p.add_argument("--hom-n", type=int, required=True)
-    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--max-dim", type=_nonnegative_int, required=True)
+    p.add_argument("--hom-n", type=_nonnegative_int, required=True)
+    p.add_argument("--k", type=_nonnegative_int, default=None)
 
     p = sub.add_parser("unicolored", parents=[common])
     p.add_argument("points")
     p.add_argument("--thresholds", required=True)
-    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--k", type=_nonnegative_int, default=None)
 
     return parser
 

@@ -13,13 +13,18 @@ delta^(k-1), whose pivots each complex keeps once found, so the degrees
 taken in rising order reduce every coboundary once.  Homology runs the
 same way down from the top boundary.  Only the pivot maps are kept,
 never a reduced matrix.
+
+A filtration is assembled once.  Its step-i subcomplex is a prefix of
+every dimension in the global order, so step(i) is a view whose maps
+are leading blocks of the full ones, and the maps between steps keep
+or drop trailing rows instead of multiplying by inclusion matrices.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .complexes import FilteredComplex, SimplicialMap, incidence_sign
+from .complexes import FilteredComplex, SimplicialMap
 from .linalg import identity, zeros
 from .persistence import PersistenceModule, decompose_by_ranks
 from .sheaves import (
@@ -52,24 +57,127 @@ __all__ = [
 ]
 
 
-class _Blocks:
-    """Per-dimension layout: one contiguous block per simplex, global order."""
+class _Stacked:
+    """Stalks stacked in the global order, with one map out of each degree.
 
-    def __init__(self, complex_: FilteredComplex, stalk_of):
-        self.dims: dict[int, int] = {}
-        self.offsets: dict[int, dict[str, int]] = {}
+    _maps[k] runs from degree k to degree k + _shift.  Each simplex owns
+    one contiguous block; _ends[k][n] is the total size of the blocks of
+    the first n k-simplices.  _counts[k] is the number of k-simplices
+    the spaces cover: all of them, or the leading ones in a step view.
+    """
+
+    _shift = 0
+
+    def _assemble(self, complex_: FilteredComplex, stalk, block):
+        """Lay out the stalks and fill every map.
+
+        block(face_id, coface_id) is the matrix between the two stalks,
+        already oriented from degree k to degree k + _shift.
+        """
+        self.complex = complex_
+        self.field = complex_.field
+        self._offsets: dict[int, dict[str, int]] = {}
+        self._ends: dict[int, list] = {}
         for k in range(complex_.dim + 1):
-            off = {}
-            total = 0
+            off, ends = {}, [0]
             for s in complex_.simplices_of_dim(k):
-                off[s.id] = total
-                total += stalk_of(s.id)
-            self.offsets[k] = off
-            self.dims[k] = total
+                off[s.id] = ends[-1]
+                ends.append(ends[-1] + stalk(s.id))
+            self._offsets[k], self._ends[k] = off, ends
+        self._counts = {k: len(ends) - 1 for k, ends in self._ends.items()}
+        self._maps: dict[int, np.ndarray] = {}
+        self._pivots: dict[int, dict[int, int]] = {}
+        p = self.field.p
+        up = self._shift > 0
+        for q in range(1, complex_.dim + 1):
+            k = q - 1 if up else q
+            d = zeros(self.dim(k + self._shift), self.dim(k))
+            for t in complex_.simplices_of_dim(q):
+                tn = stalk(t.id)
+                if tn == 0:
+                    continue
+                to = self.offset(q, t.id)
+                # the i-th face omits vertex i, so its incidence sign is
+                # (-1)^i; stored blocks are already reduced mod p
+                for i, f in enumerate(complex_.faces(t)):
+                    fn = stalk(f.id)
+                    if fn == 0:
+                        continue
+                    fo = self.offset(q - 1, f.id)
+                    b = block(f.id, t.id)
+                    if i % 2:
+                        b = -b % p
+                    if up:
+                        d[to : to + tn, fo : fo + fn] = b
+                    else:
+                        d[fo : fo + fn, to : to + tn] = b
+            self._maps[k] = d
+
+    def dim(self, k: int) -> int:
+        n = self._counts.get(k)
+        return 0 if n is None else self._ends[k][n]
+
+    def offset(self, k: int, sid: str) -> int:
+        return self._offsets[k][sid]
+
+    def simplices(self, k: int) -> tuple:
+        """The k-simplices whose stalks this space stacks, in order."""
+        return self.complex.simplices_of_dim(k)[: self._counts.get(k, 0)]
+
+    def generators(self, k: int) -> list:
+        out = []
+        for s in self.simplices(k):
+            out.extend((s.id, i) for i in range(self.block_dim(s.id)))
+        return out
+
+    def _map(self, k: int) -> np.ndarray:
+        got = self._maps.get(k)
+        if got is not None:
+            return got
+        return zeros(self.dim(k + self._shift), self.dim(k))
+
+    def pivots(self, k: int) -> dict:
+        """Pivot row -> column of the map out of degree k, column-reduced.
+
+        Reduced once, clearing the pivot rows of the map into degree k
+        when those are known; the pivots are the same either way.
+        """
+        got = self._pivots.get(k)
+        if got is None:
+            if k not in self._maps:
+                return {}
+            clear = self._pivots.get(k - self._shift, {})
+            got = self.field._column_echelon(self._maps[k], clear=clear)[2]
+            self._pivots[k] = got
+        return got
+
+    def step(self, i: int):
+        """This complex over the step-i subcomplex, as a view.
+
+        Each dimension is ordered by entry, so the step-i simplices lead
+        it and keep their offsets, and every map of the step is the
+        leading block of this complex's map.  The view has this
+        complex's class, field, stalks and complex object, shares the
+        map storage, and reduces with its own pivot cache.
+        """
+        view = object.__new__(type(self))
+        view.__dict__.update(self.__dict__)
+        view._counts = {
+            k: min(n, self.complex.prefix_length(k, i))
+            for k, n in self._counts.items()
+        }
+        view._maps = {
+            k: d[: view.dim(k + self._shift), : view.dim(k)]
+            for k, d in self._maps.items()
+        }
+        view._pivots = {}
+        return view
 
 
-class CochainComplex:
+class CochainComplex(_Stacked):
     """Stacked stalks with signed restriction coboundaries."""
+
+    _shift = 1
 
     def __init__(self, sheaf: CellularSheaf, validate: bool = True):
         if validate:
@@ -77,62 +185,20 @@ class CochainComplex:
             if problems:
                 raise ValueError("invalid sheaf: " + "; ".join(problems))
         self.sheaf = sheaf
-        self.complex = sheaf.complex
-        self.field = sheaf.complex.field
-        self._blocks = _Blocks(self.complex, sheaf.stalk)
-        self._delta: dict[int, np.ndarray] = {}
-        self._pivots: dict[int, dict[int, int]] = {}
-        p = self.field.p
-        for k in range(self.complex.dim):
-            d = zeros(self.dim(k + 1), self.dim(k))
-            for t in self.complex.simplices_of_dim(k + 1):
-                rows = sheaf.stalk(t.id)
-                if rows == 0:
-                    continue
-                ro = self.offset(k + 1, t.id)
-                for f in self.complex.faces(t):
-                    cols = sheaf.stalk(f.id)
-                    if cols == 0:
-                        continue
-                    co = self.offset(k, f.id)
-                    sign = incidence_sign(f, t)
-                    block = sign * sheaf.restriction(f.id, t.id)
-                    d[ro : ro + rows, co : co + cols] = block % p
-            self._delta[k] = d
-
-    def dim(self, k: int) -> int:
-        return self._blocks.dims.get(k, 0)
-
-    def offset(self, k: int, sid: str) -> int:
-        return self._blocks.offsets[k][sid]
+        self._assemble(sheaf.complex, sheaf.stalk, sheaf.restriction)
 
     def block_dim(self, sid: str) -> int:
         return self.sheaf.stalk(sid)
 
-    def generators(self, k: int) -> list:
-        out = []
-        for s in self.complex.simplices_of_dim(k):
-            out.extend((s.id, i) for i in range(self.block_dim(s.id)))
-        return out
-
     def delta(self, k: int) -> np.ndarray:
         """The coboundary C^k -> C^{k+1}; zero-shaped outside 0..dim-1."""
-        got = self._delta.get(k)
-        if got is not None:
-            return got
-        return zeros(self.dim(k + 1), self.dim(k))
-
-    def pivots(self, k: int) -> dict:
-        """Pivot row -> column of delta^k's column reduction.
-
-        Reduced once, clearing delta^(k-1)'s pivot rows when those are
-        known; the pivots are the same either way.
-        """
-        return _pivots(self, self._delta, k, k - 1)
+        return self._map(k)
 
 
-class ChainComplex:
+class ChainComplex(_Stacked):
     """Stacked cosheaf stalks with signed extension boundaries."""
+
+    _shift = -1
 
     def __init__(self, cosheaf: CellularCosheaf, validate: bool = True):
         if validate:
@@ -140,58 +206,16 @@ class ChainComplex:
             if problems:
                 raise ValueError("invalid cosheaf: " + "; ".join(problems))
         self.cosheaf = cosheaf
-        self.complex = cosheaf.complex
-        self.field = cosheaf.complex.field
-        self._blocks = _Blocks(self.complex, cosheaf.stalk)
-        self._boundary: dict[int, np.ndarray] = {}
-        self._pivots: dict[int, dict[int, int]] = {}
-        p = self.field.p
-        for k in range(1, self.complex.dim + 1):
-            d = zeros(self.dim(k - 1), self.dim(k))
-            for t in self.complex.simplices_of_dim(k):
-                cols = cosheaf.stalk(t.id)
-                if cols == 0:
-                    continue
-                co = self.offset(k, t.id)
-                for f in self.complex.faces(t):
-                    rows = cosheaf.stalk(f.id)
-                    if rows == 0:
-                        continue
-                    ro = self.offset(k - 1, f.id)
-                    sign = incidence_sign(f, t)
-                    block = sign * cosheaf.extension(t.id, f.id)
-                    d[ro : ro + rows, co : co + cols] = block % p
-            self._boundary[k] = d
-
-    def dim(self, k: int) -> int:
-        return self._blocks.dims.get(k, 0)
-
-    def offset(self, k: int, sid: str) -> int:
-        return self._blocks.offsets[k][sid]
+        self._assemble(
+            cosheaf.complex, cosheaf.stalk, lambda f, t: cosheaf.extension(t, f)
+        )
 
     def block_dim(self, sid: str) -> int:
         return self.cosheaf.stalk(sid)
 
-    def generators(self, k: int) -> list:
-        out = []
-        for s in self.complex.simplices_of_dim(k):
-            out.extend((s.id, i) for i in range(self.block_dim(s.id)))
-        return out
-
     def boundary(self, k: int) -> np.ndarray:
         """The boundary C_k -> C_{k-1}; zero-shaped outside 1..dim."""
-        got = self._boundary.get(k)
-        if got is not None:
-            return got
-        return zeros(self.dim(k - 1), self.dim(k))
-
-    def pivots(self, k: int) -> dict:
-        """Pivot row -> column of boundary_k's column reduction.
-
-        Reduced once, clearing boundary_(k+1)'s pivot rows when those
-        are known; the pivots are the same either way.
-        """
-        return _pivots(self, self._boundary, k, k + 1)
+        return self._map(k)
 
 
 def cochain_complex(sheaf: CellularSheaf) -> CochainComplex:
@@ -202,26 +226,11 @@ def chain_complex(cosheaf: CellularCosheaf) -> ChainComplex:
     return ChainComplex(cosheaf)
 
 
-def _pivots(space, maps: dict, k: int, previous: int) -> dict:
-    """space's cached pivot map of maps[k]; none for a map not stored.
-
-    previous is the degree of the map whose pivot rows are columns of
-    maps[k].
-    """
-    got = space._pivots.get(k)
-    if got is None:
-        if k not in maps:
-            return {}
-        clear = space._pivots.get(previous, {})
-        got = space.field._column_echelon(maps[k], clear=clear)[2]
-        space._pivots[k] = got
-    return got
-
-
-def _subquotient(space, k: int, outgoing, incoming, cleared: dict) -> QuotientBasis:
+def _subquotient(space, k: int) -> QuotientBasis:
     """ker(outgoing)/im(incoming) in degree k of space, from one reduction.
 
-    cleared is incoming's pivot map.  A column of outgoing that is a
+    outgoing and incoming are space's maps out of and into degree k,
+    and cleared is incoming's pivot map.  A column of outgoing that is a
     pivot row of incoming reduces to zero, so one tracked reduction of
     outgoing skips it.  The ops columns of the other zero columns are
     cycles independent modulo im(incoming): together with incoming's
@@ -229,6 +238,8 @@ def _subquotient(space, k: int, outgoing, incoming, cleared: dict) -> QuotientBa
     vectors share a lowest nonzero row.  incoming's own pivot columns
     span its image.  outgoing's pivots are kept for the next degree.
     """
+    into = k - space._shift
+    outgoing, incoming, cleared = space._map(k), space._map(into), space.pivots(into)
     reduced, ops, space._pivots[k] = space.field._column_echelon(
         outgoing, track=True, clear=cleared
     )
@@ -285,7 +296,7 @@ def cohomology_basis(
 ) -> QuotientBasis:
     """H^k as ker(delta^k)/im(delta^{k-1}), with cocycle representatives."""
     cc = cochains if cochains is not None else CochainComplex(sheaf)
-    return _subquotient(cc, k, cc.delta(k), cc.delta(k - 1), cc.pivots(k - 1))
+    return _subquotient(cc, k)
 
 
 def cosheaf_homology_basis(
@@ -293,7 +304,7 @@ def cosheaf_homology_basis(
 ) -> QuotientBasis:
     """H_k as ker(boundary_k)/im(boundary_{k+1}), with cycle representatives."""
     ch = chains if chains is not None else ChainComplex(cosheaf)
-    return _subquotient(ch, k, ch.boundary(k), ch.boundary(k + 1), ch.pivots(k + 1))
+    return _subquotient(ch, k)
 
 
 def simplicial_chain_complex(complex_: FilteredComplex) -> ChainComplex:
@@ -303,6 +314,35 @@ def simplicial_chain_complex(complex_: FilteredComplex) -> ChainComplex:
 
 def simplicial_homology_basis(complex_: FilteredComplex, n: int) -> QuotientBasis:
     return cosheaf_homology_basis(None, n, chains=simplicial_chain_complex(complex_))
+
+
+def _cochain_map(phi: SheafMorphism, src, tgt, k: int) -> np.ndarray:
+    """The degree-k cochain map of phi from src's C^k to tgt's C^k.
+
+    Block diagonal with the morphism components.  On step views of
+    complexes over phi's own complex, the step's map is the leading
+    block of the full one.
+    """
+    m = zeros(tgt.dim(k), src.dim(k))
+    for s in phi.complex.simplices_of_dim(k):
+        comp = phi.component(s.id)
+        if comp.size == 0:
+            continue
+        ro = tgt.offset(k, s.id)
+        co = src.offset(k, s.id)
+        m[ro : ro + comp.shape[0], co : co + comp.shape[1]] = comp
+    return m
+
+
+def _induced(
+    m: np.ndarray, source_basis: QuotientBasis, target_basis: QuotientBasis
+) -> np.ndarray:
+    """Matrix of a cochain map's leading block between two bases."""
+    k = source_basis.degree
+    block = m[: target_basis.space.dim(k), : source_basis.space.dim(k)]
+    return target_basis.coords(
+        source_basis.space.field.matmul(block, source_basis.representatives)
+    )
 
 
 def induced_by_sheaf_morphism(
@@ -324,17 +364,24 @@ def induced_by_sheaf_morphism(
     if source_basis.degree != target_basis.degree:
         raise ValueError("bases live in different degrees")
     k = source_basis.degree
-    src, tgt = source_basis.space, target_basis.space
-    field = src.field
-    m = zeros(tgt.dim(k), src.dim(k))
-    for s in phi.complex.simplices_of_dim(k):
-        comp = phi.component(s.id)
-        if comp.size == 0:
-            continue
-        ro = tgt.offset(k, s.id)
-        co = src.offset(k, s.id)
-        m[ro : ro + comp.shape[0], co : co + comp.shape[1]] = comp
-    return target_basis.coords(field.matmul(m, source_basis.representatives))
+    m = _cochain_map(phi, source_basis.space, target_basis.space, k)
+    return _induced(m, source_basis, target_basis)
+
+
+def _step_map(source_basis: QuotientBasis, target_basis: QuotientBasis) -> np.ndarray:
+    """Matrix of the map between two step views of one complex.
+
+    The spaces of a smaller step are the leading rows of a larger
+    one's, so a cocycle of a larger step restricts by dropping its
+    trailing rows and a cycle of a smaller step is included by padding
+    zero rows; no inclusion matrix is formed.
+    """
+    k = source_basis.degree
+    reps = source_basis.representatives
+    rows = target_basis.space.dim(k)
+    if rows > reps.shape[0]:
+        reps = np.vstack([reps, zeros(rows - reps.shape[0], reps.shape[1])])
+    return target_basis.coords(reps[:rows])
 
 
 def induced_by_simplicial_map(
@@ -376,19 +423,27 @@ def induced_by_simplicial_map(
     return target_basis.coords(field.matmul(m, source_basis.representatives))
 
 
-def chain_inclusion_matrix(sub, sup, k: int) -> np.ndarray:
-    """Identity blocks placing sub's degree-k space inside sup's by simplex id."""
-    m = zeros(sup.dim(k), sub.dim(k))
-    for s in sub.complex.simplices_of_dim(k):
+def _include(sub, sup, k: int, vectors: np.ndarray) -> np.ndarray:
+    """Degree-k vectors of sub rewritten in sup, matching blocks by simplex id.
+
+    sub's simplices must all lie in sup with equal stalks; the result
+    is one row scatter, zero on the rows of the other simplices.
+    """
+    rows = []
+    for s in sub.simplices(k):
         d = sub.block_dim(s.id)
         if sup.block_dim(s.id) != d:
             raise ValueError(f"block size differs at {s.id!r}")
-        if d == 0:
-            continue
         ro = sup.offset(k, s.id)
-        co = sub.offset(k, s.id)
-        m[ro : ro + d, co : co + d] = identity(d)
-    return m
+        rows.extend(range(ro, ro + d))
+    out = zeros(sup.dim(k), vectors.shape[1])
+    out[rows] = vectors
+    return out
+
+
+def chain_inclusion_matrix(sub, sup, k: int) -> np.ndarray:
+    """Identity blocks placing sub's degree-k space inside sup's by simplex id."""
+    return _include(sub, sup, k, identity(sub.dim(k)))
 
 
 def persistent_cohomology_by_degree(diagram: SheafDiagram, degrees) -> dict:

@@ -9,6 +9,7 @@ appears; a plain complex is the special case steps = 1, all entries 0.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .linalg import Field
@@ -70,6 +71,7 @@ class FilteredComplex:
             self._by_dim[s.dim].append(s)
         self._by_dim = {k: tuple(v) for k, v in self._by_dim.items()}
         self._sub_cache: dict[int, FilteredComplex] = {}
+        self._entries: dict[int, list] = {}
 
     @property
     def simplices(self) -> tuple:
@@ -85,6 +87,17 @@ class FilteredComplex:
 
     def simplices_of_dim(self, k: int) -> tuple:
         return self._by_dim.get(k, ())
+
+    def prefix_length(self, k: int, step: int) -> int:
+        """How many k-simplices have entry <= step.
+
+        They lead simplices_of_dim(k), which is sorted by entry, so
+        subcomplex(step) is that prefix of every dimension.
+        """
+        entries = self._entries.get(k)
+        if entries is None:
+            entries = self._entries[k] = [s.entry for s in self.simplices_of_dim(k)]
+        return bisect_right(entries, step)
 
     def faces(self, s: Simplex) -> list:
         """Codimension-1 faces, in the order their vertex is omitted."""

@@ -15,7 +15,8 @@ from __future__ import annotations
 from itertools import combinations
 
 from .cohomology import (
-    chain_inclusion_matrix,
+    _include,
+    _step_map,
     cosheaf_homology_basis,
     persistent_cohomology,
     simplicial_chain_complex,
@@ -96,27 +97,23 @@ def _vertex_map(f) -> dict:
     return f.vertex_map if isinstance(f, SimplicialMap) else dict(f)
 
 
-def _homology_layer(label_complex, parts: dict, n: int):
-    """Chain complexes, homology bases and stalk dims per label simplex."""
-    chains = {tid: simplicial_chain_complex(sub) for tid, sub in parts.items()}
-    bases = {
-        tid: cosheaf_homology_basis(None, n, chains=ch)
-        for tid, ch in chains.items()
+def _homology_bases(chains: dict, n: int) -> dict:
+    """H_n bases of the chain complexes, keyed like them by label simplex."""
+    return {
+        tid: cosheaf_homology_basis(None, n, chains=ch) for tid, ch in chains.items()
     }
-    return chains, bases
 
 
 def _sheaf_from_layer(label_complex, chains, bases, n) -> CellularSheaf:
-    field = label_complex.field
+    """The label sheaf of one step: stalks H_n of the parts, restrictions
+    the inclusions of each part's cycles into the larger parts."""
     stalks = {tid: b.dim for tid, b in bases.items()}
     restrictions = {}
     for f, t in _codim1_pairs(label_complex):
         if stalks[f.id] == 0 or stalks[t.id] == 0:
             continue
-        inc = chain_inclusion_matrix(chains[f.id], chains[t.id], n)
-        restrictions[(f.id, t.id)] = bases[t.id].coords(
-            field.matmul(inc, bases[f.id].representatives)
-        )
+        cycles = _include(chains[f.id], chains[t.id], n, bases[f.id].representatives)
+        restrictions[(f.id, t.id)] = bases[t.id].coords(cycles)
     return CellularSheaf(label_complex, stalks, restrictions)
 
 
@@ -131,36 +128,36 @@ def label_sheaf(complex_, label_complex, f, n: int) -> CellularSheaf:
     fi = SimplicialMap(
         complex_, label_complex, {v: vm[v] for v in complex_.vertices}
     )
-    parts = {
-        t.id: preimage_subcomplex(fi, t.id) for t in label_complex.simplices
+    chains = {
+        t.id: simplicial_chain_complex(preimage_subcomplex(fi, t.id))
+        for t in label_complex.simplices
     }
-    chains, bases = _homology_layer(label_complex, parts, n)
-    return _sheaf_from_layer(label_complex, chains, bases, n)
+    return _sheaf_from_layer(label_complex, chains, _homology_bases(chains, n), n)
 
 
 def label_diagram(lf: LabeledFiltration, n: int) -> SheafDiagram:
-    """One label sheaf per filtration step, joined by inclusion-induced maps."""
-    x = lf.filtration
+    """One label sheaf per filtration step, joined by inclusion-induced maps.
+
+    Each labeled part's chain complex is assembled once and viewed at
+    every step (ChainComplex.step); a cycle of step i is a cycle of
+    step i+1 padded with zero rows.
+    """
     l = lf.label_complex
-    field = x.field
-    m = x.steps
-    pre = {t.id: lf.preimage(t.id) for t in l.simplices}
-    chains, bases, snapshots = [], [], []
+    m = lf.filtration.steps
+    full = {t.id: simplicial_chain_complex(lf.preimage(t.id)) for t in l.simplices}
+    bases, snapshots = [], []
     for i in range(m):
-        parts = {tid: p.subcomplex(i) for tid, p in pre.items()}
-        ch, bs = _homology_layer(l, parts, n)
-        chains.append(ch)
-        bases.append(bs)
-        snapshots.append(_sheaf_from_layer(l, ch, bs, n))
+        chains = {tid: ch.step(i) for tid, ch in full.items()}
+        bases.append(_homology_bases(chains, n))
+        snapshots.append(_sheaf_from_layer(l, chains, bases[i], n))
     steps = []
     for i in range(m - 1):
         comp = {}
-        for tid in pre:
+        for tid in full:
             a, b = bases[i][tid], bases[i + 1][tid]
             if a.dim == 0 or b.dim == 0:
                 continue
-            inc = chain_inclusion_matrix(chains[i][tid], chains[i + 1][tid], n)
-            comp[tid] = b.coords(field.matmul(inc, a.representatives))
+            comp[tid] = _step_map(a, b)
         steps.append(SheafMorphism(snapshots[i], snapshots[i + 1], comp))
     return SheafDiagram(snapshots, steps)
 

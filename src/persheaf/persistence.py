@@ -10,7 +10,7 @@ unbounded bar, written (a, None).
 
 from __future__ import annotations
 
-from .linalg import Field, identity, matrix
+from .linalg import Field, matrix
 
 __all__ = [
     "Barcode",
@@ -149,15 +149,20 @@ class CopersistenceModule:
 
 
 def _composite_ranks(module: PersistenceModule) -> list:
-    """r[a][b] = rank of the composite map a -> b, r[a][a] = dims[a]."""
+    """r[a][b] = rank of the composite map a -> b, r[a][a] = dims[a].
+
+    Row a starts from maps[a] itself, so a module of length m makes
+    (m-1)(m-2)/2 products and none with an identity.
+    """
     m = module.length
     field = module.field
     r = [[0] * m for _ in range(m)]
     for a in range(m):
-        comp = identity(module.dims[a])
         r[a][a] = module.dims[a]
+        comp = None
         for b in range(a + 1, m):
-            comp = field.matmul(module.maps[b - 1], comp)
+            step = module.maps[b - 1]
+            comp = step if comp is None else field.matmul(step, comp)
             r[a][b] = field.rank(comp)
     return r
 

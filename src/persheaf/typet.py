@@ -1,21 +1,19 @@
 """Copersistence of one sheaf over a growing complex.
 
-The direct route restricts the sheaf to every filtration step and
-chains the cohomology restriction maps backward.  The fast route packs
-the whole filtration into a single cosheaf of free graded modules,
-generator degrees equal to entry indices, and reduces its chain
-complex.  A third construction extends each restricted sheaf by zero
-back onto the full complex, turning the same data into a diagram of
-sheaf morphisms over one fixed complex.
+The direct route assembles the sheaf's cochain complex once, reads
+each filtration step as its leading blocks, takes H^k of every step
+and chains the restriction maps backward: a class of step i+1
+restricts to step i by dropping the rows past step i.  The fast route
+packs the whole filtration into a single cosheaf of free graded
+modules, generator degrees equal to entry indices, and reduces its
+chain complex.  A third construction pulls the sheaf back to each step
+and extends it by zero onto the full complex, turning the same data
+into a diagram of sheaf morphisms over one fixed complex.
 """
 
 from __future__ import annotations
 
-from .cohomology import (
-    CochainComplex,
-    cohomology_basis,
-    induced_by_simplicial_map,
-)
+from .cohomology import CochainComplex, _step_map, cohomology_basis
 from .graded import GradedCosheaf, graded_chain_complex, graded_homology_barcode
 from .linalg import identity
 from .persistence import Barcode, CopersistenceModule, decompose_copersistence
@@ -30,7 +28,6 @@ from .sheaves import (
 )
 
 __all__ = [
-    "pullback_chain",
     "type_t_direct",
     "type_t_direct_by_degree",
     "filtration_cosheaf",
@@ -47,30 +44,20 @@ def _check_input(sheaf: CellularSheaf):
         raise ValueError("invalid input: " + "; ".join(problems))
 
 
-def pullback_chain(sheaf: CellularSheaf) -> list:
-    """The sheaf restricted to every filtration step, in index order."""
-    x = sheaf.complex
-    return [pullback(x.step_inclusion(i), sheaf) for i in range(x.steps)]
-
-
 def type_t_direct_by_degree(sheaf: CellularSheaf, degrees) -> dict:
     """type_t_direct of a valid sheaf for every k in degrees.
 
-    The pullbacks and their cochain complexes are built once; only the
-    bases, the induced maps and the decomposition are redone per degree.
+    One cochain complex is assembled and viewed at every step; only
+    the bases, the restriction maps and the decomposition are redone
+    per degree.  Each step is reduced on its own coboundary.
     """
     x = sheaf.complex
-    cochains = [CochainComplex(pb, validate=False) for pb in pullback_chain(sheaf)]
-    inclusions = [x.step_inclusion(i, i + 1) for i in range(x.steps - 1)]
+    full = CochainComplex(sheaf, validate=False)
+    cochains = [full.step(i) for i in range(x.steps)]
     out = {}
     for k in degrees:
-        bases = [cohomology_basis(cc.sheaf, k, cc) for cc in cochains]
-        maps = [
-            induced_by_simplicial_map(
-                f, source_basis=bases[i + 1], target_basis=bases[i]
-            )
-            for i, f in enumerate(inclusions)
-        ]
+        bases = [cohomology_basis(sheaf, k, cc) for cc in cochains]
+        maps = [_step_map(bases[i + 1], bases[i]) for i in range(x.steps - 1)]
         module = CopersistenceModule(x.field, [b.dim for b in bases], maps)
         out[k] = module, decompose_copersistence(module)
     return out
@@ -79,8 +66,8 @@ def type_t_direct_by_degree(sheaf: CellularSheaf, degrees) -> dict:
 def type_t_direct(sheaf: CellularSheaf, k: int):
     """Backward module of H^k over the filtration, with its barcode.
 
-    dims[i] is H^k of the step-i restriction; maps[i] pulls classes
-    back from step i+1 to step i along the inclusion.
+    dims[i] is H^k of the sheaf over the step-i subcomplex; maps[i]
+    pulls classes back from step i+1 to step i along the inclusion.
     """
     _check_input(sheaf)
     return type_t_direct_by_degree(sheaf, [k])[k]

@@ -12,7 +12,16 @@ import sys
 
 import pytest
 
-from persheaf import Barcode, Field, SheafDiagram, SheafMorphism, constant, sheaves
+from persheaf import (
+    Barcode,
+    ChainComplex,
+    CochainComplex,
+    Field,
+    SheafDiagram,
+    SheafMorphism,
+    constant,
+    sheaves,
+)
 from persheaf.cli import main
 from persheaf.formats import (
     complex_to_data,
@@ -288,6 +297,46 @@ def test_empty_thresholds(capsys):
     assert "at least one value" in err
 
 
+@pytest.fixture
+def edge_complex(tmp_path):
+    """The complex embedded in edge_diagram.json, as a file of its own."""
+    with open(fx("edge_diagram.json"), encoding="utf-8") as fh:
+        embedded = json.load(fh)["complex"]
+    path = tmp_path / "complex.json"
+    path.write_text(serialize_json(embedded))
+    return str(path)
+
+
+NEGATIVE_FLAG_RUNS = [
+    (["cohomology", fx("square.json"), fx("square_sheaf.json")], "--k"),
+    (["persist-a", fx("edge_diagram.json")], "--k"),
+    (["persist-t", fx("square.json"), fx("square_sheaf.json")], "--k"),
+    (["bipersist", "EDGE_COMPLEX", fx("edge_diagram.json")], "--k"),
+    (["unicolored", fx("points.csv"), "--thresholds", "0.5,1.5"], "--k"),
+] + [
+    (["labeled", fx("points.csv"), "--thresholds", "0.5,1.5"], flag)
+    for flag in ("--k", "--max-dim", "--hom-n")
+]
+
+
+@pytest.mark.parametrize(
+    "argv, flag", NEGATIVE_FLAG_RUNS, ids=[f"{a[0]}{f}" for a, f in NEGATIVE_FLAG_RUNS]
+)
+def test_negative_degree_or_dimension_is_a_usage_error(capsys, edge_complex, argv, flag):
+    argv = [edge_complex if part == "EDGE_COMPLEX" else part for part in argv]
+    values = {"--k": "0", "--max-dim": "2", "--hom-n": "1"} if argv[0] == "labeled" else {}
+    values[flag] = "-1"
+    argv = argv + [part for item in values.items() for part in item]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err == f"usage error: argument {flag}: must be nonnegative, got -1\n"
+
+
+def test_non_integer_degree_keeps_its_message(capsys):
+    argv = ["persist-t", fx("square.json"), fx("square_sheaf.json"), "--k", "x"]
+    assert run(capsys, argv) == (1, "", "usage error: argument --k: invalid int value: 'x'\n")
+
+
 @pytest.mark.parametrize("command", ["labeled", "unicolored"])
 @pytest.mark.parametrize("value", ["nan", "0.5,inf", "0.5,-inf"])
 def test_non_finite_thresholds(capsys, command, value):
@@ -534,6 +583,52 @@ def test_persist_t_reduces_each_coboundary_once(capsys, tmp_path, monkeypatch, k
     per_step = x.dim + 1 if k is None else 2
     assert len(reduced) == x.steps * per_step
     assert len({id(m) for m in reduced}) == len(reduced)
+
+
+@pytest.fixture
+def constructions(monkeypatch):
+    """Names of the complexes built and of pullback calls, in call order."""
+    calls = []
+    for cls in (CochainComplex, ChainComplex):
+        original = cls.__init__
+
+        def counted(self, *args, _name=cls.__name__, _original=original, **kwargs):
+            calls.append(_name)
+            _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    original = sheaves.pullback
+
+    def pulled(*args, **kwargs):
+        calls.append("pullback")
+        return original(*args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("persheaf") and vars(module).get("pullback") is original:
+            monkeypatch.setattr(module, "pullback", pulled)
+    return calls
+
+
+def test_persist_t_assembles_one_cochain_complex(capsys, constructions):
+    argv = ["persist-t", fx("square.json"), fx("square_sheaf.json"), "--engine", "direct"]
+    assert parse_complex(fx("square.json")).steps == 4
+    assert run(capsys, argv)[0] == 0
+    assert constructions == ["CochainComplex"]
+
+
+def test_bipersist_assembles_one_complex_per_snapshot(capsys, edge_complex, constructions):
+    assert parse_complex(edge_complex).steps == 2
+    assert run(capsys, ["bipersist", edge_complex, fx("edge_diagram.json")])[0] == 0
+    assert constructions == ["CochainComplex"] * 5
+
+
+def test_labeled_assembles_one_chain_complex_per_label_part(capsys, constructions):
+    argv = ["labeled", fx("points.csv"), "--thresholds", "0.5,1.5,2.5",
+            "--max-dim", "2", "--hom-n", "0"]
+    assert run(capsys, argv)[0] == 0
+    # two labels, so three label parts; the cochain complexes are the
+    # label sheaves' own, one per step
+    assert constructions == ["ChainComplex"] * 3 + ["CochainComplex"] * 3
 
 
 def test_python_dash_m(tmp_path):

@@ -11,12 +11,16 @@ from persheaf import (
     barcodes_equal,
     decompose_by_ranks,
     decompose_copersistence,
+    identity,
     matrix,
     reflect,
     zeros,
 )
 
+from persheaf.persistence import _composite_ranks
+
 from genrandom import random_interval_module
+from oracles import rref_rank
 
 
 def finite_barcodes(m):
@@ -125,3 +129,39 @@ def test_single_index_module():
     f = Field(5)
     module = PersistenceModule(f, [3], [])
     assert decompose_by_ranks(module) == Barcode([(0, None)] * 3)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 6])
+def test_rank_table_composes_without_identities(monkeypatch, m):
+    rng = random.Random(40 + m)
+    field = Field(3)
+    dims = [rng.randint(2, 4) for _ in range(m)]
+    maps = [
+        matrix([[rng.randrange(3) for _ in range(dims[i])] for _ in range(dims[i + 1])], 3)
+        for i in range(m - 1)
+    ]
+    for step in maps:
+        step[0, -1] = 2  # off the diagonal, so no map is an identity
+    module = PersistenceModule(field, dims, maps)
+    want = decompose_by_ranks(module)
+    products = []
+    original = Field.matmul
+
+    def counted(self, a, b):
+        products.append((a, b))
+        return original(self, a, b)
+
+    monkeypatch.setattr(Field, "matmul", counted)
+    assert decompose_by_ranks(module) == want
+    assert len(products) == (m - 1) * (m - 2) // 2
+    for a, b in products:
+        for operand in (a, b):
+            n = operand.shape[0]
+            assert not (operand.shape == (n, n) and (operand == identity(n)).all())
+    # the ranks are those of the composites, checked against the oracle
+    table = _composite_ranks(module)
+    for a in range(m):
+        comp = identity(dims[a])
+        for b in range(a + 1, m):
+            comp = original(field, maps[b - 1], comp)
+            assert table[a][b] == rref_rank(comp, 3)

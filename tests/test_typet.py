@@ -14,7 +14,6 @@ from persheaf import (
     g_chain,
     mirrored_g_diagram,
     persistent_cohomology,
-    pullback_chain,
     reflect,
     type_t_direct,
     type_t_graded,
@@ -25,6 +24,7 @@ from persheaf import (
 )
 
 from builders import square_filtration
+from perstep import pullback_chain
 from genrandom import random_complex, random_sheaf
 from oracles import persistence_bars
 
