@@ -6,10 +6,10 @@ cross-checking modes treat any disagreement between two routes to the
 same barcode as a hard failure), 4 internal error (a broken internal
 invariant, reported in one line on stderr).
 
-persist-t, persist-a, bipersist and labeled validate their input once,
-build what every degree shares once, and then do only the per-degree
-work; a filtration's complex is assembled once and read at every step
-through its leading blocks.
+persist-t, persist-a, bipersist, labeled and unicolored validate their
+input once, build what every degree shares once, and then do only the
+per-degree work; a filtration's complex is assembled once and read at
+every step through its leading blocks.
 """
 
 from __future__ import annotations
@@ -326,14 +326,15 @@ def _cmd_labeled(args) -> int:
 def _cmd_unicolored(args) -> int:
     lf = _labeled_input(args)
     m = lf.filtration.steps
+    found = unicolored_pipeline(lf, _degrees(args, max(lf.filtration.dim, 0)))
     reports = [
         BarcodeReport.of(
             k,
-            _finish_barcode(unicolored_pipeline(lf, k), args.closed_end, m),
+            _finish_barcode(barcode, args.closed_end, m),
             "pointwise",
             lf.filtration.field.p,
         )
-        for k in _degrees(args, max(lf.filtration.dim, 0))
+        for k, barcode in found.items()
     ]
     return _emit(reports, args)
 

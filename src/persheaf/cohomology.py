@@ -3,7 +3,9 @@
 C^k stacks the stalks of all k-simplices in the global order; the
 coboundary block from a face to a coface is the restriction matrix
 times the orientation sign.  Chain complexes do the same with cosheaf
-extensions, transposed in direction.  Bases of the resulting
+extensions, transposed in direction.  Both are filled from the
+sheaf's maps gathered along the face tables, one signed scatter per
+shape group (sheaves._signed_maps).  Bases of the resulting
 subquotients keep their representative columns so induced maps can be
 expressed in coordinates.
 
@@ -36,6 +38,7 @@ from .sheaves import (
     dualize,
     pullback,
     _check_diagram,
+    _signed_maps,
     validate_cosheaf,
     validate_sheaf,
 )
@@ -68,50 +71,36 @@ class _Stacked:
 
     _shift = 0
 
-    def _assemble(self, complex_: FilteredComplex, stalk, block):
+    def _assemble(self, stalks, what: str):
         """Lay out the stalks and fill every map.
 
-        block(face_id, coface_id) is the matrix between the two stalks,
-        already oriented from degree k to degree k + _shift.
+        stalks is the sheaf or cosheaf (what) whose stored maps orient
+        from degree k to degree k + _shift.  Each map is filled with one
+        signed scatter per shape group of the gathered maps; missing or
+        mis-shaped maps are a ValueError.
         """
+        complex_ = stalks.complex
         self.complex = complex_
         self.field = complex_.field
+        gathered = stalks._gathered
+        problems = gathered.shape_problems(stalks._kind)
+        if problems:
+            raise ValueError(f"invalid {what}: " + "; ".join(problems))
         self._offsets: dict[int, dict[str, int]] = {}
         self._ends: dict[int, list] = {}
         for k in range(complex_.dim + 1):
             off, ends = {}, [0]
             for s in complex_.simplices_of_dim(k):
                 off[s.id] = ends[-1]
-                ends.append(ends[-1] + stalk(s.id))
+                ends.append(ends[-1] + stalks.stalk(s.id))
             self._offsets[k], self._ends[k] = off, ends
         self._counts = {k: len(ends) - 1 for k, ends in self._ends.items()}
-        self._maps: dict[int, np.ndarray] = {}
         self._pivots: dict[int, dict[int, int]] = {}
-        p = self.field.p
         up = self._shift > 0
-        for q in range(1, complex_.dim + 1):
-            k = q - 1 if up else q
-            d = zeros(self.dim(k + self._shift), self.dim(k))
-            for t in complex_.simplices_of_dim(q):
-                tn = stalk(t.id)
-                if tn == 0:
-                    continue
-                to = self.offset(q, t.id)
-                # the i-th face omits vertex i, so its incidence sign is
-                # (-1)^i; stored blocks are already reduced mod p
-                for i, f in enumerate(complex_.faces(t)):
-                    fn = stalk(f.id)
-                    if fn == 0:
-                        continue
-                    fo = self.offset(q - 1, f.id)
-                    b = block(f.id, t.id)
-                    if i % 2:
-                        b = -b % p
-                    if up:
-                        d[to : to + tn, fo : fo + fn] = b
-                    else:
-                        d[fo : fo + fn, to : to + tn] = b
-            self._maps[k] = d
+        maps = _signed_maps(gathered, stalks._sizes, not up)
+        self._maps: dict[int, np.ndarray] = {
+            q - 1 if up else q: d for q, d in enumerate(maps, start=1)
+        }
 
     def dim(self, k: int) -> int:
         n = self._counts.get(k)
@@ -185,7 +174,7 @@ class CochainComplex(_Stacked):
             if problems:
                 raise ValueError("invalid sheaf: " + "; ".join(problems))
         self.sheaf = sheaf
-        self._assemble(sheaf.complex, sheaf.stalk, sheaf.restriction)
+        self._assemble(sheaf, "sheaf")
 
     def block_dim(self, sid: str) -> int:
         return self.sheaf.stalk(sid)
@@ -206,9 +195,7 @@ class ChainComplex(_Stacked):
             if problems:
                 raise ValueError("invalid cosheaf: " + "; ".join(problems))
         self.cosheaf = cosheaf
-        self._assemble(
-            cosheaf.complex, cosheaf.stalk, lambda f, t: cosheaf.extension(t, f)
-        )
+        self._assemble(cosheaf, "cosheaf")
 
     def block_dim(self, sid: str) -> int:
         return self.cosheaf.stalk(sid)

@@ -4,6 +4,13 @@ A complex carries one global simplex order, (dimension, entry, vertex
 list), and every cochain or chain basis downstream is laid out in that
 order.  Entry indices record the filtration step at which a simplex
 appears; a plain complex is the special case steps = 1, all entries 0.
+
+Every codimension-1 incidence is read from one face table per
+dimension, built once from the vertex lists: row t of face_table(k)
+holds the positions of the faces of the t-th k-simplex, by omitted
+vertex.  incidences() numbers the incidences in that order, so the
+sheaf code validates, checks diamonds and assembles coboundaries by
+index arithmetic on the tables instead of walking simplices.
 """
 
 from __future__ import annotations
@@ -11,6 +18,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+
+import numpy as np
 
 from .linalg import Field
 
@@ -72,6 +81,8 @@ class FilteredComplex:
         self._by_dim = {k: tuple(v) for k, v in self._by_dim.items()}
         self._sub_cache: dict[int, FilteredComplex] = {}
         self._entries: dict[int, list] = {}
+        self._face_tables: dict[int, np.ndarray] = {}
+        self._incidences: Incidences | None = None
 
     @property
     def simplices(self) -> tuple:
@@ -112,8 +123,42 @@ class FilteredComplex:
             out.append(f)
         return out
 
+    def face_table(self, k: int) -> np.ndarray:
+        """Faces of the k-simplices, k >= 1, as an (n_k, k+1) int array.
+
+        Entry (t, i) is the position within simplices_of_dim(k-1) of the
+        face that omits vertex i of the t-th k-simplex, or -1 when the
+        complex lacks that face.  Built once per dimension; never raises.
+        """
+        if k < 1:
+            raise ValueError(f"face tables start at dimension 1, got {k}")
+        table = self._face_tables.get(k)
+        if table is None:
+            at: dict[tuple, int] = {}
+            for n, s in enumerate(self.simplices_of_dim(k - 1)):
+                at.setdefault(s.vertices, n)
+            rows = [
+                [at.get(v[:i] + v[i + 1:], -1) for i in range(k + 1)]
+                for v in (s.vertices for s in self.simplices_of_dim(k))
+            ]
+            table = np.array(rows, dtype=np.int64).reshape(-1, k + 1)
+            self._face_tables[k] = table
+        return table
+
+    def incidences(self) -> "Incidences":
+        """The codimension-1 incidences read from the face tables, cached."""
+        if self._incidences is None:
+            self._incidences = Incidences(self)
+        return self._incidences
+
     def validate(self) -> list:
-        """Closure, entry monotonicity, entry range, duplicate vertex sets."""
+        """Closure, entry monotonicity, entry range, duplicate vertex sets.
+
+        A complex with none of these problems is recognised from the face
+        tables; otherwise every simplex is walked to list them in order.
+        """
+        if self._valid_by_tables():
+            return []
         problems = []
         seen: dict[tuple, str] = {}
         for s in self._order:
@@ -140,6 +185,24 @@ class FilteredComplex:
                         )
         return problems
 
+    def _valid_by_tables(self) -> bool:
+        """Whether validate() finds nothing, read from the face tables."""
+        if len(self.by_vertices) != len(self._order):
+            return False
+        entries = {
+            k: np.array([s.entry for s in self.simplices_of_dim(k)], dtype=np.int64)
+            for k in range(self.dim + 1)
+        }
+        if any(((e < 0) | (e >= self.steps)).any() for e in entries.values()):
+            return False
+        for k in range(1, self.dim + 1):
+            table = self.face_table(k)
+            if (table < 0).any():
+                return False
+            if (entries[k - 1][table] > entries[k][:, None]).any():
+                return False
+        return True
+
     def subcomplex(self, step: int) -> "FilteredComplex":
         """Simplices with entry <= step; keeps ids, field and step count."""
         if step in self._sub_cache:
@@ -164,6 +227,64 @@ class FilteredComplex:
             and self.steps == other.steps
             and self._order == other._order
         )
+
+
+class Incidences:
+    """Every codimension-1 incidence of a complex, numbered once.
+
+    Incidence n joins a face to a coface; both are positions in the
+    global order (complex.simplices).  The incidences of the k-simplices
+    are numbered from start[k] on, coface by coface in the global
+    order, then by omitted vertex: n = start[k] + (k+1) t + i for the
+    entry (t, i) of face_table(k).  This is the order of
+    sheaves._codim1_pairs.  A face the complex lacks leaves a hole,
+    face[n] = -1, which index skips.
+
+    index maps (face id, coface id) to n.  omitted[n] is i, so the
+    incidence sign is (-1)^omitted[n].  first[k] is the global position
+    of the first k-simplex.
+    """
+
+    def __init__(self, complex_: FilteredComplex):
+        self.complex = complex_
+        self.first = first = {}
+        n = 0
+        for k in range(complex_.dim + 1):
+            first[k] = n
+            n += len(complex_.simplices_of_dim(k))
+        self.start = {1: 0}
+        faces, cofaces, omitted = [], [], []
+        for k in range(1, complex_.dim + 1):
+            table = complex_.face_table(k)
+            count = len(table)
+            faces.append(np.where(table < 0, -1, table + first[k - 1]).ravel())
+            cofaces.append(np.repeat(np.arange(count) + first[k], k + 1))
+            omitted.append(np.tile(np.arange(k + 1), count))
+            self.start[k + 1] = self.start[k] + table.size
+        self.face = np.concatenate(faces) if faces else np.zeros(0, np.int64)
+        self.coface = np.concatenate(cofaces) if cofaces else np.zeros(0, np.int64)
+        self.omitted = np.concatenate(omitted) if omitted else np.zeros(0, np.int64)
+        ids = [s.id for s in complex_.simplices]
+        self.index = {
+            (ids[f], ids[t]): n
+            for n, (f, t) in enumerate(zip(self.face.tolist(), self.coface.tolist()))
+            if f >= 0
+        }
+
+    @property
+    def count(self) -> int:
+        return len(self.face)
+
+    def check_closed(self):
+        """Raise ValueError naming the first missing face, if any."""
+        holes = np.flatnonzero(self.face < 0)
+        if holes.size:
+            n = int(holes[0])
+            t = self.complex.simplices[int(self.coface[n])]
+            i = int(self.omitted[n])
+            raise ValueError(
+                f"missing face {list(t.vertices[:i] + t.vertices[i + 1:])} of {t.id!r}"
+            )
 
 
 def incidence_sign(face: Simplex, coface: Simplex) -> int:

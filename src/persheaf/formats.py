@@ -11,7 +11,8 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -22,7 +23,9 @@ from .sheaves import (
     CellularSheaf,
     SheafDiagram,
     SheafMorphism,
+    _Batch,
     _codim1_pairs,
+    _Maps,
 )
 
 __all__ = [
@@ -105,8 +108,8 @@ def _matrix(value, where: str) -> np.ndarray:
     array: anything but an integer dtype (a float such as 1.5, a
     string, null, an integer beyond 64 bits) is refused, not truncated.
     numpy reads a boolean among integers as 0 or 1, so the entry types
-    are also collected, in one pass in C.  The sheaf or morphism the
-    matrix goes into reduces it mod p.
+    are also collected, in one pass in C.  The morphism the matrix goes
+    into reduces it mod p.
     """
     if not isinstance(value, list):
         raise ValueError(f"{where}: expected a list of rows, got {_got(value)}")
@@ -121,6 +124,98 @@ def _matrix(value, where: str) -> np.ndarray:
     if a.size and (a.dtype.kind != "i" or bool in {*map(type, chain(*value))}):
         raise ValueError(f"{where}: expected integer entries")
     return a.astype(np.int64, copy=False)
+
+
+def _stack(values, rows: int, cols: int):
+    """JSON matrices of rows x cols integers as one int64 array, or None.
+
+    The group check of _matrix: every matrix a list of rows lists, each
+    of the given length, every entry an int (a bool is not one) within
+    64 bits.  It reads the entries once, flat, so numpy never has to
+    discover the nesting.  None sends the group back to _matrix, one
+    matrix at a time.
+    """
+    if {*map(type, values)} != {list}:
+        return None
+    lines = list(chain.from_iterable(values))
+    if (
+        {*map(len, values)} != {rows}
+        or {*map(type, lines)} != {list}
+        or {*map(len, lines)} != {cols}
+    ):
+        return None
+    flat = list(chain.from_iterable(lines))
+    if not {*map(type, flat)} <= {int}:
+        return None
+    try:
+        a = np.array(flat, dtype=np.int64)
+    except OverflowError:
+        return None
+    return a.reshape(len(values), rows, cols)
+
+
+def _restrictions(entries, stalks: dict, p: int, where: str) -> _Maps:
+    """A sheaf's "restrictions" list as stacked maps, reduced mod p once.
+
+    The entries are grouped by the shape their stalks ask for, and each
+    group is read by _stack.  A group that does not come out as one
+    stack of integers (a bad entry, or a matrix of another shape) is
+    read entry by entry.  Of all the bad entries the first in the list
+    is refused, with its own path, as in a reading one by one.  A later
+    entry for the same incidence replaces an earlier one.
+    """
+
+    def path(n):
+        return f"{where}.restrictions[{n}]"
+
+    try:
+        faces = list(map(itemgetter("face"), entries))
+        cofaces = list(map(itemgetter("coface"), entries))
+        values = list(map(itemgetter("matrix"), entries))
+        keys = dict(zip(zip(faces, cofaces), range(len(values))))
+        wanted = list(zip(
+            map(stalks.get, cofaces, repeat(0)), map(stalks.get, faces, repeat(0))
+        ))
+    except (KeyError, TypeError):
+        # read one by one, so the first bad entry in the list raises
+        seen = {}
+        for n, entry in enumerate(entries):
+            at = path(n)
+            key = (_require(entry, "face", at), _require(entry, "coface", at))
+            seen[key] = _matrix(_require(entry, "matrix", at), f"{at}.matrix")
+        raise
+    shapes = dict.fromkeys(wanted)
+    for g, shape in enumerate(shapes):
+        shapes[shape] = g
+    shape_of = list(map(shapes.__getitem__, wanted))
+    order = np.argsort(shape_of, kind="stable")
+    bounds = np.cumsum(np.bincount(shape_of, minlength=len(shapes)))[:-1]
+    by_shape: dict[tuple, list] = {}
+    errors = []
+    for shape, members in zip(shapes, np.split(order, bounds)):
+        members = members.tolist()
+        stack = _stack([values[n] for n in members], *shape)
+        if stack is not None:
+            by_shape.setdefault(stack.shape[1:], []).append((members, stack))
+            continue
+        for n in members:
+            try:
+                m = _matrix(values[n], f"{path(n)}.matrix")
+            except ValueError as err:
+                errors.append((n, err))
+                break
+            by_shape.setdefault(m.shape, []).append(([n], m[None]))
+    if errors:
+        raise min(errors, key=lambda e: e[0])[1]
+    group = np.zeros(len(values), dtype=np.int64)
+    slot = np.zeros(len(values), dtype=np.int64)
+    stacks = []
+    for g, parts in enumerate(by_shape.values()):
+        members = [n for ns, _ in parts for n in ns]
+        stacks.append(np.concatenate([a for _, a in parts]) % p)
+        group[members] = g
+        slot[members] = np.arange(len(members))
+    return _Maps(keys, _Batch(stacks, group, slot))
 
 
 def complex_from_data(data: dict, where: str = "complex") -> FilteredComplex:
@@ -181,11 +276,9 @@ def sheaf_from_data(
     if complex_ is None:
         raise ValueError("sheaf data has no complex and none was provided")
     _all_integers(stalk_data, f"{where}.stalks")
-    restrictions = {}
-    for i, entry in enumerate(restriction_data):
-        at = f"{where}.restrictions[{i}]"
-        key = (_require(entry, "face", at), _require(entry, "coface", at))
-        restrictions[key] = _matrix(_require(entry, "matrix", at), f"{at}.matrix")
+    restrictions = _restrictions(
+        restriction_data, stalk_data, complex_.field.p, where
+    )
     return CellularSheaf(complex_, stalk_data, restrictions)
 
 

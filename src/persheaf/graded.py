@@ -12,6 +12,12 @@ power is a broken invariant and raises AssertionError.  A pivot (i, j)
 of the map into a position gives the bar (deg i, deg j - 1) when the
 degrees differ; a generator whose column the map out of the position
 empties, and that no pivot kills, gives an open bar.
+
+Graded sheaves and cosheaves store their maps like cellular ones and
+share their incidence walker: the missing, mis-shaped and
+negative-power maps are found per shape group, the diamonds by index
+arithmetic on the face tables, and each graded (co)boundary is one
+signed scatter per shape group.
 """
 
 from __future__ import annotations
@@ -20,16 +26,18 @@ from functools import cached_property
 
 import numpy as np
 
-from .complexes import FilteredComplex, incidence_sign
+from .complexes import FilteredComplex
 from .linalg import Field, matrix, zeros
 from .persistence import Barcode
 from .sheaves import (
     CellularSheaf,
     SheafDiagram,
+    _bad_diamonds,
     _check_diagram,
     _codim1_pairs,
-    _commuting,
-    _diamonds,
+    _Maps,
+    _signed_maps,
+    _Stalked,
 )
 
 __all__ = [
@@ -298,7 +306,7 @@ def graded_homology_barcode(gch: GradedChainComplex, k: int) -> Barcode:
     return Barcode(_graded_quotient_bars(gch.boundary(k), gch.boundary(k + 1)))
 
 
-class _GradedStalks:
+class _GradedStalks(_Stalked):
     """Per-simplex free graded modules with one stored map per incidence.
 
     Stored maps are keyed (source id, target id); a map touching a
@@ -314,11 +322,13 @@ class _GradedStalks:
         }
         if any(d < 0 for ds in self.degrees.values() for d in ds):
             raise ValueError("generator degrees must be nonnegative")
-        p = complex_.field.p
-        self._maps = {key: matrix(m, p) for key, m in maps.items()}
+        self._maps = _Maps.of(maps, complex_.field.p)
 
     def module(self, sid: str) -> GradedFreeModule:
         return GradedFreeModule(self.degrees[sid])
+
+    def _size(self, sid: str) -> int:
+        return len(self.degrees[sid])
 
     def _map(self, source_id: str, target_id: str) -> HomogeneousMatrix:
         rows = self.degrees[target_id]
@@ -346,106 +356,114 @@ class GradedCosheaf(_GradedStalks):
     """Graded modules with homogeneous extensions, coface to face."""
 
     _kind = "extension"
+    _down = True
 
     def extension(self, coface_id: str, face_id: str) -> HomogeneousMatrix:
         return self._map(coface_id, face_id)
 
 
-def _checked_maps(stalks: _GradedStalks, down: bool):
-    """Each incidence's map keyed (face id, coface id), and the problems.
+def _map_problems(stalks: _GradedStalks) -> list:
+    """Problems of the stored maps, as strings.
 
-    Problems are maps that are missing or would need a negative
-    t-power, then diamonds whose two composites differ.  down says the
-    maps run from coface to face.
+    Maps that are missing, mis-shaped or would need a negative t-power,
+    in incidence order, then diamonds whose two composites differ.
+    Each map is read from the gathered incidences, and the t-powers are
+    checked per shape group.
     """
-    field = stalks.complex.field
-    problems = []
-    maps = {}
+    gathered = stalks._gathered
+    inc = gathered.incidences
+    sims = stalks.complex.simplices
+    down = stalks._down
+    source, target = (inc.coface, inc.face) if down else (inc.face, inc.coface)
 
-    def arrow(face, coface):
-        a, b = (coface, face) if down else (face, coface)
-        return a.id, b.id
+    def arrow(n):
+        return f"{sims[source[n]].id!r} -> {sims[target[n]].id!r}"
 
-    for f, t in _codim1_pairs(stalks.complex):
-        source, target = arrow(f, t)
-        try:
-            maps[(f.id, t.id)] = stalks._map(source, target)
-        except (KeyError, ValueError) as err:
-            problems.append(f"{source!r} -> {target!r}: {err}")
+    found = {}
+    for n in np.flatnonzero(gathered.faulty).tolist():
+        if gathered.missing[n]:
+            err = KeyError(f"no {stalks._kind} stored for {arrow(n)}")
+        else:
+            have, want = tuple(gathered.have[n].tolist()), tuple(gathered.want[n].tolist())
+            err = f"scalar shape {have}, degrees want {want}"
+        found[n] = f"{arrow(n)}: {err}"
+    # entry (i, j) of a map stands for t^(col degree j - row degree i)
+    sizes = stalks._sizes
+    flat = np.array(
+        [d for s in sims for d in stalks.degrees[s.id]], dtype=np.int64
+    )
+    first = np.cumsum(sizes) - sizes
+    batch = gathered.batch
+    groups = np.where(gathered.faulty | (inc.face < 0), -1, batch.group)
+    for g in np.flatnonzero(np.bincount(groups[groups >= 0])).tolist():
+        stack = batch.stacks[g]
+        r, c = stack.shape[1:]
+        if r == 0 or c == 0:
+            continue
+        members = np.flatnonzero(groups == g)
+        rows = flat[first[target[members]][:, None] + np.arange(r)]
+        cols = flat[first[source[members]][:, None] + np.arange(c)]
+        negative = (stack[batch.slot[members]] != 0) & (
+            cols[:, None, :] < rows[:, :, None]
+        )
+        negative = negative.reshape(len(members), -1)
+        hit = negative.any(axis=1)
+        for n, at in zip(members[hit].tolist(), negative[hit].argmax(axis=1).tolist()):
+            i, j = divmod(at, c)
+            found[n] = f"{arrow(n)}: entry ({i}, {j}) would need a negative t-power"
+    problems = [found[n] for n in sorted(found)]
     if problems:
-        return maps, problems
-    diamonds = list(_diamonds(stalks.complex))
-    squares = []
-    for s, ra, rb, t in diamonds:
-        square = []
-        for r in (ra, rb):
-            near, far = maps[(s.id, r.id)].scalar, maps[(r.id, t.id)].scalar
-            square += (near, far) if down else (far, near)
-        squares.append(square)
-    for (s, _, _, t), good in zip(diamonds, _commuting(field, squares)):
-        if not good:
-            source, target = arrow(s, t)
-            problems.append(f"diamond {source!r} -> {target!r} does not commute")
-    return maps, problems
+        return problems
+    for s, _, _, t in _bad_diamonds(stalks.complex, batch, down):
+        a, b = (t, s) if down else (s, t)
+        problems.append(f"diamond {a.id!r} -> {b.id!r} does not commute")
+    return problems
 
 
 def validate_graded_sheaf(gs: GradedSheaf) -> list:
     """Homogeneity problems and non-commuting diamonds, as strings."""
-    return _checked_maps(gs, down=False)[1]
+    return _map_problems(gs)
 
 
 def validate_graded_cosheaf(gco: GradedCosheaf) -> list:
-    return _checked_maps(gco, down=True)[1]
+    return _map_problems(gco)
 
 
-def _assemble(stalks: _GradedStalks, down: bool, what: str):
+def _assemble(stalks: _GradedStalks, what: str):
     """Generator spaces per dimension and the signed maps between them.
 
-    Coboundaries k -> k+1 for a sheaf; boundaries k+1 -> k when down.
-    Each block is placed at its face's and coface's offsets.
+    Coboundaries k -> k+1 for a sheaf; boundaries k+1 -> k for a
+    cosheaf.  Each map is one signed scatter per shape group of the
+    gathered stored maps.
     """
-    maps, problems = _checked_maps(stalks, down)
+    problems = _map_problems(stalks)
     if problems:
         raise ValueError(f"invalid graded {what}: " + "; ".join(problems))
     x = stalks.complex
     field = x.field
-    spaces, offsets = [], []
-    for k in range(x.dim + 1):
-        off, degs = {}, []
-        for s in x.simplices_of_dim(k):
-            off[s.id] = len(degs)
-            degs.extend(stalks.degrees[s.id])
-        offsets.append(off)
-        spaces.append(GradedFreeModule(degs))
-    blocks = [[] for _ in range(x.dim)]
-    for f, t in _codim1_pairs(x):
-        blocks[f.dim].append((f, t))
+    spaces = [
+        GradedFreeModule(
+            [d for s in x.simplices_of_dim(k) for d in stalks.degrees[s.id]]
+        )
+        for k in range(x.dim + 1)
+    ]
     homs = []
-    for k, pairs in enumerate(blocks):
+    scalars = _signed_maps(stalks._gathered, stalks._sizes, stalks._down)
+    for k, scalar in enumerate(scalars):
         lo, hi = spaces[k], spaces[k + 1]
-        rows, cols = (lo, hi) if down else (hi, lo)
-        scalar = zeros(rows.rank, cols.rank)
-        for f, t in pairs:
-            block = maps[(f.id, t.id)].scalar
-            if block.size == 0:
-                continue
-            fo, to = offsets[k][f.id], offsets[k + 1][t.id]
-            ro, co = (fo, to) if down else (to, fo)
-            scalar[ro : ro + block.shape[0], co : co + block.shape[1]] = (
-                incidence_sign(f, t) * block
-            ) % field.p
+        rows, cols = (lo, hi) if stalks._down else (hi, lo)
         homs.append(HomogeneousMatrix(field, scalar, rows.degrees, cols.degrees))
     return spaces, homs
 
 
 def graded_cochain_complex(gs: GradedSheaf) -> GradedComplex:
     """Assemble the signed coboundaries of a graded sheaf."""
-    return GradedComplex(gs.complex.field, *_assemble(gs, False, "sheaf"))
+    return GradedComplex(gs.complex.field, *_assemble(gs, "sheaf"))
 
 
 def graded_chain_complex(gco: GradedCosheaf) -> GradedChainComplex:
     """Assemble the signed boundaries of a graded cosheaf."""
-    return GradedChainComplex(gco.complex.field, *_assemble(gco, True, "cosheaf"))
+    return GradedChainComplex(gco.complex.field, *_assemble(gco, "cosheaf"))
 
 
 def diagram_to_graded_sheaf(diagram: SheafDiagram) -> GradedSheaf:

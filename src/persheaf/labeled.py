@@ -25,7 +25,7 @@ from .complexes import FilteredComplex, SimplicialMap, Simplex, preimage_subcomp
 from .linalg import matrix
 from .persistence import Barcode
 from .sheaves import CellularSheaf, SheafDiagram, SheafMorphism, _codim1_pairs, pullback
-from .typet import type_t_direct
+from .typet import _check_input, type_t_direct_by_degree
 
 __all__ = [
     "full_label_complex",
@@ -194,16 +194,21 @@ def two_label_sheaf(label_complex: FilteredComplex) -> CellularSheaf:
     return CellularSheaf(label_complex, stalks, restrictions)
 
 
-def unicolored_pipeline(lf: LabeledFiltration, k: int) -> Barcode:
+def unicolored_pipeline(lf: LabeledFiltration, k):
     """Backward persistence of single-color information over the filtration.
 
     Pulls the two-label sheaf back onto the complex (one dimension on
     single-label simplices, two on mixed ones) and runs the backward
     cohomology construction; at k=0 the bars are the lifetimes of
-    unicolored components.
+    unicolored components.  k is one degree, giving its Barcode, or a
+    list of degrees, giving a dict of barcodes by degree; either way
+    the sheaf is pulled back, validated and assembled once.
     """
     if len(lf.names) != 2:
         raise ValueError("the unicolored pipeline needs exactly 2 labels")
     sheaf = pullback(lf.map, two_label_sheaf(lf.label_complex))
-    _, barcode = type_t_direct(sheaf, k)
-    return barcode
+    _check_input(sheaf)
+    degrees = [k] if isinstance(k, int) else list(k)
+    found = type_t_direct_by_degree(sheaf, degrees)
+    bars = {d: barcode for d, (_, barcode) in found.items()}
+    return bars[k] if isinstance(k, int) else bars

@@ -5,9 +5,20 @@ matrix per codimension-1 incidence, face to coface.  A cosheaf stores
 extensions running the other way.  Maps touching a zero-dimensional
 stalk never need to be stored; the accessors fill in the unique zero
 matrix of the right shape.
+
+Stored maps are held stacked by shape (_Maps), and one walker reads
+them for every check and every assembly: _Gathered lines them up with
+the complex's numbered incidences (FilteredComplex.incidences), so the
+presence and shape checks are array comparisons, the diamonds are
+index arithmetic on the face tables, and each (co)boundary is filled
+with one signed scatter per shape group (_signed_maps).  The graded
+stalks of graded.py and the cochain complexes of cohomology.py share
+it.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -33,33 +44,233 @@ __all__ = [
 
 
 def _codim1_pairs(complex_: FilteredComplex):
-    """(face, coface) incidences in the global order of the coface."""
-    for t in complex_.simplices:
-        if t.dim == 0:
-            continue
-        for f in complex_.faces(t):
-            yield f, t
+    """(face, coface) incidences in the global order of the coface.
+
+    Read from the face tables; a missing face is a ValueError.
+    """
+    inc = complex_.incidences()
+    inc.check_closed()
+    sims = complex_.simplices
+    for f, t in zip(inc.face.tolist(), inc.coface.tolist()):
+        yield sims[f], sims[t]
 
 
-class CellularSheaf:
-    def __init__(self, complex_: FilteredComplex, stalk_dim, restriction):
+class _Batch:
+    """A sequence of matrices held as same-shape stacks.
+
+    Matrix n is stacks[group[n]][slot[n]], and each stack is an int64
+    array of shape (count, rows, cols).
+    """
+
+    def __init__(self, stacks, group, slot):
+        self.stacks = list(stacks)
+        self.group = np.asarray(group, dtype=np.int64)
+        self.slot = np.asarray(slot, dtype=np.int64)
+
+    @classmethod
+    def of(cls, matrices) -> "_Batch":
+        """Stack a list of matrices by shape, shapes in first-seen order."""
+        members: dict[tuple, list] = {}
+        for n, m in enumerate(matrices):
+            members.setdefault(m.shape, []).append(n)
+        group = np.zeros(len(matrices), dtype=np.int64)
+        slot = np.zeros(len(matrices), dtype=np.int64)
+        stacks = []
+        for g, ns in enumerate(members.values()):
+            stacks.append(np.stack([matrices[n] for n in ns]))
+            group[ns] = g
+            slot[ns] = np.arange(len(ns))
+        return cls(stacks, group, slot)
+
+    def __len__(self) -> int:
+        return len(self.group)
+
+    def __getitem__(self, n: int) -> np.ndarray:
+        return self.stacks[self.group[n]][self.slot[n]]
+
+    def take(self, idx) -> "_Batch":
+        return _Batch(self.stacks, self.group[idx], self.slot[idx])
+
+    def shapes(self) -> np.ndarray:
+        """An (n, 2) array: the rows and columns of every matrix."""
+        dims = np.array([s.shape[1:] for s in self.stacks], dtype=np.int64)
+        return dims.reshape(-1, 2)[self.group]
+
+
+def _unique_rows(rows: np.ndarray):
+    """np.unique(rows, axis=0, return_inverse=True) for small nonnegative ints.
+
+    Each row is packed into one int64 first, which sorts much faster
+    than numpy's row-wise unique.
+    """
+    base = int(rows.max(initial=0)) + 1
+    if base ** rows.shape[1] >= 2**62:
+        combos, inverse = np.unique(rows, axis=0, return_inverse=True)
+        return combos, inverse.reshape(-1)
+    packed = np.zeros(len(rows), dtype=np.int64)
+    for column in rows.T:
+        packed = packed * base + column
+    _, first, inverse = np.unique(packed, return_index=True, return_inverse=True)
+    return rows[first], inverse.reshape(-1)
+
+
+class _Maps:
+    """Stored maps keyed by incidence: the matrix of key is batch[keys[key]].
+
+    Built from a dict by reducing each matrix mod p and stacking the
+    results by shape, or handed over already stacked and reduced (by
+    the parser, constant and dualize), so no matrix is copied alone.
+    """
+
+    def __init__(self, keys: dict, batch: _Batch):
+        self.keys = keys
+        self.batch = batch
+
+    @classmethod
+    def of(cls, maps, p: int) -> "_Maps":
+        if isinstance(maps, _Maps):
+            return maps
+        keys, mats = {}, []
+        for (a, b), m in maps.items():
+            keys[(a, b)] = len(mats)
+            mats.append(matrix(m, p))
+        return cls(keys, _Batch.of(mats))
+
+    def get(self, key):
+        n = self.keys.get(key)
+        return None if n is None else self.batch[n]
+
+    def as_dict(self) -> dict:
+        return {key: self.batch[n] for key, n in self.keys.items()}
+
+    def transposed(self) -> "_Maps":
+        """Every key reversed and every matrix transposed."""
+        b = self.batch
+        stacks = [s.transpose(0, 2, 1).copy() for s in b.stacks]
+        keys = {(y, x): n for (x, y), n in self.keys.items()}
+        return _Maps(keys, _Batch(stacks, b.group, b.slot))
+
+
+class _Gathered:
+    """A store's maps lined up with the complex's numbered incidences.
+
+    batch[n] is the map of incidence n as stored, or, when none is
+    stored, the zero matrix of the shape the stalks ask for.  want and
+    have hold each incidence's wanted and stored (rows, cols), have -1
+    when nothing is stored.  missing marks incidences between two
+    nonzero stalks with no stored map, wrong those whose stored map has
+    another shape, and unmatched lists the stored keys that name no
+    incidence, in key order.  down says the maps run from coface to
+    face and are keyed (coface id, face id).  The holes of a complex
+    that is not closed are neither missing nor wrong.
+    """
+
+    def __init__(self, complex_: FilteredComplex, maps: _Maps, sizes, down: bool):
+        inc = self.incidences = complex_.incidences()
+        look = inc.index
+        if down:
+            found = [look.get((b, a), -1) for a, b in maps.keys]
+        else:
+            found = [look.get(key, -1) for key in maps.keys]
+        found = np.array(found, dtype=np.int64)
+        stored = np.fromiter(maps.keys.values(), dtype=np.int64, count=len(found))
+        hit = found >= 0
+        self.unmatched = [] if hit.all() else [
+            key for key, f in zip(maps.keys, found.tolist()) if f < 0
+        ]
+        where = np.full(inc.count, -1, dtype=np.int64)
+        where[found[hit]] = stored[hit]
+        holes = inc.face < 0
+        f_size = np.where(holes, 0, sizes[inc.face])
+        t_size = sizes[inc.coface]
+        self.want = np.stack([f_size, t_size] if down else [t_size, f_size], axis=1)
+        present = where >= 0
+        self.have = np.full((inc.count, 2), -1, dtype=np.int64)
+        self.have[present] = maps.batch.take(where[present]).shapes()
+        nonzero = (self.want > 0).all(axis=1)
+        self.missing = ~present & ~holes & nonzero
+        self.wrong = present & (self.have != self.want).any(axis=1)
+        group = np.empty(inc.count, dtype=np.int64)
+        slot = np.zeros(inc.count, dtype=np.int64)
+        group[present] = maps.batch.group[where[present]]
+        slot[present] = maps.batch.slot[where[present]]
+        # each absent map reads slot 0 of one zero stack of its shape
+        shapes, inverse = _unique_rows(self.want[~present])
+        group[~present] = len(maps.batch.stacks) + inverse
+        zero = [np.zeros((1, r, c), dtype=np.int64) for r, c in shapes.tolist()]
+        self.batch = _Batch(maps.batch.stacks + zero, group, slot)
+
+    @property
+    def faulty(self) -> np.ndarray:
+        return self.missing | self.wrong
+
+    def shape_problems(self, label: str) -> list:
+        """Missing and mis-shaped maps, in incidence order."""
+        inc = self.incidences
+        sims = inc.complex.simplices
+        out = []
+        for n in np.flatnonzero(self.faulty).tolist():
+            f, t = sims[inc.face[n]].id, sims[inc.coface[n]].id
+            if self.missing[n]:
+                out.append(f"missing {label} for {f!r} -> {t!r}")
+            else:
+                have = tuple(self.have[n].tolist())
+                want = tuple(self.want[n].tolist())
+                out.append(f"{label} {f!r} -> {t!r} has shape {have}, expected {want}")
+        return out
+
+
+class _Stalked:
+    """Stalks on a complex with maps stored per incidence in a _Maps.
+
+    Subclasses give _size(sid), the stalk dimension, name their maps in
+    _kind, and set _down when the maps run from coface to face.
+    """
+
+    _down = False
+
+    @cached_property
+    def _sizes(self) -> np.ndarray:
+        """Stalk dimensions in the global simplex order."""
+        return np.array(
+            [self._size(s.id) for s in self.complex.simplices], dtype=np.int64
+        )
+
+    @cached_property
+    def _gathered(self) -> _Gathered:
+        return _Gathered(self.complex, self._maps, self._sizes, self._down)
+
+
+class _CellularStalks(_Stalked):
+    """Stalk dimensions per simplex and one stored matrix per incidence."""
+
+    def __init__(self, complex_: FilteredComplex, stalk_dim, maps):
         self.complex = complex_
         self.stalk_dim = {
             s.id: int(stalk_dim.get(s.id, 0)) for s in complex_.simplices
         }
         if any(d < 0 for d in self.stalk_dim.values()):
             raise ValueError("stalk dimensions must be nonnegative")
-        p = complex_.field.p
-        self._restriction = {
-            (fid, cid): matrix(m, p) for (fid, cid), m in restriction.items()
-        }
+        self._maps = _Maps.of(maps, complex_.field.p)
 
     def stalk(self, sid: str) -> int:
         return self.stalk_dim[sid]
 
+    _size = stalk
+
+
+class CellularSheaf(_CellularStalks):
+    _kind = "restriction"
+
+    def __init__(self, complex_: FilteredComplex, stalk_dim, restriction):
+        super().__init__(complex_, stalk_dim, restriction)
+
+    @property
+    def _restriction(self) -> dict:
+        return self._maps.as_dict()
+
     def restriction(self, face_id: str, coface_id: str) -> np.ndarray:
-        key = (face_id, coface_id)
-        stored = self._restriction.get(key)
+        stored = self._maps.get((face_id, coface_id))
         if stored is not None:
             return stored
         if self.stalk(face_id) == 0 or self.stalk(coface_id) == 0:
@@ -67,25 +278,15 @@ class CellularSheaf:
         raise KeyError(f"no restriction stored for {face_id!r} -> {coface_id!r}")
 
 
-class CellularCosheaf:
-    def __init__(self, complex_: FilteredComplex, stalk_dim, extension):
-        self.complex = complex_
-        self.stalk_dim = {
-            s.id: int(stalk_dim.get(s.id, 0)) for s in complex_.simplices
-        }
-        if any(d < 0 for d in self.stalk_dim.values()):
-            raise ValueError("stalk dimensions must be nonnegative")
-        p = complex_.field.p
-        self._extension = {
-            (cid, fid): matrix(m, p) for (cid, fid), m in extension.items()
-        }
+class CellularCosheaf(_CellularStalks):
+    _kind = "extension"
+    _down = True
 
-    def stalk(self, sid: str) -> int:
-        return self.stalk_dim[sid]
+    def __init__(self, complex_: FilteredComplex, stalk_dim, extension):
+        super().__init__(complex_, stalk_dim, extension)
 
     def extension(self, coface_id: str, face_id: str) -> np.ndarray:
-        key = (coface_id, face_id)
-        stored = self._extension.get(key)
+        stored = self._maps.get((coface_id, face_id))
         if stored is not None:
             return stored
         if self.stalk(face_id) == 0 or self.stalk(coface_id) == 0:
@@ -93,127 +294,143 @@ class CellularCosheaf:
         raise KeyError(f"no extension stored for {coface_id!r} -> {face_id!r}")
 
 
-def _check_assignment(sheaf, get_map, shape_of, label) -> list:
-    """Shared shape and presence checks for sheaves and cosheaves."""
-    problems = []
-    for f, t in _codim1_pairs(sheaf.complex):
-        want = shape_of(f, t)
-        try:
-            m = get_map(f, t)
-        except KeyError:
-            problems.append(f"missing {label} for {f.id!r} -> {t.id!r}")
-            continue
-        if m.shape != want:
-            problems.append(
-                f"{label} {f.id!r} -> {t.id!r} has shape {m.shape}, expected {want}"
-            )
-    return problems
+def _commuting(p: int, a: _Batch, b: _Batch, c: _Batch, d: _Batch) -> np.ndarray:
+    """Whether a[n] @ b[n] == c[n] @ d[n] mod p, for each n.
 
-
-def _diamonds(complex_: FilteredComplex):
-    """Codimension-2 pairs with their two intermediate simplices."""
-    for t in complex_.simplices:
-        if t.dim < 2:
-            continue
-        verts = t.vertices
-        n = len(verts)
-        for i in range(n):
-            for j in range(i + 1, n):
-                sv = tuple(v for k, v in enumerate(verts) if k not in (i, j))
-                s = complex_.by_vertices.get(sv)
-                rho_a = complex_.by_vertices.get(
-                    tuple(v for k, v in enumerate(verts) if k != i)
-                )
-                rho_b = complex_.by_vertices.get(
-                    tuple(v for k, v in enumerate(verts) if k != j)
-                )
-                if s is None or rho_a is None or rho_b is None:
-                    continue
-                yield s, rho_a, rho_b, t
-
-
-def _commuting(field, squares) -> list:
-    """For each (a, b, c, d) in squares, whether a @ b == c @ d mod p.
-
-    Both composites of a square must have one shape.  The squares are
-    grouped by the shapes of their four matrices, and each group is
-    stacked and multiplied with one matmul per side, in object dtype
-    when int64 could overflow (the bound Field.matmul uses).
+    The four batches have one length, entries reduced mod p, and both
+    composites of each n one shape.  The squares are grouped by the
+    stacks their four matrices come from, and each group is gathered
+    and multiplied with one matmul per side, in object dtype when int64
+    could overflow (the bound Field.matmul uses).
     """
-    p = field.p
-    groups: dict[tuple, list] = {}
-    for i, square in enumerate(squares):
-        groups.setdefault(tuple(m.shape for m in square), []).append(i)
-    ok = [True] * len(squares)
-    for shapes, members in groups.items():
-        stacks = [
-            np.array([squares[i][n] for i in members], dtype=np.int64) % p
-            for n in range(4)
-        ]
-        if max(shapes[0][1], shapes[2][1]) * (p - 1) ** 2 >= 2**63:
-            stacks = [x.astype(object) for x in stacks]
-        a, b, c, d = stacks
-        differ = ((np.matmul(a, b) - np.matmul(c, d)) % p != 0).any(axis=(1, 2))
-        for i, bad in zip(members, differ):
-            if bad:
-                ok[i] = False
+    ok = np.ones(len(a), dtype=bool)
+    if not len(a):
+        return ok
+    combos, inverse = _unique_rows(np.stack([m.group for m in (a, b, c, d)], axis=1))
+    order = np.argsort(inverse, kind="stable")
+    bounds = np.cumsum(np.bincount(inverse, minlength=len(combos)))[:-1]
+    for combo, members in zip(combos.tolist(), np.split(order, bounds)):
+        sa, sb, sc, sd = (
+            m.stacks[g][m.slot[members]] for m, g in zip((a, b, c, d), combo)
+        )
+        if sa.shape[1] == 0 or sb.shape[2] == 0:
+            continue
+        if max(sa.shape[2], sc.shape[2]) * (p - 1) ** 2 >= 2**63:
+            sa, sb, sc, sd = (x.astype(object) for x in (sa, sb, sc, sd))
+        differ = ((np.matmul(sa, sb) - np.matmul(sc, sd)) % p != 0).any(axis=(1, 2))
+        ok[members[differ]] = False
     return ok
+
+
+def _bad_diamonds(complex_: FilteredComplex, batch: _Batch, down: bool) -> list:
+    """(s, rho_a, rho_b, t) of each diamond whose two composites differ.
+
+    batch holds one map per incidence, numbered as in
+    complex_.incidences().  A diamond is a k-simplex t, k >= 2, with
+    two of its vertices i < j: rho_a = F_k[t, i] omits i, rho_b =
+    F_k[t, j] omits j, and s = F_{k-1}[rho_a, j-1] = F_{k-1}[rho_b, i]
+    omits both, where F_k is face_table(k).  The square compares the
+    two routes from s to t (from t to s when down).  Diamonds come in
+    the order of t, then of (i, j); one with a missing simplex is
+    skipped.
+    """
+    inc = complex_.incidences()
+    p = complex_.field.p
+    bad = []
+    for k in range(2, complex_.dim + 1):
+        top, below = complex_.face_table(k), complex_.face_table(k - 1)
+        i, j = np.triu_indices(k + 1, 1)
+        ra, rb = top[:, i], top[:, j]
+        s = np.where(ra < 0, -1, below[ra, j - 1])
+        t = np.arange(len(top))[:, None]
+        n_ta = inc.start[k] + (k + 1) * t + i
+        n_tb = inc.start[k] + (k + 1) * t + j
+        n_as = inc.start[k - 1] + k * ra + (j - 1)
+        n_bs = inc.start[k - 1] + k * rb + i
+        square = (n_as, n_ta, n_bs, n_tb) if down else (n_ta, n_as, n_tb, n_bs)
+        rows = np.flatnonzero(((ra >= 0) & (rb >= 0) & (s >= 0)).ravel())
+        ok = _commuting(p, *(batch.take(m.ravel()[rows]) for m in square))
+        cof, mid, low = (complex_.simplices_of_dim(q) for q in (k, k - 1, k - 2))
+        for flat in rows[~ok].tolist():
+            tt, q = divmod(flat, len(i))
+            bad.append((low[s[tt, q]], mid[ra[tt, q]], mid[rb[tt, q]], cof[tt]))
+    return bad
+
+
+def _signed_maps(gathered: _Gathered, sizes, down: bool) -> list:
+    """The signed (co)boundaries of gathered maps over stalks of sizes.
+
+    maps[q - 1] runs from dimension q - 1 to q, or from q to q - 1 when
+    down.  The block of an incidence sits at its stalks' offsets, in
+    the global order, and is its map times (-1)^i, i the omitted
+    vertex; it is filled with one scatter per shape group.  Maps are
+    already reduced mod p.  A missing face is a ValueError.
+    """
+    inc = gathered.incidences
+    inc.check_closed()
+    x = inc.complex
+    p = x.field.p
+    offset = np.zeros(len(sizes), dtype=np.int64)
+    totals = []
+    for k in range(x.dim + 1):
+        lo = inc.first[k]
+        seg = sizes[lo : lo + len(x.simplices_of_dim(k))]
+        offset[lo : lo + len(seg)] = np.cumsum(seg) - seg
+        totals.append(int(seg.sum()))
+    batch = gathered.batch
+    maps = []
+    for q in range(1, x.dim + 1):
+        lo, hi = inc.start[q], inc.start[q + 1]
+        shape = (totals[q - 1], totals[q]) if down else (totals[q], totals[q - 1])
+        d = zeros(*shape)
+        groups = batch.group[lo:hi]
+        for g in np.flatnonzero(np.bincount(groups)).tolist():
+            stack = batch.stacks[g]
+            r, c = stack.shape[1:]
+            if r == 0 or c == 0:
+                continue
+            members = lo + np.flatnonzero(groups == g)
+            vals = stack[batch.slot[members]]
+            odd = inc.omitted[members] % 2 == 1
+            vals[odd] = (p - vals[odd]) % p
+            f_off, t_off = offset[inc.face[members]], offset[inc.coface[members]]
+            row_off, col_off = (f_off, t_off) if down else (t_off, f_off)
+            rows = row_off[:, None] + np.arange(r)
+            cols = col_off[:, None] + np.arange(c)
+            d[rows[:, :, None], cols[:, None, :]] = vals
+        maps.append(d)
+    return maps
 
 
 def validate_sheaf(sheaf: CellularSheaf) -> list:
     """Shape violations and non-commuting diamonds, as a list of strings."""
-    field = sheaf.complex.field
-    problems = _check_assignment(
-        sheaf,
-        lambda f, t: sheaf.restriction(f.id, t.id),
-        lambda f, t: (sheaf.stalk(t.id), sheaf.stalk(f.id)),
-        "restriction",
-    )
-    for key in sheaf._restriction:
-        fid, cid = key
-        f = sheaf.complex.by_id.get(fid)
-        t = sheaf.complex.by_id.get(cid)
+    gathered = sheaf._gathered
+    problems = gathered.shape_problems(sheaf._kind)
+    by_id = sheaf.complex.by_id
+    for fid, cid in gathered.unmatched:
+        f, t = by_id.get(fid), by_id.get(cid)
         if f is None or t is None or not (
             f.dim + 1 == t.dim and set(f.vertices) <= set(t.vertices)
         ):
             problems.append(f"{fid!r} -> {cid!r} is not a codimension-1 incidence")
     if problems:
         return problems
-    diamonds = list(_diamonds(sheaf.complex))
-    r = sheaf.restriction
-    ok = _commuting(field, [
-        (r(ra.id, t.id), r(s.id, ra.id), r(rb.id, t.id), r(s.id, rb.id))
-        for s, ra, rb, t in diamonds
-    ])
     return [
         f"diamond {s.id!r} -> {t.id!r} does not commute"
         f" (via {ra.id!r} vs {rb.id!r})"
-        for (s, ra, rb, t), good in zip(diamonds, ok)
-        if not good
+        for s, ra, rb, t in _bad_diamonds(sheaf.complex, gathered.batch, False)
     ]
 
 
 def validate_cosheaf(cosheaf: CellularCosheaf) -> list:
-    field = cosheaf.complex.field
-    problems = _check_assignment(
-        cosheaf,
-        lambda f, t: cosheaf.extension(t.id, f.id),
-        lambda f, t: (cosheaf.stalk(f.id), cosheaf.stalk(t.id)),
-        "extension",
-    )
+    gathered = cosheaf._gathered
+    problems = gathered.shape_problems(cosheaf._kind)
     if problems:
         return problems
-    diamonds = list(_diamonds(cosheaf.complex))
-    e = cosheaf.extension
-    ok = _commuting(field, [
-        (e(ra.id, s.id), e(t.id, ra.id), e(rb.id, s.id), e(t.id, rb.id))
-        for s, ra, rb, t in diamonds
-    ])
     return [
         f"diamond {t.id!r} -> {s.id!r} does not commute"
         f" (via {ra.id!r} vs {rb.id!r})"
-        for (s, ra, rb, t), good in zip(diamonds, ok)
-        if not good
+        for s, ra, rb, t in _bad_diamonds(cosheaf.complex, gathered.batch, True)
     ]
 
 
@@ -256,12 +473,27 @@ def validate_morphism(phi: SheafMorphism) -> list:
             )
     if problems:
         return problems
-    for f, t in _codim1_pairs(phi.complex):
-        left = field.matmul(phi.component(t.id), phi.source.restriction(f.id, t.id))
-        right = field.matmul(phi.target.restriction(f.id, t.id), phi.component(f.id))
-        if not np.array_equal(left, right):
-            problems.append(f"naturality fails across {f.id!r} -> {t.id!r}")
-    return problems
+    # one square per incidence, comp(t) @ source(f, t) against
+    # target(f, t) @ comp(f); an incidence whose restriction is missing
+    # or mis-shaped in either sheaf is left to that sheaf's validation
+    x = phi.complex
+    p = field.p
+    comps = _Batch.of([phi.component(s.id) % p for s in x.simplices])
+    source, target = phi.source._gathered, phi.target._gathered
+    inc = source.incidences
+    n = np.flatnonzero((inc.face >= 0) & ~source.faulty & ~target.faulty)
+    ok = _commuting(
+        p,
+        comps.take(inc.coface[n]),
+        source.batch.take(n),
+        target.batch.take(n),
+        comps.take(inc.face[n]),
+    )
+    sims = x.simplices
+    return [
+        f"naturality fails across {sims[inc.face[m]].id!r} -> {sims[inc.coface[m]].id!r}"
+        for m in n[~ok].tolist()
+    ]
 
 
 class SheafDiagram:
@@ -311,10 +543,12 @@ def _check_diagram(diagram: SheafDiagram):
 def constant(complex_: FilteredComplex, d: int) -> CellularSheaf:
     """The constant sheaf: every stalk F^d, every restriction the identity."""
     stalks = {s.id: d for s in complex_.simplices}
-    restr = {
-        (f.id, t.id): identity(d) for f, t in _codim1_pairs(complex_)
-    }
-    return CellularSheaf(complex_, stalks, restr)
+    inc = complex_.incidences()
+    inc.check_closed()
+    stack = np.repeat(identity(d)[None], inc.count, axis=0)
+    every = np.arange(inc.count)
+    maps = _Maps(inc.index, _Batch([stack], np.zeros_like(every), every))
+    return CellularSheaf(complex_, stalks, maps)
 
 
 def pullback(f: SimplicialMap, sheaf: CellularSheaf) -> CellularSheaf:
@@ -357,10 +591,9 @@ def extend_by_zero(f: SimplicialMap, sheaf: CellularSheaf) -> CellularSheaf:
 
 def dualize(sheaf: CellularSheaf) -> CellularCosheaf:
     """Transpose every restriction into an extension on the same stalks."""
-    ext = {
-        (cid, fid): m.T.copy() for (fid, cid), m in sheaf._restriction.items()
-    }
-    return CellularCosheaf(sheaf.complex, dict(sheaf.stalk_dim), ext)
+    return CellularCosheaf(
+        sheaf.complex, dict(sheaf.stalk_dim), sheaf._maps.transposed()
+    )
 
 
 def unit_map(f: SimplicialMap, sheaf: CellularSheaf) -> SheafMorphism:

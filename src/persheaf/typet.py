@@ -21,7 +21,6 @@ from .sheaves import (
     CellularSheaf,
     SheafDiagram,
     SheafMorphism,
-    _codim1_pairs,
     extend_by_zero,
     pullback,
     validate_sheaf,
@@ -82,11 +81,7 @@ def filtration_cosheaf(sheaf: CellularSheaf) -> GradedCosheaf:
     """
     x = sheaf.complex
     degrees = {s.id: (s.entry,) * sheaf.stalk(s.id) for s in x.simplices}
-    extension = {}
-    for f, t in _codim1_pairs(x):
-        if sheaf.stalk(f.id) and sheaf.stalk(t.id):
-            extension[(t.id, f.id)] = sheaf.restriction(f.id, t.id).T.copy()
-    return GradedCosheaf(x, degrees, extension)
+    return GradedCosheaf(x, degrees, sheaf._maps.transposed())
 
 
 def type_t_graded_by_degree(sheaf: CellularSheaf, degrees) -> dict:

@@ -4,6 +4,7 @@ Everything goes through main(argv) in process so exit codes and both
 output streams stay visible to the assertions.
 """
 
+import itertools
 import json
 import os
 import random
@@ -17,8 +18,10 @@ from persheaf import (
     ChainComplex,
     CochainComplex,
     Field,
+    FilteredComplex,
     SheafDiagram,
     SheafMorphism,
+    Simplex,
     constant,
     sheaves,
 )
@@ -549,6 +552,7 @@ def test_each_invocation_validates_once(capsys, tmp_path, validations):
              "--max-dim", "2", "--hom-n", "0"],
             "validate_diagram",
         ),
+        (["unicolored", fx("points.csv"), "--thresholds", "0.5,1.5,2.5"], "validate_sheaf"),
     ]
     for argv, top in runs:
         validations.clear()
@@ -629,6 +633,188 @@ def test_labeled_assembles_one_chain_complex_per_label_part(capsys, construction
     # two labels, so three label parts; the cochain complexes are the
     # label sheaves' own, one per step
     assert constructions == ["ChainComplex"] * 3 + ["CochainComplex"] * 3
+
+
+def test_unicolored_pulls_back_and_assembles_once(capsys, constructions):
+    argv = ["unicolored", fx("points.csv"), "--thresholds", "0.5,1.5,2.5"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0 and "H^1" in out
+    assert constructions == ["pullback", "CochainComplex"]
+
+
+@pytest.fixture
+def holed(tmp_path):
+    """Input files whose complexes lack a vertex, and its maps."""
+    with open(fx("triangle_sheaf.json"), encoding="utf-8") as fh:
+        sheaf = json.load(fh)
+    sheaf["complex"]["simplices"] = [
+        s for s in sheaf["complex"]["simplices"] if s["id"] != "2"
+    ]
+    del sheaf["stalks"]["2"]
+    sheaf["restrictions"] = [r for r in sheaf["restrictions"] if r["face"] != "2"]
+    with open(fx("edge_diagram.json"), encoding="utf-8") as fh:
+        diagram = json.load(fh)
+    diagram["complex"]["simplices"] = [
+        s for s in diagram["complex"]["simplices"] if s["id"] != "1"
+    ]
+    for snap in diagram["snapshots"]:
+        del snap["stalks"]["1"]
+        snap["restrictions"] = [r for r in snap["restrictions"] if r["face"] != "1"]
+    for step in diagram["steps"]:
+        del step["1"]
+    paths = {}
+    for name, data in [
+        ("sheaf", sheaf), ("complex", sheaf["complex"]),
+        ("diagram", diagram), ("edge", diagram["complex"]),
+    ]:
+        paths[name] = str(tmp_path / f"{name}.json")
+        (tmp_path / f"{name}.json").write_text(serialize_json(data))
+    return paths
+
+
+TRIANGLE_HOLES = "missing face [2] of '0.2'\nmissing face [2] of '1.2'\n"
+EDGE_HOLE = "missing face [1] of '0.1'\n"
+
+
+@pytest.mark.parametrize(
+    "argv, out, err",
+    [
+        (["validate", "sheaf"], TRIANGLE_HOLES, ""),
+        (["cohomology", "complex", "sheaf"], "", TRIANGLE_HOLES),
+        (["persist-t", "complex", "sheaf"], "", TRIANGLE_HOLES),
+        (["persist-a", "diagram"], "", EDGE_HOLE),
+        (["bipersist", "edge", "diagram"], "", EDGE_HOLE),
+    ],
+    ids=["validate", "cohomology", "persist-t", "persist-a", "bipersist"],
+)
+def test_missing_face_is_invalid_input(capsys, holed, argv, out, err):
+    argv = [argv[0]] + [holed[name] for name in argv[1:]]
+    assert run(capsys, argv) == (2, out, err)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (
+            lambda snap: snap["restrictions"].pop(1),
+            "snapshot 1: missing restriction for '0' -> '0.1'",
+        ),
+        (
+            lambda snap: snap["restrictions"][0].update(matrix=[[1]]),
+            "snapshot 1: restriction '1' -> '0.1' has shape (1, 1), expected (2, 1)",
+        ),
+    ],
+    ids=["missing", "misshaped"],
+)
+def test_broken_snapshot_map_is_reported_not_multiplied(capsys, tmp_path, edit, message):
+    # naturality is not checked across a map the snapshot lacks or
+    # mis-shapes; the snapshot's own problem is the report
+    with open(fx("edge_diagram.json"), encoding="utf-8") as fh:
+        data = json.load(fh)
+    edit(data["snapshots"][1])
+    path = tmp_path / "diagram.json"
+    path.write_text(json.dumps(data))
+    assert run(capsys, ["persist-a", str(path)]) == (2, "", message + "\n")
+
+
+def _unit_sheaf_data(n=8):
+    """The constant rank-1 sheaf on the 2-skeleton of an n-vertex simplex:
+    one large group of 1 x 1 restrictions."""
+    x = FilteredComplex(Field(5), [
+        Simplex(".".join(map(str, vs)), vs, 0)
+        for d in range(3)
+        for vs in itertools.combinations(range(n), d + 1)
+    ])
+    return sheaf_to_data(constant(x, 1)), x
+
+
+BAD_MATRICES = [
+    ([[1.5]], "expected integer entries"),
+    ([[True]], "expected integer entries"),
+    ([[1], [1, 0]], "expected a list of rows of equal length"),
+    ("1", 'expected a list of rows, got "1"'),
+    ([["1"]], "expected integer entries"),
+    (None, "expected a list of rows, got null"),
+    ([[None]], "expected integer entries"),
+    ([[2**64]], "expected integer entries"),
+    ([[-(2**63) - 1]], "expected integer entries"),
+]
+BAD_IDS = ["float", "true", "ragged", "string", "string-entry", "null",
+           "null-entry", "beyond-64-bits", "below-64-bits"]
+
+
+@pytest.mark.parametrize("bad, message", BAD_MATRICES, ids=BAD_IDS)
+def test_bad_matrix_late_in_a_large_group(capsys, tmp_path, bad, message):
+    data, _ = _unit_sheaf_data()
+    at = len(data["restrictions"]) - 3
+    assert at > 150
+    data["restrictions"][at]["matrix"] = bad
+    path = tmp_path / "sheaf.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, ["validate", str(path)])
+    assert (code, out) == (2, "")
+    assert err == f"error: sheaf.restrictions[{at}].matrix: {message}\n"
+
+
+def test_first_bad_matrix_wins_across_groups(capsys, tmp_path):
+    data, _ = _unit_sheaf_data()
+    restrictions = data["restrictions"]
+    # an edge of stalk 2: its restrictions form groups of other shapes
+    edge = restrictions[0]["coface"]
+    data["stalks"][edge] = 2
+    for r in restrictions:
+        if r["coface"] == edge:
+            r["matrix"] = [[1], [0]]
+        elif r["face"] == edge:
+            r["matrix"] = [[1, 0]]
+    late = len(restrictions) - 1
+    assert restrictions[late]["face"] != edge
+    restrictions[late]["matrix"] = [[0.5]]
+    for bad in (late, 0):
+        restrictions[0]["matrix"] = [[1], [0]] if bad == late else [[1], [True]]
+        path = tmp_path / "sheaf.json"
+        path.write_text(json.dumps(data))
+        code, _, err = run(capsys, ["validate", str(path)])
+        assert code == 2
+        assert err == f"error: sheaf.restrictions[{bad}].matrix: expected integer entries\n"
+
+
+def test_bad_key_after_a_bad_matrix_reports_the_matrix(capsys, tmp_path):
+    data, _ = _unit_sheaf_data()
+    data["restrictions"][5]["matrix"] = [[1.5]]
+    del data["restrictions"][100]["coface"]
+    path = tmp_path / "sheaf.json"
+    path.write_text(json.dumps(data))
+    assert run(capsys, ["validate", str(path)])[2] == (
+        "error: sheaf.restrictions[5].matrix: expected integer entries\n"
+    )
+    data["restrictions"][5]["matrix"] = [[1]]
+    path.write_text(json.dumps(data))
+    assert run(capsys, ["validate", str(path)])[2] == (
+        "error: sheaf.restrictions[100]: missing key 'coface'\n"
+    )
+
+
+@pytest.mark.parametrize("bad, message", BAD_MATRICES, ids=BAD_IDS)
+def test_bad_matrix_late_in_a_diagram(capsys, tmp_path, bad, message):
+    data, x = _unit_sheaf_data()
+    c = constant(x, 1)
+    ids = [s.id for s in x.simplices]
+    unit = SheafMorphism(c, c, {sid: [[1]] for sid in ids})
+    diagram = diagram_to_data(SheafDiagram([c, c, c], [unit, unit]))
+    path = tmp_path / "diagram.json"
+    at = len(diagram["snapshots"][2]["restrictions"]) - 2
+    diagram["snapshots"][2]["restrictions"][at]["matrix"] = bad
+    path.write_text(json.dumps(diagram))
+    code, out, err = run(capsys, ["persist-a", str(path)])
+    assert (code, out) == (2, "")
+    assert err == f"error: diagram.snapshots[2].restrictions[{at}].matrix: {message}\n"
+    diagram["snapshots"][2]["restrictions"][at]["matrix"] = [[1]]
+    diagram["steps"][1][ids[-2]] = bad
+    path.write_text(json.dumps(diagram))
+    code, out, err = run(capsys, ["persist-a", str(path)])
+    assert (code, out) == (2, "")
+    assert err == f"error: diagram.steps[1][{ids[-2]!r}]: {message}\n"
 
 
 def test_python_dash_m(tmp_path):

@@ -30,7 +30,7 @@ from persheaf import (
     validate_sheaf,
 )
 
-from persheaf.sheaves import _diamonds
+from perincidence import diamonds
 
 from genrandom import random_complex, random_sheaf
 
@@ -141,7 +141,7 @@ def full_simplex(field, n, top):
 def diamond_messages_one_by_one(field, complex_, composite, arrow):
     """The per-diamond check: one Field.matmul pair and one comparison each."""
     out = []
-    for s, ra, rb, t in _diamonds(complex_):
+    for s, ra, rb, t in diamonds(complex_):
         if not np.array_equal(composite(s, ra, t), composite(s, rb, t)):
             a, b = arrow(s, t)
             out.append(
@@ -178,7 +178,7 @@ def test_batched_diamond_check_matches_per_diamond_loop():
             ),
             lambda s, t: (s, t),
         )
-        assert 0 < len(want) < len(list(_diamonds(x)))
+        assert 0 < len(want) < len(list(diamonds(x)))
         assert validate_sheaf(sheaf) == want
         co = dualize(sheaf)
         want = diamond_messages_one_by_one(
