@@ -152,13 +152,7 @@ class FilteredComplex:
         return self._incidences
 
     def validate(self) -> list:
-        """Closure, entry monotonicity, entry range, duplicate vertex sets.
-
-        A complex with none of these problems is recognised from the face
-        tables; otherwise every simplex is walked to list them in order.
-        """
-        if self._valid_by_tables():
-            return []
+        """Closure, entry monotonicity, entry range, duplicate vertex sets."""
         problems = []
         seen: dict[tuple, str] = {}
         for s in self._order:
@@ -184,24 +178,6 @@ class FilteredComplex:
                             f"entry of face {f.id!r} exceeds entry of coface {s.id!r}"
                         )
         return problems
-
-    def _valid_by_tables(self) -> bool:
-        """Whether validate() finds nothing, read from the face tables."""
-        if len(self.by_vertices) != len(self._order):
-            return False
-        entries = {
-            k: np.array([s.entry for s in self.simplices_of_dim(k)], dtype=np.int64)
-            for k in range(self.dim + 1)
-        }
-        if any(((e < 0) | (e >= self.steps)).any() for e in entries.values()):
-            return False
-        for k in range(1, self.dim + 1):
-            table = self.face_table(k)
-            if (table < 0).any():
-                return False
-            if (entries[k - 1][table] > entries[k][:, None]).any():
-                return False
-        return True
 
     def subcomplex(self, step: int) -> "FilteredComplex":
         """Simplices with entry <= step; keeps ids, field and step count."""

@@ -25,6 +25,7 @@ from .sheaves import (
     SheafMorphism,
     _Batch,
     _codim1_pairs,
+    _groups,
     _Maps,
 )
 
@@ -184,19 +185,15 @@ def _restrictions(entries, stalks: dict, p: int, where: str) -> _Maps:
             key = (_require(entry, "face", at), _require(entry, "coface", at))
             seen[key] = _matrix(_require(entry, "matrix", at), f"{at}.matrix")
         raise
-    shapes = dict.fromkeys(wanted)
-    for g, shape in enumerate(shapes):
-        shapes[shape] = g
-    shape_of = list(map(shapes.__getitem__, wanted))
-    order = np.argsort(shape_of, kind="stable")
-    bounds = np.cumsum(np.bincount(shape_of, minlength=len(shapes)))[:-1]
-    by_shape: dict[tuple, list] = {}
-    errors = []
-    for shape, members in zip(shapes, np.split(order, bounds)):
+    ids: dict[tuple, int] = {}
+    shape_of = [ids.setdefault(shape, len(ids)) for shape in wanted]
+    shapes = list(ids)
+    parts, errors = [], []
+    for g, members in _groups(shape_of):
         members = members.tolist()
-        stack = _stack([values[n] for n in members], *shape)
+        stack = _stack([values[n] for n in members], *shapes[g])
         if stack is not None:
-            by_shape.setdefault(stack.shape[1:], []).append((members, stack))
+            parts.append((members, stack % p))
             continue
         for n in members:
             try:
@@ -204,18 +201,10 @@ def _restrictions(entries, stalks: dict, p: int, where: str) -> _Maps:
             except ValueError as err:
                 errors.append((n, err))
                 break
-            by_shape.setdefault(m.shape, []).append(([n], m[None]))
+            parts.append(([n], m[None] % p))
     if errors:
         raise min(errors, key=lambda e: e[0])[1]
-    group = np.zeros(len(values), dtype=np.int64)
-    slot = np.zeros(len(values), dtype=np.int64)
-    stacks = []
-    for g, parts in enumerate(by_shape.values()):
-        members = [n for ns, _ in parts for n in ns]
-        stacks.append(np.concatenate([a for _, a in parts]) % p)
-        group[members] = g
-        slot[members] = np.arange(len(members))
-    return _Maps(keys, _Batch(stacks, group, slot))
+    return _Maps(keys, _Batch.from_stacks(parts))
 
 
 def complex_from_data(data: dict, where: str = "complex") -> FilteredComplex:

@@ -35,6 +35,7 @@ from .sheaves import (
     _bad_diamonds,
     _check_diagram,
     _codim1_pairs,
+    _groups,
     _Maps,
     _signed_maps,
     _Stalked,
@@ -395,12 +396,11 @@ def _map_problems(stalks: _GradedStalks) -> list:
     first = np.cumsum(sizes) - sizes
     batch = gathered.batch
     groups = np.where(gathered.faulty | (inc.face < 0), -1, batch.group)
-    for g in np.flatnonzero(np.bincount(groups[groups >= 0])).tolist():
+    for g, members in _groups(groups):
         stack = batch.stacks[g]
         r, c = stack.shape[1:]
         if r == 0 or c == 0:
             continue
-        members = np.flatnonzero(groups == g)
         rows = flat[first[target[members]][:, None] + np.arange(r)]
         cols = flat[first[source[members]][:, None] + np.arange(c)]
         negative = (stack[batch.slot[members]] != 0) & (

@@ -200,15 +200,17 @@ def unicolored_pipeline(lf: LabeledFiltration, k):
     Pulls the two-label sheaf back onto the complex (one dimension on
     single-label simplices, two on mixed ones) and runs the backward
     cohomology construction; at k=0 the bars are the lifetimes of
-    unicolored components.  k is one degree, giving its Barcode, or a
-    list of degrees, giving a dict of barcodes by degree; either way
-    the sheaf is pulled back, validated and assembled once.
+    unicolored components.  k is a sequence of degrees, giving a dict
+    of barcodes by degree from one pullback, validation and assembly
+    (the form the CLI uses), or one degree, giving its Barcode.
     """
+    try:
+        degrees = list(k)
+    except TypeError:
+        return unicolored_pipeline(lf, [k])[k]
     if len(lf.names) != 2:
         raise ValueError("the unicolored pipeline needs exactly 2 labels")
     sheaf = pullback(lf.map, two_label_sheaf(lf.label_complex))
     _check_input(sheaf)
-    degrees = [k] if isinstance(k, int) else list(k)
     found = type_t_direct_by_degree(sheaf, degrees)
-    bars = {d: barcode for d, (_, barcode) in found.items()}
-    return bars[k] if isinstance(k, int) else bars
+    return {d: barcode for d, (_, barcode) in found.items()}

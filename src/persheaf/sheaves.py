@@ -73,13 +73,30 @@ class _Batch:
         members: dict[tuple, list] = {}
         for n, m in enumerate(matrices):
             members.setdefault(m.shape, []).append(n)
-        group = np.zeros(len(matrices), dtype=np.int64)
-        slot = np.zeros(len(matrices), dtype=np.int64)
+        return cls.from_stacks(
+            [(ns, np.stack([matrices[n] for n in ns])) for ns in members.values()]
+        )
+
+    @classmethod
+    def from_stacks(cls, parts) -> "_Batch":
+        """Join (members, stack) parts, matrix members[m] being stack[m].
+
+        The members of all parts together number the matrices 0..n-1.
+        Parts of one shape are concatenated into one stack, shapes in
+        first-seen order.
+        """
+        by_shape: dict[tuple, list] = {}
+        for part in parts:
+            by_shape.setdefault(part[1].shape[1:], []).append(part)
+        n = sum(len(members) for members, _ in parts)
+        group = np.zeros(n, dtype=np.int64)
+        slot = np.zeros(n, dtype=np.int64)
         stacks = []
-        for g, ns in enumerate(members.values()):
-            stacks.append(np.stack([matrices[n] for n in ns]))
-            group[ns] = g
-            slot[ns] = np.arange(len(ns))
+        for g, same in enumerate(by_shape.values()):
+            members = np.concatenate([np.asarray(ns, dtype=np.int64) for ns, _ in same])
+            stacks.append(np.concatenate([stack for _, stack in same]))
+            group[members] = g
+            slot[members] = np.arange(len(members))
         return cls(stacks, group, slot)
 
     def __len__(self) -> int:
@@ -95,6 +112,19 @@ class _Batch:
         """An (n, 2) array: the rows and columns of every matrix."""
         dims = np.array([s.shape[1:] for s in self.stacks], dtype=np.int64)
         return dims.reshape(-1, 2)[self.group]
+
+
+def _groups(ids):
+    """(value, positions) for each distinct value >= 0 of an int array.
+
+    Values ascend, and so do the positions within each group; a
+    negative id belongs to no group.
+    """
+    ids = np.asarray(ids, dtype=np.int64)
+    order = np.argsort(ids, kind="stable")
+    order = order[ids[order] >= 0]
+    values, starts = np.unique(ids[order], return_index=True)
+    return zip(values.tolist(), np.split(order, starts[1:]))
 
 
 def _unique_rows(rows: np.ndarray):
@@ -262,12 +292,9 @@ class _CellularStalks(_Stalked):
 class CellularSheaf(_CellularStalks):
     _kind = "restriction"
 
+    # spelled out to keep the public keyword name of the stored maps
     def __init__(self, complex_: FilteredComplex, stalk_dim, restriction):
         super().__init__(complex_, stalk_dim, restriction)
-
-    @property
-    def _restriction(self) -> dict:
-        return self._maps.as_dict()
 
     def restriction(self, face_id: str, coface_id: str) -> np.ndarray:
         stored = self._maps.get((face_id, coface_id))
@@ -307,11 +334,10 @@ def _commuting(p: int, a: _Batch, b: _Batch, c: _Batch, d: _Batch) -> np.ndarray
     if not len(a):
         return ok
     combos, inverse = _unique_rows(np.stack([m.group for m in (a, b, c, d)], axis=1))
-    order = np.argsort(inverse, kind="stable")
-    bounds = np.cumsum(np.bincount(inverse, minlength=len(combos)))[:-1]
-    for combo, members in zip(combos.tolist(), np.split(order, bounds)):
+    combos = combos.tolist()
+    for c_id, members in _groups(inverse):
         sa, sb, sc, sd = (
-            m.stacks[g][m.slot[members]] for m, g in zip((a, b, c, d), combo)
+            m.stacks[g][m.slot[members]] for m, g in zip((a, b, c, d), combos[c_id])
         )
         if sa.shape[1] == 0 or sb.shape[2] == 0:
             continue
@@ -341,7 +367,9 @@ def _bad_diamonds(complex_: FilteredComplex, batch: _Batch, down: bool) -> list:
         top, below = complex_.face_table(k), complex_.face_table(k - 1)
         i, j = np.triu_indices(k + 1, 1)
         ra, rb = top[:, i], top[:, j]
-        s = np.where(ra < 0, -1, below[ra, j - 1])
+        s = np.full(ra.shape, -1, dtype=np.int64)
+        has = ra >= 0
+        s[has] = below[ra[has], np.broadcast_to(j - 1, ra.shape)[has]]
         t = np.arange(len(top))[:, None]
         n_ta = inc.start[k] + (k + 1) * t + i
         n_tb = inc.start[k] + (k + 1) * t + j
@@ -383,13 +411,12 @@ def _signed_maps(gathered: _Gathered, sizes, down: bool) -> list:
         lo, hi = inc.start[q], inc.start[q + 1]
         shape = (totals[q - 1], totals[q]) if down else (totals[q], totals[q - 1])
         d = zeros(*shape)
-        groups = batch.group[lo:hi]
-        for g in np.flatnonzero(np.bincount(groups)).tolist():
+        for g, members in _groups(batch.group[lo:hi]):
             stack = batch.stacks[g]
             r, c = stack.shape[1:]
             if r == 0 or c == 0:
                 continue
-            members = lo + np.flatnonzero(groups == g)
+            members = lo + members
             vals = stack[batch.slot[members]]
             odd = inc.omitted[members] % 2 == 1
             vals[odd] = (p - vals[odd]) % p

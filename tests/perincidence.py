@@ -69,7 +69,7 @@ def validate_sheaf(sheaf):
         lambda f, t: (sheaf.stalk(t.id), sheaf.stalk(f.id)),
         "restriction",
     )
-    for fid, cid in sheaf._restriction:
+    for fid, cid in sheaf._maps.keys:
         f = sheaf.complex.by_id.get(fid)
         t = sheaf.complex.by_id.get(cid)
         if f is None or t is None or not (

@@ -662,10 +662,27 @@ def holed(tmp_path):
         snap["restrictions"] = [r for r in snap["restrictions"] if r["face"] != "1"]
     for step in diagram["steps"]:
         del step["1"]
+    # a triangle with its vertices and no edges: one dimension is empty
+    with open(fx("two_simplex_sheaf.json"), encoding="utf-8") as fh:
+        hollow = json.load(fh)
+    hollow["complex"]["simplices"] = [
+        s for s in hollow["complex"]["simplices"] if len(s["vertices"]) != 2
+    ]
+    hollow["stalks"] = {
+        s["id"]: hollow["stalks"][s["id"]] for s in hollow["complex"]["simplices"]
+    }
+    hollow["restrictions"] = []
+    hollow_diagram = {
+        "complex": hollow["complex"],
+        "snapshots": [{"stalks": hollow["stalks"], "restrictions": []}],
+        "steps": [],
+    }
     paths = {}
     for name, data in [
         ("sheaf", sheaf), ("complex", sheaf["complex"]),
         ("diagram", diagram), ("edge", diagram["complex"]),
+        ("hollow", hollow), ("hollow_complex", hollow["complex"]),
+        ("hollow_diagram", hollow_diagram),
     ]:
         paths[name] = str(tmp_path / f"{name}.json")
         (tmp_path / f"{name}.json").write_text(serialize_json(data))
@@ -674,6 +691,11 @@ def holed(tmp_path):
 
 TRIANGLE_HOLES = "missing face [2] of '0.2'\nmissing face [2] of '1.2'\n"
 EDGE_HOLE = "missing face [1] of '0.1'\n"
+NO_EDGES = (
+    "missing face [1, 2] of '0.1.2'\n"
+    "missing face [0, 2] of '0.1.2'\n"
+    "missing face [0, 1] of '0.1.2'\n"
+)
 
 
 @pytest.mark.parametrize(
@@ -684,8 +706,17 @@ EDGE_HOLE = "missing face [1] of '0.1'\n"
         (["persist-t", "complex", "sheaf"], "", TRIANGLE_HOLES),
         (["persist-a", "diagram"], "", EDGE_HOLE),
         (["bipersist", "edge", "diagram"], "", EDGE_HOLE),
+        (["validate", "hollow"], NO_EDGES, ""),
+        (["cohomology", "hollow_complex", "hollow"], "", NO_EDGES),
+        (["persist-t", "hollow_complex", "hollow"], "", NO_EDGES),
+        (["persist-a", "hollow_diagram"], "", NO_EDGES),
+        (["bipersist", "hollow_complex", "hollow_diagram"], "", NO_EDGES),
     ],
-    ids=["validate", "cohomology", "persist-t", "persist-a", "bipersist"],
+    ids=[
+        "validate", "cohomology", "persist-t", "persist-a", "bipersist",
+        "validate-no-edges", "cohomology-no-edges", "persist-t-no-edges",
+        "persist-a-no-edges", "bipersist-no-edges",
+    ],
 )
 def test_missing_face_is_invalid_input(capsys, holed, argv, out, err):
     argv = [argv[0]] + [holed[name] for name in argv[1:]]

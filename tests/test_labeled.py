@@ -9,6 +9,7 @@ of the whole complex.
 
 import random
 
+import numpy as np
 import pytest
 
 from builders import four_point_matching, two_region_filtration
@@ -253,6 +254,15 @@ def test_unicolored_matching_example():
     assert tuple(mod.dims) == (4, 2, 0)
     assert sorted(bars.bars) == [(0, 0), (0, 0), (0, 1), (0, 1)]
     assert sorted(unicolored_pipeline(lf, 0).bars) == sorted(bars.bars)
+
+
+def test_unicolored_takes_one_degree_or_a_sequence():
+    lf = four_point_matching()
+    by_degree = unicolored_pipeline(lf, (0, 1))
+    assert list(by_degree) == [0, 1]
+    for k, bars in by_degree.items():
+        assert unicolored_pipeline(lf, k) == bars
+        assert unicolored_pipeline(lf, np.int64(k)) == bars
 
 
 def test_unicolored_needs_two_labels():

@@ -162,7 +162,7 @@ def test_batched_diamond_check_matches_per_diamond_loop():
         # this p a 1 x 1 product stays in int64 and a longer one needs
         # object dtype; then a few restrictions replaced at random
         sheaf = random_sheaf(rng, x, max_total=checked % 2 * 9 + 3)
-        restr = dict(sheaf._restriction)
+        restr = sheaf._maps.as_dict()
         if len(restr) < 20:
             continue
         checked += 1

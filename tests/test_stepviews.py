@@ -139,9 +139,10 @@ def test_label_diagram_matches_the_per_step_route(p):
             ids = [t.id for t in lf.label_complex.simplices]
             for a, b in zip(got.snapshots, want.snapshots):
                 assert a.stalk_dim == b.stalk_dim
-                assert a._restriction.keys() == b._restriction.keys()
-                for key, m in a._restriction.items():
-                    assert same_array(m, b._restriction[key])
+                got_maps, want_maps = a._maps.as_dict(), b._maps.as_dict()
+                assert got_maps.keys() == want_maps.keys()
+                for key, m in got_maps.items():
+                    assert same_array(m, want_maps[key])
             for a, b in zip(got.steps, want.steps):
                 for sid in ids:
                     assert same_array(a.component(sid), b.component(sid))
