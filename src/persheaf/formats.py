@@ -60,7 +60,7 @@ def complex_to_data(x: FilteredComplex) -> dict:
     }
 
 
-_KINDS = {dict: "a JSON object", list: "a list", int: "an integer"}
+_KINDS = {dict: "a JSON object", list: "a list", int: "an integer", str: "a string"}
 
 
 def _got(value) -> str:
@@ -173,18 +173,20 @@ def _restrictions(entries, stalks: dict, p: int, where: str) -> _Maps:
         faces = list(map(itemgetter("face"), entries))
         cofaces = list(map(itemgetter("coface"), entries))
         values = list(map(itemgetter("matrix"), entries))
-        keys = dict(zip(zip(faces, cofaces), range(len(values))))
-        wanted = list(zip(
-            map(stalks.get, cofaces, repeat(0)), map(stalks.get, faces, repeat(0))
-        ))
+        if not {*map(type, faces), *map(type, cofaces)} <= {str}:
+            raise TypeError("a face or coface is not a simplex id")
     except (KeyError, TypeError):
         # read one by one, so the first bad entry in the list raises
-        seen = {}
         for n, entry in enumerate(entries):
             at = path(n)
-            key = (_require(entry, "face", at), _require(entry, "coface", at))
-            seen[key] = _matrix(_require(entry, "matrix", at), f"{at}.matrix")
+            _require(entry, "face", at, str)
+            _require(entry, "coface", at, str)
+            _matrix(_require(entry, "matrix", at), f"{at}.matrix")
         raise
+    keys = dict(zip(zip(faces, cofaces), range(len(values))))
+    wanted = list(zip(
+        map(stalks.get, cofaces, repeat(0)), map(stalks.get, faces, repeat(0))
+    ))
     ids: dict[tuple, int] = {}
     shape_of = [ids.setdefault(shape, len(ids)) for shape in wanted]
     shapes = list(ids)
@@ -215,7 +217,7 @@ def complex_from_data(data: dict, where: str = "complex") -> FilteredComplex:
         _all_integers(vertices, f"{at}.vertices")
         simplices.append(
             Simplex(
-                _require(s, "id", at),
+                _require(s, "id", at, str),
                 tuple(vertices),
                 _require(s, "entry", at, int),
             )

@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .complexes import FilteredComplex
-from .linalg import Field, matrix, zeros
+from .linalg import Field, identity, matrix, zeros
 from .persistence import Barcode
 from .sheaves import (
     CellularSheaf,
@@ -66,12 +66,6 @@ __all__ = [
 
 class NotFreeError(ValueError):
     """Raised when a diagram step has a kernel, so graded stalks are not free."""
-
-
-def _unit_column(n: int, i: int) -> np.ndarray:
-    col = zeros(n, 1)
-    col[i, 0] = 1
-    return col
 
 
 def _degree_order(degrees) -> list:
@@ -467,58 +461,45 @@ def graded_chain_complex(gco: GradedCosheaf) -> GradedChainComplex:
 
 
 def diagram_to_graded_sheaf(diagram: SheafDiagram) -> GradedSheaf:
-    """Collapse a stalk-wise injective diagram into one graded sheaf.
+    """Collapse a valid stalk-wise injective diagram into one graded sheaf.
 
-    Each stalk's levels are merged into a free module: generators enter
-    at the level where the stalk grows, with standard basis vectors
-    completing the pushed-forward images greedily.  Restriction columns
-    are solved in the level basis of the generator's birth level; the
-    result is independent of the level by naturality.
+    Each stalk's levels are merged into a free module.  At each level
+    the pushed-forward basis of the level below is completed by one
+    column reduction of [images | I]: the unit columns that own a pivot
+    are the generators born there, the ones a greedy rank test would
+    keep, and an image column that owns none means the step is not
+    injective (NotFreeError).  Each restriction is solved once, at the
+    top level: solve(B_t, r @ B_f) with B the top bases.  Their leading
+    columns are the pushed-forward bases of the lower levels, so by
+    naturality every generator's column equals its coordinates at its
+    birth level, padded with zeros.
     """
     field = diagram.complex.field
-    m = diagram.length
     degrees = {}
-    level_bases = {}
+    bases = {}
     for s in diagram.complex.simplices:
         sid = s.id
         gens = []
-        bases = []
-        imgs = zeros(diagram.snapshots[0].stalk(sid), 0)
-        for i in range(m):
+        basis = zeros(diagram.snapshots[0].stalk(sid), 0)
+        for i, sheaf in enumerate(diagram.snapshots):
             if i > 0:
-                comp = diagram.steps[i - 1].component(sid)
-                if field.rank(comp) < comp.shape[1]:
-                    raise NotFreeError(f"diagram not free at {sid}, step {i - 1}")
-                imgs = field.matmul(comp, imgs)
-            d = diagram.snapshots[i].stalk(sid)
-            if field.rank(imgs) != imgs.shape[1]:
-                raise AssertionError(f"pushed generators collapsed at {sid}")
-            basis = imgs
-            for e in range(d):
-                if basis.shape[1] == d:
-                    break
-                cand = np.hstack([basis, _unit_column(d, e)])
-                if field.rank(cand) > basis.shape[1]:
-                    basis = cand
-                    gens.append(i)
-            if basis.shape[1] != d:
-                raise AssertionError(f"could not complete a basis at {sid}")
-            bases.append(basis)
-            imgs = basis
+                basis = field.matmul(diagram.steps[i - 1].component(sid), basis)
+            units = identity(sheaf.stalk(sid))
+            k = basis.shape[1]
+            _, _, owner = field._column_echelon(np.hstack([basis, units]))
+            owned = sorted(owner.values())
+            if owned[:k] != list(range(k)):
+                raise NotFreeError(f"diagram not free at {sid}, step {i - 1}")
+            born = [j - k for j in owned[k:]]
+            basis = np.hstack([basis, units[:, born]])
+            gens += [i] * len(born)
         degrees[sid] = tuple(gens)
-        level_bases[sid] = bases
+        bases[sid] = basis
+    top = diagram.snapshots[-1]
     restriction = {}
     for f, t in _codim1_pairs(diagram.complex):
-        fdeg, tdeg = degrees[f.id], degrees[t.id]
-        scalar = zeros(len(tdeg), len(fdeg))
-        for g, a in enumerate(fdeg):
-            r_a = diagram.snapshots[a].restriction(f.id, t.id)
-            vec = field.matmul(r_a, level_bases[f.id][a][:, g : g + 1])
-            sol = field.solve(level_bases[t.id][a], vec)
-            if sol is None:
-                raise AssertionError(f"level basis at {t.id!r} is not a basis")
-            scalar[: sol.shape[0], g : g + 1] = sol
-        restriction[(f.id, t.id)] = scalar
+        pushed = field.matmul(top.restriction(f.id, t.id), bases[f.id])
+        restriction[(f.id, t.id)] = field.solve(bases[t.id], pushed)
     return GradedSheaf(diagram.complex, degrees, restriction)
 
 

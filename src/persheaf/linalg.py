@@ -9,6 +9,18 @@ fixture matrices downstream depend on that determinism.
 Field._column_echelon is the one column reduction: rank, kernel_basis
 and image_basis read it, the based (co)homology of cohomology.py runs
 it with clearing, and the graded engine runs it on degree-sorted maps.
+
+_mulmod is the one product: Field.matmul and the stacked diamond check
+of sheaves.py call it, so the int64 overflow bound lives there alone.
+While inner * (p-1)^2 < 2^63 a product is one int64 matmul and one
+reduction.  Past that bound (every inner size from 2 up at p = 2^31-1)
+the right operand is split into 16-bit limbs, b = hi * 2^16 + lo, and
+a @ b = ((a @ hi mod p) * 2^16 + a @ lo) mod p, with the inner
+dimension cut into chunks short enough that no partial sum reaches
+2^63, after the delayed-reduction products of Dumas, Giorgi and Pernet
+("Dense linear algebra over word-size prime fields: the FFLAS and
+FFPACK packages", ACM TOMS 2008).  No product needs Python integers
+or floating point.
 """
 
 from __future__ import annotations
@@ -18,17 +30,61 @@ import numpy as np
 __all__ = ["Field", "matrix", "zeros", "identity"]
 
 
+_WITNESSES = (2, 3, 5, 7)
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin on the bases 2, 3, 5 and 7.
+
+    Exact for every n < 3,215,031,751, the least strong pseudoprime to
+    all four bases (Pomerance, Selfridge and Wagstaff, Math. Comp.
+    1980), so for every field order below 2^31.
+    """
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for q in _WITNESSES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
+
+
+_LIMB = 16
+
+
+def _mulmod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b mod p for int64 operands in [0, p), p < 2^31, exactly.
+
+    Takes what np.matmul takes: two matrices, or two stacks of them.
+    Past the direct bound, b is split into limbs hi < 2^15 and
+    lo < 2^16, and each chunk of at most 2^16 inner indices keeps both
+    partial sums below 2^16 * 2^31 * 2^16 = 2^63.
+    """
+    inner = a.shape[-1]
+    if inner * (p - 1) ** 2 < 2 ** 63:
+        return np.matmul(a, b) % p
+    hi, lo = b >> _LIMB, b & ((1 << _LIMB) - 1)
+    out = 0
+    for start in range(0, inner, 1 << _LIMB):
+        cut = slice(start, start + (1 << _LIMB))
+        high = np.matmul(a[..., cut], hi[..., cut, :]) % p
+        low = np.matmul(a[..., cut], lo[..., cut, :]) % p
+        # high << 16 < 2^47, so this sum stays far below 2^63
+        out = (out + (high << _LIMB) + low) % p
+    return out
 
 
 def matrix(rows, p: int | None = None) -> np.ndarray:
@@ -90,19 +146,17 @@ class Field:
         return pow(a, self.p - 2, self.p)
 
     def matmul(self, a, b) -> np.ndarray:
-        """a @ b mod p, with a bignum fallback when int64 could overflow."""
+        """a @ b mod p, exact in int64 for every p < 2^31.
+
+        One int64 product while inner * (p-1)^2 < 2^63; past that, the
+        16-bit limb split of _mulmod, two int64 products per chunk of
+        at most 2^16 inner indices.
+        """
         a = self.normalize(a)
         b = self.normalize(b)
         if a.shape[1] != b.shape[0]:
             raise ValueError(f"cannot multiply shapes {a.shape} and {b.shape}")
-        inner = a.shape[1]
-        if inner == 0 or a.shape[0] == 0 or b.shape[1] == 0:
-            return zeros(a.shape[0], b.shape[1])
-        # entries sit in [0, p), so the largest dot product is inner*(p-1)^2
-        if inner * (self.p - 1) ** 2 < 2 ** 63:
-            return (a @ b) % self.p
-        prod = a.astype(object) @ b.astype(object)
-        return np.array(prod % self.p, dtype=np.int64)
+        return _mulmod(a, b, self.p)
 
     def _column_echelon(self, m, track: bool = False, clear=()):
         """Column reduction; returns (reduced, ops, pivot_row_to_column).

@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .complexes import FilteredComplex, SimplicialMap
-from .linalg import identity, matrix, zeros
+from .linalg import _mulmod, identity, matrix, zeros
 
 __all__ = [
     "CellularSheaf",
@@ -327,8 +327,8 @@ def _commuting(p: int, a: _Batch, b: _Batch, c: _Batch, d: _Batch) -> np.ndarray
     The four batches have one length, entries reduced mod p, and both
     composites of each n one shape.  The squares are grouped by the
     stacks their four matrices come from, and each group is gathered
-    and multiplied with one matmul per side, in object dtype when int64
-    could overflow (the bound Field.matmul uses).
+    and multiplied with one stacked product per side (linalg._mulmod,
+    exact in int64 for every p).
     """
     ok = np.ones(len(a), dtype=bool)
     if not len(a):
@@ -341,9 +341,7 @@ def _commuting(p: int, a: _Batch, b: _Batch, c: _Batch, d: _Batch) -> np.ndarray
         )
         if sa.shape[1] == 0 or sb.shape[2] == 0:
             continue
-        if max(sa.shape[2], sc.shape[2]) * (p - 1) ** 2 >= 2**63:
-            sa, sb, sc, sd = (x.astype(object) for x in (sa, sb, sc, sd))
-        differ = ((np.matmul(sa, sb) - np.matmul(sc, sd)) % p != 0).any(axis=(1, 2))
+        differ = (_mulmod(sa, sb, p) != _mulmod(sc, sd, p)).any(axis=(1, 2))
         ok[members[differ]] = False
     return ok
 

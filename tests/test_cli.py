@@ -489,12 +489,33 @@ def _set(path, value):
             _set(["steps", 0, "0.1"], [[1, 0], [False, 1]]),
             "diagram.steps[0]['0.1']: expected integer entries",
         ),
+        (
+            "validate", "triangle_sheaf.json",
+            _set(["complex", "simplices", 0, "id"], [0]),
+            "sheaf.complex.simplices[0].id: expected a string, got a list",
+        ),
+        (
+            "validate", "triangle_sheaf.json",
+            _set(["restrictions", 0, "face"], [1]),
+            "sheaf.restrictions[0].face: expected a string, got a list",
+        ),
+        (
+            "validate", "triangle_sheaf.json",
+            _set(["restrictions", 2, "coface"], ["0.1"]),
+            "sheaf.restrictions[2].coface: expected a string, got a list",
+        ),
+        (
+            "cohomology", "triangle.json",
+            _set(["simplices", 1, "id"], 1),
+            "complex.simplices[1].id: expected a string, got 1",
+        ),
     ],
     ids=[
         "step-is-a-list", "matrix-is-a-number", "stalks-is-a-list",
         "stalk-is-a-string", "vertices-is-a-number", "vertices-is-a-string",
         "step-count", "stalk-1.5", "matrix-entry-1.5", "matrix-entry-null",
         "ragged-matrix", "entry-0.5", "matrix-mixes-true", "step-mixes-false",
+        "id-is-a-list", "face-is-a-list", "coface-is-a-list", "id-is-a-number",
     ],
 )
 def test_wrongly_typed_json_is_invalid_input(capsys, tmp_path, command, name, edit, message):

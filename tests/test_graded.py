@@ -22,6 +22,7 @@ from persheaf import (
     evaluate_at,
     evaluate_sheaf_at,
     graded_cochain_complex,
+    identity,
     matrix,
     persistent_cohomology,
     validate_graded_sheaf,
@@ -30,7 +31,9 @@ from persheaf import (
 )
 from persheaf.graded import _graded_kernel, _graded_quotient_bars, _graded_snf_bars
 
+import pergenerator
 from builders import edge_diagram
+from perincidence import codim1_pairs
 from oracles import rref_rank
 from genrandom import random_complex, random_monomorphic_diagram
 
@@ -238,3 +241,65 @@ def test_random_diagrams_compress_without_loss():
         for k in range(x.dim + 1):
             _, want = persistent_cohomology(d, k)
             assert barcodes_equal(diagram_graded_barcode(d, k), want)
+
+
+def _not_injective(rng, diagram):
+    """The diagram with one nonzero step component made rank-deficient."""
+    spots = [
+        (i, s.id)
+        for i, phi in enumerate(diagram.steps)
+        for s in diagram.complex.simplices
+        if phi.component(s.id).shape[1]
+    ]
+    i, sid = rng.choice(spots)
+    steps = []
+    for n, phi in enumerate(diagram.steps):
+        comp = {s.id: phi.component(s.id).copy() for s in diagram.complex.simplices}
+        if n == i:
+            comp[sid][:, -1] = comp[sid][:, 0] if comp[sid].shape[1] > 1 else 0
+        steps.append(SheafMorphism(phi.source, phi.target, comp))
+    return SheafDiagram(diagram.snapshots, steps)
+
+
+@pytest.mark.parametrize("p", [2, 3, 2**31 - 1])
+def test_conversion_matches_the_per_generator_reference(p, monkeypatch):
+    rng = random.Random(1009 + p % 1000)
+    calls = []
+    solve = Field.solve
+
+    def counted(self, a, b):
+        calls.append(1)
+        return solve(self, a, b)
+
+    for _ in range(12):
+        x = random_complex(rng, Field(p), max_simplices=14)
+        d = random_monomorphic_diagram(rng, x, max_total=4)
+        want = pergenerator.diagram_to_graded_sheaf(d)
+        calls.clear()
+        monkeypatch.setattr(Field, "solve", counted)
+        got = diagram_to_graded_sheaf(d)
+        monkeypatch.setattr(Field, "solve", solve)
+        incidences = list(codim1_pairs(x))
+        assert len(calls) == len(incidences)
+        assert got.degrees == want.degrees
+        for f, t in incidences:
+            a, b = got.restriction(f.id, t.id), want.restriction(f.id, t.id)
+            assert a.scalar.dtype == b.scalar.dtype == np.int64
+            assert np.array_equal(a.scalar, b.scalar)
+            assert (a.row_degrees, a.col_degrees) == (b.row_degrees, b.col_degrees)
+        if d.steps and any(phi.component(s.id).size for phi in d.steps for s in x.simplices):
+            broken = _not_injective(rng, d)
+            with pytest.raises(NotFreeError) as old:
+                pergenerator.diagram_to_graded_sheaf(broken)
+            with pytest.raises(NotFreeError) as new:
+                diagram_to_graded_sheaf(broken)
+            assert str(new.value) == str(old.value)
+
+
+def test_not_free_message_names_the_first_failing_step():
+    x = FilteredComplex(F2, [Simplex("0", (0,), 0), Simplex("1", (1,), 0)])
+    a, b, c = constant(x, 1), constant(x, 1), constant(x, 1)
+    keep = SheafMorphism(a, b, {"0": identity(1), "1": identity(1)})
+    dead = SheafMorphism(b, c, {"0": identity(1), "1": zeros(1, 1)})
+    with pytest.raises(NotFreeError, match=r"^diagram not free at 1, step 1$"):
+        diagram_to_graded_sheaf(SheafDiagram([a, b, c], [keep, dead]))

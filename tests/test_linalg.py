@@ -1,8 +1,12 @@
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import persheaf
 from persheaf import Field, identity, matrix, zeros
+from persheaf.linalg import _is_prime, _mulmod
 
 from oracles import rref_rank
 
@@ -137,3 +141,98 @@ def test_solve_at_the_largest_prime():
         got = f.solve(a, b)
         assert got is not None
         assert np.array_equal(f.matmul(a, got), b)
+
+
+def trial_division_is_prime(n):
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def test_miller_rabin_matches_trial_division_below_200000():
+    got = [n for n in range(200_000) if _is_prime(n)]
+    want = [n for n in range(200_000) if trial_division_is_prime(n)]
+    assert got == want
+
+
+def test_miller_rabin_matches_trial_division_below_2_31():
+    rng = np.random.default_rng(2027)
+    sample = rng.integers(200_000, 2**31, size=150).tolist()
+    sample += [2**31 - 1, 2**31 - 3, 65521, 65537, 46337 * 46337, 46337 * 46349]
+    assert [_is_prime(n) for n in sample] == [trial_division_is_prime(n) for n in sample]
+
+
+@pytest.mark.parametrize("n", [2047, 1373653, 25326001])
+def test_miller_rabin_refuses_strong_pseudoprimes(n):
+    assert not trial_division_is_prime(n)
+    assert not _is_prime(n)
+    with pytest.raises(ValueError, match="prime"):
+        Field(n)
+
+
+def object_mulmod(a, b, p):
+    """a @ b mod p in Python integers: the reference the kernel must match."""
+    prod = np.matmul(a.astype(object), b.astype(object)) % p
+    return prod.astype(np.int64)
+
+
+KERNEL_PRIMES = [2, 3, 65521, 2**31 - 1]
+
+
+def _inner_sizes(p):
+    """Inner sizes around the direct bound and around the 2^16 chunk."""
+    direct = (2**63 - 1) // (p - 1) ** 2
+    sizes = {0, 1, 2, 3, 2**16 - 1, 2**16, 2**16 + 1, 2**17 + 3}
+    sizes |= {n for n in (direct, direct + 1) if n <= 2**17 + 3}
+    return sorted(sizes)
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_mulmod_matches_the_object_reference(p):
+    rng = np.random.default_rng(p % 10007)
+    for inner in _inner_sizes(p):
+        rows, cols = (2, 3) if inner < 2**12 else (1, 2)
+        for a, b in [
+            (np.full((rows, inner), p - 1), np.full((inner, cols), p - 1)),
+            (rng.integers(0, p, (rows, inner)), rng.integers(0, p, (inner, cols))),
+        ]:
+            want = object_mulmod(a, b, p)
+            assert np.array_equal(_mulmod(a, b, p), want), (p, inner)
+            assert np.array_equal(Field(p).matmul(a, b), want), (p, inner)
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_mulmod_on_stacks_and_empty_shapes(p):
+    rng = np.random.default_rng(7 + p % 101)
+    shapes = [
+        ((5, 2, 3), (5, 3, 4)),
+        ((4, 1, 6), (4, 6, 1)),
+        ((3, 3, 3), (3, 3, 3)),
+        ((0, 2, 3), (0, 3, 2)),
+        ((4, 2, 0), (4, 0, 3)),
+        ((4, 0, 3), (4, 3, 2)),
+        ((0, 3), (3, 2)),
+        ((2, 0), (0, 3)),
+        ((2, 3), (3, 0)),
+    ]
+    for sa, sb in shapes:
+        for a, b in [
+            (np.full(sa, p - 1), np.full(sb, p - 1)),
+            (rng.integers(0, p, sa), rng.integers(0, p, sb)),
+        ]:
+            got = _mulmod(a, b, p)
+            assert got.dtype == np.int64 and got.shape == np.matmul(a, b).shape
+            assert np.array_equal(got, object_mulmod(a, b, p)), (p, sa, sb)
+
+
+def test_src_has_no_object_dtype_products():
+    src = pathlib.Path(persheaf.__file__).parent
+    for path in src.glob("*.py"):
+        text = path.read_text(encoding="utf-8")
+        assert "astype(object)" not in text, path.name
+        assert "dtype=object" not in text, path.name
