@@ -5,16 +5,24 @@ coboundary block from a face to a coface is the restriction matrix
 times the orientation sign.  Chain complexes do the same with cosheaf
 extensions, transposed in direction.  Both are filled from the
 sheaf's maps gathered along the face tables, one signed scatter per
-shape group (sheaves._signed_maps).  Bases of the resulting
-subquotients keep their representative columns so induced maps can be
-expressed in coordinates.
+shape group (sheaves._signed_maps).  The maps are stored as sparse
+columns (linalg.Columns); delta(k) and boundary(k) build the dense
+matrix on demand.  Bases of the resulting subquotients keep their
+representative columns so induced maps can be expressed in
+coordinates.
 
 H^k = ker(delta^k)/im(delta^(k-1)) costs one column reduction of
 delta^k.  It clears (skips) the columns that are pivot rows of
-delta^(k-1), whose pivots each complex keeps once found, so the degrees
-taken in rising order reduce every coboundary once.  Homology runs the
-same way down from the top boundary.  Only the pivot maps are kept,
-never a reduced matrix.
+delta^(k-1), whose pivots and reduced pivot columns each complex keeps
+once found, so the degrees taken in rising order reduce every
+coboundary once.  Homology runs the same way down from the top
+boundary.  The tracked ops of a reduction are kept only as the
+representatives.
+
+Coordinates need no solve.  In the basis of ker(delta^k) made of the
+representatives and the reduced pivot columns of delta^(k-1), no two
+vectors share a lowest nonzero row, so QuotientBasis.coords is a
+back-substitution by lowest row.
 
 A filtration is assembled once.  Its step-i subcomplex is a prefix of
 every dimension in the global order, so step(i) is a view whose maps
@@ -24,10 +32,12 @@ or drop trailing rows instead of multiplying by inclusion matrices.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .complexes import FilteredComplex, SimplicialMap
-from .linalg import identity, zeros
+from .linalg import Columns, Echelon, identity, zeros
 from .persistence import PersistenceModule, decompose_by_ranks
 from .sheaves import (
     CellularCosheaf,
@@ -63,10 +73,12 @@ __all__ = [
 class _Stacked:
     """Stalks stacked in the global order, with one map out of each degree.
 
-    _maps[k] runs from degree k to degree k + _shift.  Each simplex owns
-    one contiguous block; _ends[k][n] is the total size of the blocks of
-    the first n k-simplices.  _counts[k] is the number of k-simplices
-    the spaces cover: all of them, or the leading ones in a step view.
+    _maps[k] runs from degree k to degree k + _shift, as Columns.  Each
+    simplex owns one contiguous block; _ends[k][n] is the total size of
+    the blocks of the first n k-simplices.  _counts[k] is the number of
+    k-simplices the spaces cover: all of them, or the leading ones in a
+    step view.  _echelons[k] is the reduction of _maps[k], once known,
+    without its ops.
     """
 
     _shift = 0
@@ -95,10 +107,10 @@ class _Stacked:
                 ends.append(ends[-1] + stalks.stalk(s.id))
             self._offsets[k], self._ends[k] = off, ends
         self._counts = {k: len(ends) - 1 for k, ends in self._ends.items()}
-        self._pivots: dict[int, dict[int, int]] = {}
+        self._echelons: dict[int, Echelon] = {}
         up = self._shift > 0
         maps = _signed_maps(gathered, stalks._sizes, not up)
-        self._maps: dict[int, np.ndarray] = {
+        self._maps: dict[int, Columns] = {
             q - 1 if up else q: d for q, d in enumerate(maps, start=1)
         }
 
@@ -119,25 +131,27 @@ class _Stacked:
             out.extend((s.id, i) for i in range(self.block_dim(s.id)))
         return out
 
-    def _map(self, k: int) -> np.ndarray:
+    def _map(self, k: int) -> Columns:
         got = self._maps.get(k)
         if got is not None:
             return got
-        return zeros(self.dim(k + self._shift), self.dim(k))
+        return Columns.from_dense(zeros(self.dim(k + self._shift), self.dim(k)))
 
-    def pivots(self, k: int) -> dict:
-        """Pivot row -> column of the map out of degree k, column-reduced.
+    def _echelon(self, k: int) -> Echelon:
+        """The column reduction of the map out of degree k.
 
         Reduced once, clearing the pivot rows of the map into degree k
-        when those are known; the pivots are the same either way.
+        when those are known; the pivots and reduced columns are the
+        same either way.  A map that is not stored has none.
         """
-        got = self._pivots.get(k)
+        got = self._echelons.get(k)
         if got is None:
             if k not in self._maps:
-                return {}
-            clear = self._pivots.get(k - self._shift, {})
-            got = self.field._column_echelon(self._maps[k], clear=clear)[2]
-            self._pivots[k] = got
+                return Echelon({}, [], self._map(k).take([]), None)
+            into = self._echelons.get(k - self._shift)
+            clear = {} if into is None else into.pivots
+            got = self.field._column_echelon(self._maps[k], clear=clear)
+            self._echelons[k] = got
         return got
 
     def step(self, i: int):
@@ -145,9 +159,10 @@ class _Stacked:
 
         Each dimension is ordered by entry, so the step-i simplices lead
         it and keep their offsets, and every map of the step is the
-        leading block of this complex's map.  The view has this
-        complex's class, field, stalks and complex object, shares the
-        map storage, and reduces with its own pivot cache.
+        leading block of this complex's map: its leading columns,
+        without the rows past the step.  The view has this complex's
+        class, field, stalks and complex object, and reduces with its
+        own cache.
         """
         view = object.__new__(type(self))
         view.__dict__.update(self.__dict__)
@@ -156,10 +171,10 @@ class _Stacked:
             for k, n in self._counts.items()
         }
         view._maps = {
-            k: d[: view.dim(k + self._shift), : view.dim(k)]
+            k: d.leading(view.dim(k + self._shift), view.dim(k))
             for k, d in self._maps.items()
         }
-        view._pivots = {}
+        view._echelons = {}
         return view
 
 
@@ -181,7 +196,7 @@ class CochainComplex(_Stacked):
 
     def delta(self, k: int) -> np.ndarray:
         """The coboundary C^k -> C^{k+1}; zero-shaped outside 0..dim-1."""
-        return self._map(k)
+        return self._map(k).dense()
 
 
 class ChainComplex(_Stacked):
@@ -202,7 +217,7 @@ class ChainComplex(_Stacked):
 
     def boundary(self, k: int) -> np.ndarray:
         """The boundary C_k -> C_{k-1}; zero-shaped outside 1..dim."""
-        return self._map(k)
+        return self._map(k).dense()
 
 
 def cochain_complex(sheaf: CellularSheaf) -> CochainComplex:
@@ -216,24 +231,18 @@ def chain_complex(cosheaf: CellularCosheaf) -> ChainComplex:
 def _subquotient(space, k: int) -> QuotientBasis:
     """ker(outgoing)/im(incoming) in degree k of space, from one reduction.
 
-    outgoing and incoming are space's maps out of and into degree k,
-    and cleared is incoming's pivot map.  A column of outgoing that is a
-    pivot row of incoming reduces to zero, so one tracked reduction of
-    outgoing skips it.  The ops columns of the other zero columns are
-    cycles independent modulo im(incoming): together with incoming's
-    reduced columns they are a basis of ker(outgoing) in which no two
-    vectors share a lowest nonzero row.  incoming's own pivot columns
-    span its image.  outgoing's pivots are kept for the next degree.
+    outgoing and incoming are space's maps out of and into degree k.  A
+    column of outgoing that is a pivot row of incoming reduces to zero,
+    so one tracked reduction of outgoing clears it.  The ops columns of
+    the other zero columns are cycles independent modulo im(incoming).
+    outgoing's reduction is kept for the next degree, without its ops.
     """
-    into = k - space._shift
-    outgoing, incoming, cleared = space._map(k), space._map(into), space.pivots(into)
-    reduced, ops, space._pivots[k] = space.field._column_echelon(
-        outgoing, track=True, clear=cleared
+    incoming = space._echelon(k - space._shift)
+    found = space.field._column_echelon(
+        space._map(k), track=True, clear=incoming.pivots
     )
-    cycles = ~reduced.any(axis=0)
-    cycles[list(cleared)] = False
-    killed = incoming[:, sorted(cleared.values())]
-    return QuotientBasis(space, k, ops[:, cycles], killed)
+    space._echelons[k] = found._replace(ops=None)
+    return QuotientBasis(space, k, found.ops.take(found.zero), incoming.reduced)
 
 
 def _quotient(field, cycles: np.ndarray, killed: np.ndarray) -> np.ndarray:
@@ -244,7 +253,7 @@ def _quotient(field, cycles: np.ndarray, killed: np.ndarray) -> np.ndarray:
     columns before it.
     """
     nk = killed.shape[1]
-    _, _, owner = field._column_echelon(np.hstack([killed, cycles]))
+    owner = field._column_echelon(field.sparse(np.hstack([killed, cycles]))).pivots
     kept = sorted(j - nk for j in owner.values() if j >= nk)
     return cycles[:, kept]
 
@@ -252,30 +261,73 @@ def _quotient(field, cycles: np.ndarray, killed: np.ndarray) -> np.ndarray:
 class QuotientBasis:
     """Representatives of a subquotient span(cycles)/span(killed) of C^k.
 
-    coords() rewrites ambient columns as classes in this basis; asking
-    for the coordinates of something outside the subspace is an error,
-    not a projection.
+    cycles and killed are Columns, together a basis of the cycles in
+    which no two columns share a lowest nonzero row: each cycle's is
+    its own column of the tracked reduction, each killed vector's a
+    pivot row of the map into degree k.  representatives is cycles as a
+    dense matrix.  coords() rewrites ambient columns as classes in this
+    basis; asking for the coordinates of something outside the subspace
+    is an error, not a projection.
     """
 
-    def __init__(self, space, degree: int, representatives, killed):
+    def __init__(self, space, degree: int, cycles: Columns, killed: Columns):
         self.space = space
         self.degree = degree
-        self.representatives = representatives
+        self.cycles = cycles
+        self.representatives = cycles.dense()
         self.killed = killed
 
     @property
     def dim(self) -> int:
         return self.representatives.shape[1]
 
+    @cached_property
+    def _by_low(self) -> list:
+        """(low, rows, values, inverse of the low value, slot) for each
+        basis column, lowest rows first; slot is the column's coordinate,
+        or -1 for a killed vector."""
+        p = self.space.field.p
+        out = []
+        for basis, is_cycle in ((self.cycles, True), (self.killed, False)):
+            ptr = basis.indptr.tolist()
+            for t in range(basis.shape[1]):
+                rows = basis.indices[ptr[t] : ptr[t + 1]]
+                values = basis.data[ptr[t] : ptr[t + 1]]
+                inv = pow(int(values[-1]), -1, p)
+                slot = t if is_cycle else -1
+                out.append((int(rows[-1]), rows, values[:, None], inv, slot))
+        out.sort(key=lambda entry: -entry[0])
+        return out
+
     def coords(self, vectors) -> np.ndarray:
+        """Coordinates of the classes of vectors' columns, by back-substitution.
+
+        The lowest nonzero row of what is left of the columns names the
+        one basis column that can clear it; whatever no basis column
+        clears lies outside the cycles.
+        """
         field = self.space.field
+        p = field.p
         v = field.normalize(vectors)
         if v.ndim == 1:
             v = v.reshape(-1, 1)
-        res = field.express(v, self.representatives, modulo=self.killed)
-        if res is None:
+        if v.shape[0] != self.cycles.shape[0]:
+            raise ValueError(
+                f"expected {self.cycles.shape[0]} rows in degree {self.degree}, "
+                f"got {v.shape[0]}"
+            )
+        out = zeros(self.dim, v.shape[1])
+        for low, rows, values, inv, slot in self._by_low:
+            row = v[low]
+            if not row.any():
+                continue
+            coef = row * inv % p
+            v[rows] = (v[rows] - values * coef) % p
+            if slot >= 0:
+                out[slot] = coef
+        if v.any():
             raise ValueError("columns do not represent classes in this basis")
-        return res[0]
+        return out
 
 
 def cohomology_basis(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import itemgetter
@@ -346,18 +347,34 @@ def parse_diagram(path: str, complex_: FilteredComplex | None = None) -> SheafDi
         return diagram_from_data(json.load(fh), complex_)
 
 
+def _coordinate(text: str, line: int, column: int) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(
+            f"line {line}, column {column}: coordinate {text!r} is not finite"
+        )
+    return value
+
+
 def parse_points(path: str):
-    """Labeled point cloud: each CSV row is coordinates plus a label."""
+    """Labeled point cloud: each CSV row is coordinates plus a label.
+
+    Blank cells are skipped; a coordinate that is nan or infinite is a
+    ValueError naming its line and column.
+    """
     points, labels = [], []
     with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.reader(fh):
-            row = [cell.strip() for cell in row if cell.strip() != ""]
-            if not row:
+        reader = csv.reader(fh)
+        for row in reader:
+            cells = [(n, cell.strip()) for n, cell in enumerate(row, 1) if cell.strip()]
+            if not cells:
                 continue
-            if len(row) < 2:
+            if len(cells) < 2:
                 raise ValueError("each row needs coordinates and a label")
-            points.append(tuple(float(c) for c in row[:-1]))
-            labels.append(row[-1])
+            points.append(
+                tuple(_coordinate(c, reader.line_num, n) for n, c in cells[:-1])
+            )
+            labels.append(cells[-1][1])
     return points, labels
 
 

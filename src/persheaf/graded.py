@@ -136,7 +136,9 @@ class HomogeneousMatrix:
         """
         rows = _degree_order(self.row_degrees)
         cols = _degree_order(self.col_degrees)
-        _, _, owner = self.field._column_echelon(self.scalar[np.ix_(rows, cols)])
+        owner = self.field._column_echelon(
+            self.field.sparse(self.scalar[np.ix_(rows, cols)])
+        ).pivots
         pivots = {rows[i]: cols[j] for i, j in owner.items()}
         for i, j in pivots.items():
             if self.col_degrees[j] < self.row_degrees[i]:
@@ -243,10 +245,10 @@ def _graded_kernel(field: Field, scalar, col_degrees):
     columns the reduction empties.
     """
     cols = _degree_order(col_degrees)
-    reduced, ops, _ = field._column_echelon(np.asarray(scalar)[:, cols], track=True)
-    emptied = np.flatnonzero(~reduced.any(axis=0))
-    basis = zeros(len(cols), emptied.size)
-    basis[cols] = ops[:, emptied]
+    found = field._column_echelon(field.sparse(np.asarray(scalar)[:, cols]), track=True)
+    emptied = found.zero
+    basis = zeros(len(cols), len(emptied))
+    basis[cols] = found.ops.take(emptied).dense()
     return basis, tuple(col_degrees[cols[a]] for a in emptied)
 
 
@@ -446,7 +448,9 @@ def _assemble(stalks: _GradedStalks, what: str):
     for k, scalar in enumerate(scalars):
         lo, hi = spaces[k], spaces[k + 1]
         rows, cols = (lo, hi) if stalks._down else (hi, lo)
-        homs.append(HomogeneousMatrix(field, scalar, rows.degrees, cols.degrees))
+        homs.append(
+            HomogeneousMatrix(field, scalar.dense(), rows.degrees, cols.degrees)
+        )
     return spaces, homs
 
 
@@ -486,7 +490,7 @@ def diagram_to_graded_sheaf(diagram: SheafDiagram) -> GradedSheaf:
                 basis = field.matmul(diagram.steps[i - 1].component(sid), basis)
             units = identity(sheaf.stalk(sid))
             k = basis.shape[1]
-            _, _, owner = field._column_echelon(np.hstack([basis, units]))
+            owner = field._column_echelon(field.sparse(np.hstack([basis, units]))).pivots
             owned = sorted(owner.values())
             if owned[:k] != list(range(k)):
                 raise NotFreeError(f"diagram not free at {sid}, step {i - 1}")

@@ -1,14 +1,20 @@
 """Exact linear algebra over prime fields.
 
-Matrices are dense numpy int64 arrays with entries reduced mod p; a
-0 x n or n x 0 array is a legitimate zero map.  Every elimination walks
-columns left to right and pivots on the lowest nonzero row (ties broken
-by column order), so equal inputs always produce equal bases.  All the
-fixture matrices downstream depend on that determinism.
+Dense matrices are numpy int64 arrays with entries reduced mod p; a
+0 x n or n x 0 array is a legitimate zero map.  The (co)boundaries of
+cohomology.py are sparse instead: Columns stores each column as its
+ascending row indices and nonzero values (compressed sparse columns),
+in int64 arrays.
 
-Field._column_echelon is the one column reduction: rank, kernel_basis
-and image_basis read it, the based (co)homology of cohomology.py runs
-it with clearing, and the graded engine runs it on degree-sorted maps.
+Field._column_echelon is the one column reduction, and it runs on
+Columns: it walks columns left to right and pivots on the lowest
+nonzero row, adding a multiple of the column that owns a row into a
+later column whose low collides with it (the standard persistence
+reduction of PHAT and Ripser), so equal inputs always produce equal
+bases.  All the fixture matrices downstream depend on that
+determinism.  The based (co)homology of cohomology.py runs it with
+clearing on the stored columns; rank, kernel_basis, image_basis and
+the graded engine reach it through one conversion, Field.sparse.
 
 _mulmod is the one product: Field.matmul and the stacked diamond check
 of sheaves.py call it, so the int64 overflow bound lives there alone.
@@ -25,9 +31,11 @@ or floating point.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
-__all__ = ["Field", "matrix", "zeros", "identity"]
+__all__ = ["Field", "Columns", "matrix", "zeros", "identity"]
 
 
 _WITNESSES = (2, 3, 5, 7)
@@ -111,6 +119,118 @@ def identity(n: int) -> np.ndarray:
     return np.eye(n, dtype=np.int64)
 
 
+def _indptr(cols: np.ndarray, n: int) -> np.ndarray:
+    """Column starts of entries sorted by column, cols their columns."""
+    return np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=n))])
+
+
+class Columns:
+    """A sparse matrix over F_p held by columns.
+
+    Column j holds the rows indices[indptr[j]:indptr[j + 1]], ascending,
+    with the nonzero values data[indptr[j]:indptr[j + 1]], all three
+    int64 arrays; shape is (rows, cols).
+    """
+
+    __slots__ = ("shape", "indptr", "indices", "data")
+
+    def __init__(self, shape, indptr, indices, data):
+        self.shape = (int(shape[0]), int(shape[1]))
+        self.indptr = indptr
+        self.indices = indices
+        self.data = data
+
+    @classmethod
+    def from_entries(cls, shape, rows, cols, values) -> "Columns":
+        """Entry (rows[n], cols[n]) = values[n]; positions are distinct.
+
+        Values are reduced mod p already; zeros are dropped.
+        """
+        keep = values != 0
+        rows, cols, values = rows[keep], cols[keep], values[keep]
+        order = np.lexsort((rows, cols))
+        return cls(shape, _indptr(cols, shape[1]), rows[order], values[order])
+
+    @classmethod
+    def from_dense(cls, m: np.ndarray) -> "Columns":
+        """The nonzero entries of m, a dense int64 matrix reduced mod p."""
+        cols, rows = np.nonzero(m.T)
+        return cls(m.shape, _indptr(cols, m.shape[1]), rows, m[rows, cols])
+
+    def dense(self) -> np.ndarray:
+        out = zeros(*self.shape)
+        cols = np.repeat(np.arange(self.shape[1]), np.diff(self.indptr))
+        out[self.indices, cols] = self.data
+        return out
+
+    def take(self, cols) -> "Columns":
+        """The listed columns, in the listed order."""
+        cols = np.asarray(cols, dtype=np.int64)
+        starts = self.indptr[cols]
+        lengths = self.indptr[cols + 1] - starts
+        indptr = np.concatenate([[0], np.cumsum(lengths)])
+        at = np.repeat(starts - indptr[:-1], lengths) + np.arange(indptr[-1])
+        return Columns(
+            (self.shape[0], len(cols)), indptr, self.indices[at], self.data[at]
+        )
+
+    def leading(self, rows: int, cols: int) -> "Columns":
+        """The leading rows x cols block: a prefix of the columns,
+        without the entries past row rows."""
+        end = self.indptr[cols]
+        keep = self.indices[:end] < rows
+        kept = np.concatenate([[0], np.cumsum(keep)])
+        return Columns(
+            (rows, cols),
+            kept[self.indptr[: cols + 1]],
+            self.indices[:end][keep],
+            self.data[:end][keep],
+        )
+
+
+def _from_dicts(rows: int, columns: list) -> Columns:
+    """Columns from one {row: value} dict per column."""
+    indptr, at, values = [0], [], []
+    for col in columns:
+        keys = sorted(col)
+        at += keys
+        values += [col[r] for r in keys]
+        indptr.append(len(at))
+    return Columns(
+        (rows, len(columns)),
+        np.array(indptr, dtype=np.int64),
+        np.array(at, dtype=np.int64),
+        np.array(values, dtype=np.int64),
+    )
+
+
+class Echelon(NamedTuple):
+    """The outcome of one column reduction of a matrix m.
+
+    pivots maps each pivot row to the column that owns it; its columns
+    ascend.  zero lists the columns that reduce to zero, except the
+    cleared ones.  reduced holds the reduced pivot columns in the order
+    of pivots, each with its pivot as lowest entry.  When tracked, ops
+    has one column per column of m and m @ ops is the reduced matrix:
+    reduced's columns at the pivot columns, zero elsewhere.
+    """
+
+    pivots: dict
+    zero: list
+    reduced: Columns
+    ops: Columns | None
+
+
+def _addmul(col: dict, other: dict, coef: int, p: int):
+    """col += coef * other mod p, in place, dropping the entries that vanish."""
+    for r, v in other.items():
+        x = (col.get(r, 0) + coef * v) % p
+        if x:
+            col[r] = x
+        else:
+            del col[r]
+
+
 class Field:
     """The prime field F_p, 2 <= p < 2**31.
 
@@ -158,72 +278,73 @@ class Field:
             raise ValueError(f"cannot multiply shapes {a.shape} and {b.shape}")
         return _mulmod(a, b, self.p)
 
-    def _column_echelon(self, m, track: bool = False, clear=()):
-        """Column reduction; returns (reduced, ops, pivot_row_to_column).
+    def sparse(self, m) -> Columns:
+        """A dense matrix as Columns, reduced mod p."""
+        return Columns.from_dense(self.normalize(m))
 
-        m @ ops = reduced, with ops None unless track.  A column's pivot
-        is its lowest nonzero row; a later column whose low collides
-        with an owned row gets a multiple of the owning column added
-        until it finds a fresh low or empties out.
+    def _column_echelon(self, m: Columns, track: bool = False, clear=()) -> Echelon:
+        """Lowest-pivot column reduction of m; see Echelon for the result.
+
+        A column's pivot is its lowest nonzero row; a later column whose
+        low collides with an owned row gets a multiple of the owning
+        column added until it finds a fresh low or empties out.  ops is
+        None unless track; it is unipotent when clear is empty.
 
         clear holds columns the caller knows reduce to zero, such as the
         pivot rows of the previous map in a complex (the "twist" of
-        Chen and Kerber).  They are zeroed in reduced and in ops without
-        any work, and own no pivot; every other column, and the pivots,
-        come out as they would without clear.  ops is unipotent when
-        clear is empty.
+        Chen and Kerber).  They are zeroed in the result and in ops
+        without any work, and own no pivot; every other column, and the
+        pivots, come out as they would without clear.
 
-        The working matrix and the ops are stored transposed, so each
-        column is one contiguous row that is updated in place; reduced
-        and ops are returned as transposed views of that storage.
+        Each column is worked on as a {row: value} dict, so an addition
+        costs the entries of the column added, not the height of m.
         """
         p = self.p
-        rt = np.remainder(np.asarray(m, dtype=np.int64).T, p, order="C")
-        n_cols = rt.shape[0]
-        vt = identity(n_cols) if track else None
+        rows, values = m.indices.tolist(), m.data.tolist()
+        ptr = m.indptr.tolist()
         owner: dict[int, int] = {}
+        done: dict[int, dict] = {}
         inverse: dict[int, int] = {}
-        for j in range(n_cols):
+        zero = []
+        ops: list[dict] = []
+        for j in range(m.shape[1]):
             if j in clear:
-                rt[j] = 0
                 if track:
-                    vt[j] = 0
+                    ops.append({})
                 continue
-            col = rt[j]
-            end = col.size
-            while True:
-                nz = col[:end].nonzero()[0]
-                if nz.size == 0:
-                    break
-                low = int(nz[-1])
+            col = dict(zip(rows[ptr[j] : ptr[j + 1]], values[ptr[j] : ptr[j + 1]]))
+            op = {j: 1} if track else None
+            while col:
+                low = max(col)
                 l = owner.get(low)
                 if l is None:
                     owner[low] = j
-                    inverse[low] = self.inv(col[low])
+                    done[low] = col
+                    inverse[low] = pow(col[low], -1, p)
                     break
-                # entries stay below p < 2^31, so coef * row < 2^62
-                coef = (int(col[low]) * inverse[low]) % p
-                col -= coef * rt[l]
-                col %= p
+                coef = col[low] * inverse[low] % p
+                _addmul(col, done[low], p - coef, p)
                 if track:
-                    vt[j] -= coef * vt[l]
-                    vt[j] %= p
-                end = low
-        return rt.T, (vt.T if track else None), owner
+                    _addmul(op, ops[l], p - coef, p)
+            else:
+                zero.append(j)
+            if track:
+                ops.append(op)
+        reduced = _from_dicts(m.shape[0], list(done.values()))
+        tracked = _from_dicts(m.shape[1], ops) if track else None
+        return Echelon(owner, zero, reduced, tracked)
 
     def rank(self, m) -> int:
-        _, _, owner = self._column_echelon(m)
-        return len(owner)
+        return len(self._column_echelon(self.sparse(m)).pivots)
 
     def kernel_basis(self, m) -> np.ndarray:
         """Columns spanning ker(m); count is cols - rank, m @ result = 0."""
-        r, v, _ = self._column_echelon(m, track=True)
-        return v[:, ~r.any(axis=0)]
+        e = self._column_echelon(self.sparse(m), track=True)
+        return e.ops.take(e.zero).dense()
 
     def image_basis(self, m) -> np.ndarray:
         """Columns spanning the column space of m, from the echelon form."""
-        r, _, _ = self._column_echelon(m)
-        return r[:, r.any(axis=0)]
+        return self._column_echelon(self.sparse(m)).reduced.dense()
 
     def solve(self, a, b):
         """One solution x of a @ x = b per column of b, or None.

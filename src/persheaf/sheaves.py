@@ -10,10 +10,10 @@ Stored maps are held stacked by shape (_Maps), and one walker reads
 them for every check and every assembly: _Gathered lines them up with
 the complex's numbered incidences (FilteredComplex.incidences), so the
 presence and shape checks are array comparisons, the diamonds are
-index arithmetic on the face tables, and each (co)boundary is filled
-with one signed scatter per shape group (_signed_maps).  The graded
-stalks of graded.py and the cochain complexes of cohomology.py share
-it.
+index arithmetic on the face tables, and each (co)boundary is
+gathered into sparse columns with one signed scatter per shape group
+(_signed_maps).  The graded stalks of graded.py and the cochain
+complexes of cohomology.py share it.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .complexes import FilteredComplex, SimplicialMap
-from .linalg import _mulmod, identity, matrix, zeros
+from .linalg import Columns, _mulmod, identity, matrix, zeros
 
 __all__ = [
     "CellularSheaf",
@@ -387,10 +387,11 @@ def _signed_maps(gathered: _Gathered, sizes, down: bool) -> list:
     """The signed (co)boundaries of gathered maps over stalks of sizes.
 
     maps[q - 1] runs from dimension q - 1 to q, or from q to q - 1 when
-    down.  The block of an incidence sits at its stalks' offsets, in
-    the global order, and is its map times (-1)^i, i the omitted
-    vertex; it is filled with one scatter per shape group.  Maps are
-    already reduced mod p.  A missing face is a ValueError.
+    down, as Columns.  The block of an incidence sits at its stalks'
+    offsets, in the global order, and is its map times (-1)^i, i the
+    omitted vertex; the entries of each shape group are laid out with
+    one scatter, and no dense matrix is formed.  Maps are already
+    reduced mod p.  A missing face is a ValueError.
     """
     inc = gathered.incidences
     inc.check_closed()
@@ -408,7 +409,8 @@ def _signed_maps(gathered: _Gathered, sizes, down: bool) -> list:
     for q in range(1, x.dim + 1):
         lo, hi = inc.start[q], inc.start[q + 1]
         shape = (totals[q - 1], totals[q]) if down else (totals[q], totals[q - 1])
-        d = zeros(*shape)
+        empty = np.zeros(0, dtype=np.int64)
+        entries = [(empty, empty, empty)]
         for g, members in _groups(batch.group[lo:hi]):
             stack = batch.stacks[g]
             r, c = stack.shape[1:]
@@ -420,10 +422,13 @@ def _signed_maps(gathered: _Gathered, sizes, down: bool) -> list:
             vals[odd] = (p - vals[odd]) % p
             f_off, t_off = offset[inc.face[members]], offset[inc.coface[members]]
             row_off, col_off = (f_off, t_off) if down else (t_off, f_off)
-            rows = row_off[:, None] + np.arange(r)
-            cols = col_off[:, None] + np.arange(c)
-            d[rows[:, :, None], cols[:, None, :]] = vals
-        maps.append(d)
+            rows = row_off[:, None, None] + np.arange(r)[:, None]
+            cols = col_off[:, None, None] + np.arange(c)
+            entries.append(
+                tuple(np.broadcast_to(a, vals.shape).ravel() for a in (rows, cols, vals))
+            )
+        rows, cols, vals = (np.concatenate(part) for part in zip(*entries))
+        maps.append(Columns.from_entries(shape, rows, cols, vals))
     return maps
 
 

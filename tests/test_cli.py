@@ -19,6 +19,7 @@ from persheaf import (
     CochainComplex,
     Field,
     FilteredComplex,
+    QuotientBasis,
     SheafDiagram,
     SheafMorphism,
     Simplex,
@@ -33,6 +34,7 @@ from persheaf.formats import (
     serialize_json,
     sheaf_to_data,
 )
+from persheaf.linalg import Columns
 
 from genrandom import random_complex
 from oracles import rref_rank
@@ -608,6 +610,8 @@ def test_persist_t_reduces_each_coboundary_once(capsys, tmp_path, monkeypatch, k
     per_step = x.dim + 1 if k is None else 2
     assert len(reduced) == x.steps * per_step
     assert len({id(m) for m in reduced}) == len(reduced)
+    # the stored sparse columns are reduced as they are, never densified
+    assert all(isinstance(m, Columns) for m in reduced)
 
 
 @pytest.fixture
@@ -927,3 +931,73 @@ def test_repeated_runs_are_byte_identical(capsys, argv):
     second = run(capsys, argv)
     assert first[0] == 0
     assert first == second
+
+
+@pytest.mark.parametrize("command", ["labeled", "unicolored"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_coordinates_exit_2(capsys, tmp_path, command, value):
+    path = tmp_path / "points.csv"
+    path.write_text(f"0,0,blue\n1,0,red\n{value},1,1\n")
+    argv = [command, str(path), "--thresholds", "0.5,1.5"]
+    argv += ["--max-dim", "1", "--hom-n", "0"] if command == "labeled" else []
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: line 3, column 1: coordinate {value!r} is not finite\n"
+
+
+@pytest.fixture
+def coords_solves(monkeypatch):
+    """Calls of QuotientBasis.coords, and the solves made inside them."""
+    calls = {"coords": 0, "solves": []}
+    depth = []
+    original = QuotientBasis.coords
+
+    def coords(self, vectors):
+        calls["coords"] += 1
+        depth.append(self)
+        try:
+            return original(self, vectors)
+        finally:
+            depth.pop()
+
+    for name in ("solve", "express"):
+
+        def counted(self, *args, _name=name, _original=getattr(Field, name), **kwargs):
+            if depth:
+                calls["solves"].append(_name)
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Field, name, counted)
+    monkeypatch.setattr(QuotientBasis, "coords", coords)
+    return calls
+
+
+@pytest.mark.parametrize("command", ["persist-t", "bipersist", "labeled"])
+def test_coords_back_substitute_without_solving(capsys, tmp_path, coords_solves, command):
+    if command == "persist-t":
+        argv = [command, fx("square.json"), fx("square_sheaf.json"), "--engine", "direct"]
+    elif command == "bipersist":
+        with open(fx("edge_diagram.json"), encoding="utf-8") as fh:
+            embedded = json.load(fh)["complex"]
+        cpath = tmp_path / "complex.json"
+        cpath.write_text(serialize_json(embedded))
+        argv = [command, str(cpath), fx("edge_diagram.json")]
+    else:
+        argv = [command, fx("points.csv"), "--thresholds", "0.5,1.5,2.5",
+                "--max-dim", "2", "--hom-n", "0"]
+    assert run(capsys, argv)[0] == 0
+    assert coords_solves["coords"] > 0
+    assert coords_solves["solves"] == []
+
+
+def test_cli_import_loads_no_scipy():
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import sys, persheaf.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
