@@ -14,7 +14,6 @@ from .complexes import (
     Simplex,
     SimplicialMap,
     incidence_sign,
-    open_star,
     preimage_subcomplex,
     vietoris_rips,
 )
@@ -28,8 +27,6 @@ from .sheaves import (
     dualize,
     extend_by_zero,
     pullback,
-    pullback_morphism,
-    unit_map,
     validate_cosheaf,
     validate_diagram,
     validate_morphism,
@@ -39,9 +36,7 @@ from .cohomology import (
     ChainComplex,
     CochainComplex,
     QuotientBasis,
-    chain_complex,
     chain_inclusion_matrix,
-    cochain_complex,
     cohomology_basis,
     cosheaf_homology_basis,
     induced_by_sheaf_morphism,
@@ -95,13 +90,11 @@ from .bipersistence import (
     check_commutative,
     grid,
     grid_by_degree,
-    rank_invariant,
 )
 from .labeled import (
     LabeledFiltration,
     full_label_complex,
     label_diagram,
-    label_sheaf,
     mixed_feature_barcodes,
     two_label_sheaf,
     unicolored_pipeline,

@@ -21,10 +21,9 @@ from .cohomology import (
     _step_map,
     cohomology_basis,
 )
-from .linalg import identity
 from .sheaves import SheafDiagram, _check_diagram
 
-__all__ = ["BiGrid", "grid", "grid_by_degree", "check_commutative", "rank_invariant"]
+__all__ = ["BiGrid", "grid", "grid_by_degree", "check_commutative"]
 
 
 class BiGrid:
@@ -94,7 +93,7 @@ def grid_by_degree(diagram: SheafDiagram, degrees) -> dict:
     rows = [[cc.step(mt - 1 - u) for cc in full] for u in range(mt)]
     out = {}
     for k in degrees:
-        bases = [[cohomology_basis(cc.sheaf, k, cc) for cc in row] for row in rows]
+        bases = [[cohomology_basis(cc.stalks, k, cc) for cc in row] for row in rows]
         chain_maps = [
             _cochain_map(phi, full[j], full[j + 1], k)
             for j, phi in enumerate(diagram.steps)
@@ -141,25 +140,3 @@ def check_commutative(g: BiGrid):
             if not np.array_equal(rd, dr):
                 return (u, j)
     return None
-
-
-def rank_invariant(g: BiGrid) -> dict:
-    """Rank of the composite map for every comparable pair of positions.
-
-    Keys are ((u1, j1), (u2, j2)) with u1 <= u2 and j1 <= j2, in stored
-    coordinates; composites go right along row u1, then down column j2.
-    """
-    field = g.field
-    ranks = {}
-    for u1 in range(g.rows):
-        for j1 in range(g.cols):
-            across = identity(g.dims[u1][j1])
-            for j2 in range(j1, g.cols):
-                if j2 > j1:
-                    across = field.matmul(g.hmaps[u1][j2 - 1], across)
-                down = across
-                for u2 in range(u1, g.rows):
-                    if u2 > u1:
-                        down = field.matmul(g.vmaps[u2 - 1][j2], down)
-                    ranks[((u1, j1), (u2, j2))] = field.rank(down)
-    return ranks

@@ -40,7 +40,6 @@ from .complexes import FilteredComplex, SimplicialMap
 from .linalg import Columns, Echelon, identity, zeros
 from .persistence import PersistenceModule, decompose_by_ranks
 from .sheaves import (
-    CellularCosheaf,
     CellularSheaf,
     SheafDiagram,
     SheafMorphism,
@@ -49,7 +48,6 @@ from .sheaves import (
     pullback,
     _check_diagram,
     _signed_maps,
-    validate_cosheaf,
     validate_sheaf,
 )
 
@@ -57,8 +55,6 @@ __all__ = [
     "CochainComplex",
     "ChainComplex",
     "QuotientBasis",
-    "cochain_complex",
-    "chain_complex",
     "cohomology_basis",
     "cosheaf_homology_basis",
     "simplicial_homology_basis",
@@ -83,21 +79,27 @@ class _Stacked:
 
     _shift = 0
 
-    def _assemble(self, stalks, what: str):
+    def __init__(self, stalks, validate: bool = True):
         """Lay out the stalks and fill every map.
 
-        stalks is the sheaf or cosheaf (what) whose stored maps orient
-        from degree k to degree k + _shift.  Each map is filled with one
-        signed scatter per shape group of the gathered maps; missing or
-        mis-shaped maps are a ValueError.
+        stalks is a sheaf, or a cosheaf (stalks._down) whose stored maps
+        run from degree k to degree k + _shift.  validate runs the full
+        validation; without it only missing or mis-shaped maps are a
+        ValueError.  Each map is filled with one signed scatter per
+        shape group of the gathered maps.
         """
+        gathered = stalks._gathered
+        if validate:
+            problems = validate_sheaf(stalks)
+        else:
+            problems = gathered.shape_problems(stalks._kind)
+        if problems:
+            what = "cosheaf" if stalks._down else "sheaf"
+            raise ValueError(f"invalid {what}: " + "; ".join(problems))
         complex_ = stalks.complex
+        self.stalks = stalks
         self.complex = complex_
         self.field = complex_.field
-        gathered = stalks._gathered
-        problems = gathered.shape_problems(stalks._kind)
-        if problems:
-            raise ValueError(f"invalid {what}: " + "; ".join(problems))
         self._offsets: dict[int, dict[str, int]] = {}
         self._ends: dict[int, list] = {}
         for k in range(complex_.dim + 1):
@@ -120,6 +122,9 @@ class _Stacked:
 
     def offset(self, k: int, sid: str) -> int:
         return self._offsets[k][sid]
+
+    def block_dim(self, sid: str) -> int:
+        return self.stalks.stalk(sid)
 
     def simplices(self, k: int) -> tuple:
         """The k-simplices whose stalks this space stacks, in order."""
@@ -179,20 +184,9 @@ class _Stacked:
 
 
 class CochainComplex(_Stacked):
-    """Stacked stalks with signed restriction coboundaries."""
+    """Stacked sheaf stalks with signed restriction coboundaries."""
 
     _shift = 1
-
-    def __init__(self, sheaf: CellularSheaf, validate: bool = True):
-        if validate:
-            problems = validate_sheaf(sheaf)
-            if problems:
-                raise ValueError("invalid sheaf: " + "; ".join(problems))
-        self.sheaf = sheaf
-        self._assemble(sheaf, "sheaf")
-
-    def block_dim(self, sid: str) -> int:
-        return self.sheaf.stalk(sid)
 
     def delta(self, k: int) -> np.ndarray:
         """The coboundary C^k -> C^{k+1}; zero-shaped outside 0..dim-1."""
@@ -204,28 +198,9 @@ class ChainComplex(_Stacked):
 
     _shift = -1
 
-    def __init__(self, cosheaf: CellularCosheaf, validate: bool = True):
-        if validate:
-            problems = validate_cosheaf(cosheaf)
-            if problems:
-                raise ValueError("invalid cosheaf: " + "; ".join(problems))
-        self.cosheaf = cosheaf
-        self._assemble(cosheaf, "cosheaf")
-
-    def block_dim(self, sid: str) -> int:
-        return self.cosheaf.stalk(sid)
-
     def boundary(self, k: int) -> np.ndarray:
         """The boundary C_k -> C_{k-1}; zero-shaped outside 1..dim."""
         return self._map(k).dense()
-
-
-def cochain_complex(sheaf: CellularSheaf) -> CochainComplex:
-    return CochainComplex(sheaf)
-
-
-def chain_complex(cosheaf: CellularCosheaf) -> ChainComplex:
-    return ChainComplex(cosheaf)
 
 
 def _subquotient(space, k: int) -> QuotientBasis:
@@ -333,17 +308,18 @@ class QuotientBasis:
 def cohomology_basis(
     sheaf: CellularSheaf, k: int, cochains: CochainComplex | None = None
 ) -> QuotientBasis:
-    """H^k as ker(delta^k)/im(delta^{k-1}), with cocycle representatives."""
-    cc = cochains if cochains is not None else CochainComplex(sheaf)
-    return _subquotient(cc, k)
+    """H^k as ker(delta^k)/im(delta^{k-1}), with cocycle representatives.
+
+    Also the homology of a cosheaf (cosheaf_homology_basis): H_k as
+    ker(boundary_k)/im(boundary_{k+1}) of its ChainComplex, with cycle
+    representatives.
+    """
+    if cochains is None:
+        cochains = (ChainComplex if sheaf._down else CochainComplex)(sheaf)
+    return _subquotient(cochains, k)
 
 
-def cosheaf_homology_basis(
-    cosheaf: CellularCosheaf, k: int, chains: ChainComplex | None = None
-) -> QuotientBasis:
-    """H_k as ker(boundary_k)/im(boundary_{k+1}), with cycle representatives."""
-    ch = chains if chains is not None else ChainComplex(cosheaf)
-    return _subquotient(ch, k)
+cosheaf_homology_basis = cohomology_basis
 
 
 def simplicial_chain_complex(complex_: FilteredComplex) -> ChainComplex:
@@ -352,7 +328,7 @@ def simplicial_chain_complex(complex_: FilteredComplex) -> ChainComplex:
 
 
 def simplicial_homology_basis(complex_: FilteredComplex, n: int) -> QuotientBasis:
-    return cosheaf_homology_basis(None, n, chains=simplicial_chain_complex(complex_))
+    return cosheaf_homology_basis(None, n, simplicial_chain_complex(complex_))
 
 
 def _cochain_map(phi: SheafMorphism, src, tgt, k: int) -> np.ndarray:
@@ -495,7 +471,7 @@ def persistent_cohomology_by_degree(diagram: SheafDiagram, degrees) -> dict:
     cochains = [CochainComplex(sheaf, validate=False) for sheaf in diagram.snapshots]
     out = {}
     for k in degrees:
-        bases = [cohomology_basis(cc.sheaf, k, cc) for cc in cochains]
+        bases = [cohomology_basis(cc.stalks, k, cc) for cc in cochains]
         maps = [
             induced_by_sheaf_morphism(
                 phi, source_basis=bases[i], target_basis=bases[i + 1]

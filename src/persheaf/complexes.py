@@ -28,7 +28,6 @@ __all__ = [
     "FilteredComplex",
     "SimplicialMap",
     "incidence_sign",
-    "open_star",
     "preimage_subcomplex",
     "vietoris_rips",
 ]
@@ -280,12 +279,6 @@ def incidence_sign(face: Simplex, coface: Simplex) -> int:
     if fi != len(fv) or omitted is None:
         return 0
     return -1 if omitted % 2 else 1
-
-
-def open_star(complex_: FilteredComplex, s: Simplex) -> tuple:
-    """All cofaces of s (s included), in the global simplex order."""
-    sv = set(s.vertices)
-    return tuple(t for t in complex_.simplices if sv <= set(t.vertices))
 
 
 class SimplicialMap:

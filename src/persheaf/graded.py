@@ -145,17 +145,6 @@ class HomogeneousMatrix:
                 raise AssertionError(f"pivot ({i}, {j}) would need a negative t-power")
         return pivots
 
-    def compose(self, other: "HomogeneousMatrix") -> "HomogeneousMatrix":
-        """self after other; plain scalar product, degrees from the outside."""
-        if other.row_degrees != self.col_degrees:
-            raise ValueError("inner degrees do not match")
-        return HomogeneousMatrix(
-            self.field,
-            self.field.matmul(self.scalar, other.scalar),
-            self.row_degrees,
-            other.col_degrees,
-        )
-
 
 def _zero_hom(field, target: GradedFreeModule, source: GradedFreeModule):
     return HomogeneousMatrix(
@@ -164,7 +153,13 @@ def _zero_hom(field, target: GradedFreeModule, source: GradedFreeModule):
 
 
 class GradedComplex:
-    """Graded spaces in ascending positions with maps d_k: k -> k+1."""
+    """Graded spaces in ascending positions with maps d_k: k -> k+1.
+
+    maps[i] joins positions i and i + 1, running up (_shift = 1) or,
+    in a GradedChainComplex, down (_shift = -1).
+    """
+
+    _shift = 1
 
     def __init__(self, field: Field, spaces, maps):
         self.field = field
@@ -172,19 +167,19 @@ class GradedComplex:
         self.maps = tuple(maps)
         if len(self.maps) != max(len(self.spaces) - 1, 0):
             raise ValueError("need one map per consecutive pair of spaces")
-        for k, m in enumerate(self.maps):
-            if m.col_degrees != self.spaces[k].degrees:
-                raise ValueError(f"map {k} source degrees disagree")
-            if m.row_degrees != self.spaces[k + 1].degrees:
-                raise ValueError(f"map {k} target degrees disagree")
-        for k in range(len(self.maps) - 1):
-            comp = field.matmul(self.maps[k + 1].scalar, self.maps[k].scalar)
-            if comp.any():
-                raise ValueError(f"maps {k} and {k + 1} do not compose to zero")
-
-    @property
-    def top(self) -> int:
-        return len(self.spaces) - 1
+        down = self._shift < 0
+        for i, m in enumerate(self.maps):
+            source, target = (i + 1, i) if down else (i, i + 1)
+            if m.col_degrees != self.spaces[source].degrees:
+                raise ValueError(f"map {i} source degrees disagree")
+            if m.row_degrees != self.spaces[target].degrees:
+                raise ValueError(f"map {i} target degrees disagree")
+        for i in range(len(self.maps) - 1):
+            first, then = self.maps[i : i + 2]
+            if down:
+                first, then = then, first
+            if field.matmul(then.scalar, first.scalar).any():
+                raise ValueError(f"maps {i} and {i + 1} do not compose to zero")
 
     def space(self, k: int) -> GradedFreeModule:
         if 0 <= k < len(self.spaces):
@@ -192,47 +187,17 @@ class GradedComplex:
         return GradedFreeModule(())
 
     def map_out(self, k: int) -> HomogeneousMatrix:
-        """d_k as stored, or the zero map with the right degrees."""
-        if 0 <= k < len(self.maps):
-            return self.maps[k]
-        return _zero_hom(self.field, self.space(k + 1), self.space(k))
+        """The map out of position k as stored, or zero with the right degrees."""
+        i = min(k, k + self._shift)
+        if 0 <= i < len(self.maps):
+            return self.maps[i]
+        return _zero_hom(self.field, self.space(k + self._shift), self.space(k))
 
 
-class GradedChainComplex:
-    """Graded spaces with boundaries running down: boundary(k): k -> k-1."""
+class GradedChainComplex(GradedComplex):
+    """Graded spaces with boundaries running down: maps[i]: i+1 -> i."""
 
-    def __init__(self, field: Field, spaces, boundaries):
-        self.field = field
-        self.spaces = tuple(spaces)
-        self.boundaries = tuple(boundaries)
-        if len(self.boundaries) != max(len(self.spaces) - 1, 0):
-            raise ValueError("need one boundary per consecutive pair of spaces")
-        for i, m in enumerate(self.boundaries):
-            if m.col_degrees != self.spaces[i + 1].degrees:
-                raise ValueError(f"boundary into position {i} has wrong source")
-            if m.row_degrees != self.spaces[i].degrees:
-                raise ValueError(f"boundary into position {i} has wrong target")
-        for i in range(len(self.boundaries) - 1):
-            comp = field.matmul(self.boundaries[i].scalar, self.boundaries[i + 1].scalar)
-            if comp.any():
-                raise ValueError(
-                    f"boundaries {i + 1} and {i} do not compose to zero"
-                )
-
-    @property
-    def top(self) -> int:
-        return len(self.spaces) - 1
-
-    def space(self, k: int) -> GradedFreeModule:
-        if 0 <= k < len(self.spaces):
-            return self.spaces[k]
-        return GradedFreeModule(())
-
-    def boundary(self, k: int) -> HomogeneousMatrix:
-        """The map k -> k-1 as stored, or zero with the right degrees."""
-        if 1 <= k < len(self.spaces):
-            return self.boundaries[k - 1]
-        return _zero_hom(self.field, self.space(k - 1), self.space(k))
+    _shift = -1
 
 
 def _graded_kernel(field: Field, scalar, col_degrees):
@@ -294,13 +259,15 @@ def _graded_snf_bars(field: Field, rel, row_degrees, col_degrees):
 
 
 def graded_barcode(gc: GradedComplex, k: int) -> Barcode:
-    """Interval multiset of the degree-k cohomology of a graded complex."""
-    return Barcode(_graded_quotient_bars(gc.map_out(k), gc.map_out(k - 1)))
+    """Interval multiset of the degree-k cohomology of a graded complex.
+
+    Also the degree-k homology of a GradedChainComplex
+    (graded_homology_barcode).
+    """
+    return Barcode(_graded_quotient_bars(gc.map_out(k), gc.map_out(k - gc._shift)))
 
 
-def graded_homology_barcode(gch: GradedChainComplex, k: int) -> Barcode:
-    """Interval multiset of the degree-k homology of a graded chain complex."""
-    return Barcode(_graded_quotient_bars(gch.boundary(k), gch.boundary(k + 1)))
+graded_homology_barcode = graded_barcode
 
 
 class _GradedStalks(_Stalked):
@@ -359,13 +326,14 @@ class GradedCosheaf(_GradedStalks):
         return self._map(coface_id, face_id)
 
 
-def _map_problems(stalks: _GradedStalks) -> list:
-    """Problems of the stored maps, as strings.
+def validate_graded_sheaf(stalks: _GradedStalks) -> list:
+    """Problems of the stored maps of a graded sheaf or cosheaf, as strings.
 
     Maps that are missing, mis-shaped or would need a negative t-power,
-    in incidence order, then diamonds whose two composites differ.
-    Each map is read from the gathered incidences, and the t-powers are
-    checked per shape group.
+    in incidence order, then stored keys that name no incidence; only
+    without those, diamonds whose two composites differ.  Each map is
+    read from the gathered incidences, and the t-powers are checked per
+    shape group.
     """
     gathered = stalks._gathered
     inc = gathered.incidences
@@ -407,7 +375,7 @@ def _map_problems(stalks: _GradedStalks) -> list:
         for n, at in zip(members[hit].tolist(), negative[hit].argmax(axis=1).tolist()):
             i, j = divmod(at, c)
             found[n] = f"{arrow(n)}: entry ({i}, {j}) would need a negative t-power"
-    problems = [found[n] for n in sorted(found)]
+    problems = [found[n] for n in sorted(found)] + gathered.stray_problems()
     if problems:
         return problems
     for s, _, _, t in _bad_diamonds(stalks.complex, batch, down):
@@ -416,24 +384,19 @@ def _map_problems(stalks: _GradedStalks) -> list:
     return problems
 
 
-def validate_graded_sheaf(gs: GradedSheaf) -> list:
-    """Homogeneity problems and non-commuting diamonds, as strings."""
-    return _map_problems(gs)
+validate_graded_cosheaf = validate_graded_sheaf
 
 
-def validate_graded_cosheaf(gco: GradedCosheaf) -> list:
-    return _map_problems(gco)
+def graded_cochain_complex(stalks: _GradedStalks) -> GradedComplex:
+    """Assemble the signed coboundaries k -> k+1 of a graded sheaf.
 
-
-def _assemble(stalks: _GradedStalks, what: str):
-    """Generator spaces per dimension and the signed maps between them.
-
-    Coboundaries k -> k+1 for a sheaf; boundaries k+1 -> k for a
-    cosheaf.  Each map is one signed scatter per shape group of the
-    gathered stored maps.
+    Also assembles the boundaries k+1 -> k of a graded cosheaf into a
+    GradedChainComplex (graded_chain_complex).  Each map is one signed
+    scatter per shape group of the gathered stored maps.
     """
-    problems = _map_problems(stalks)
+    problems = validate_graded_sheaf(stalks)
     if problems:
+        what = "cosheaf" if stalks._down else "sheaf"
         raise ValueError(f"invalid graded {what}: " + "; ".join(problems))
     x = stalks.complex
     field = x.field
@@ -451,17 +414,11 @@ def _assemble(stalks: _GradedStalks, what: str):
         homs.append(
             HomogeneousMatrix(field, scalar.dense(), rows.degrees, cols.degrees)
         )
-    return spaces, homs
+    kind = GradedChainComplex if stalks._down else GradedComplex
+    return kind(field, spaces, homs)
 
 
-def graded_cochain_complex(gs: GradedSheaf) -> GradedComplex:
-    """Assemble the signed coboundaries of a graded sheaf."""
-    return GradedComplex(gs.complex.field, *_assemble(gs, "sheaf"))
-
-
-def graded_chain_complex(gco: GradedCosheaf) -> GradedChainComplex:
-    """Assemble the signed boundaries of a graded cosheaf."""
-    return GradedChainComplex(gco.complex.field, *_assemble(gco, "cosheaf"))
+graded_chain_complex = graded_cochain_complex
 
 
 def diagram_to_graded_sheaf(diagram: SheafDiagram) -> GradedSheaf:

@@ -30,7 +30,6 @@ from .typet import _check_input, type_t_direct_by_degree
 __all__ = [
     "full_label_complex",
     "LabeledFiltration",
-    "label_sheaf",
     "label_diagram",
     "mixed_feature_barcodes",
     "two_label_sheaf",
@@ -93,14 +92,10 @@ class LabeledFiltration:
         return got
 
 
-def _vertex_map(f) -> dict:
-    return f.vertex_map if isinstance(f, SimplicialMap) else dict(f)
-
-
 def _homology_bases(chains: dict, n: int) -> dict:
     """H_n bases of the chain complexes, keyed like them by label simplex."""
     return {
-        tid: cosheaf_homology_basis(None, n, chains=ch) for tid, ch in chains.items()
+        tid: cosheaf_homology_basis(None, n, ch) for tid, ch in chains.items()
     }
 
 
@@ -115,24 +110,6 @@ def _sheaf_from_layer(label_complex, chains, bases, n) -> CellularSheaf:
         cycles = _include(chains[f.id], chains[t.id], n, bases[f.id].representatives)
         restrictions[(f.id, t.id)] = bases[t.id].coords(cycles)
     return CellularSheaf(label_complex, stalks, restrictions)
-
-
-def label_sheaf(complex_, label_complex, f, n: int) -> CellularSheaf:
-    """H_n of every labeled part, arranged as a sheaf on the label simplex.
-
-    The stalk at a label subset tau is H_n of the part of complex_
-    carried by tau's labels; restriction to a larger subset is induced
-    by the inclusion of parts, computed on stored cycle representatives.
-    """
-    vm = _vertex_map(f)
-    fi = SimplicialMap(
-        complex_, label_complex, {v: vm[v] for v in complex_.vertices}
-    )
-    chains = {
-        t.id: simplicial_chain_complex(preimage_subcomplex(fi, t.id))
-        for t in label_complex.simplices
-    }
-    return _sheaf_from_layer(label_complex, chains, _homology_bases(chains, n), n)
 
 
 def label_diagram(lf: LabeledFiltration, n: int) -> SheafDiagram:

@@ -98,50 +98,44 @@ def reflect(bc: Barcode, m: int) -> Barcode:
     return Barcode(out)
 
 
-class PersistenceModule:
+class _Module:
+    """Spaces of dimensions dims[i], with maps[i] between i and i+1.
+
+    The maps run forward, from i to i+1, unless _down.
+    """
+
+    _down = False
+
+    def __init__(self, field: Field, dims, maps):
+        self.field = field
+        self.dims = tuple(int(d) for d in dims)
+        name = "copersistence" if self._down else "persistence"
+        if not self.dims:
+            raise ValueError(f"a {name} module needs at least one index")
+        if any(d < 0 for d in self.dims):
+            raise ValueError("dimensions must be nonnegative")
+        self.maps = tuple(matrix(m, field.p) for m in maps)
+        if len(self.maps) != len(self.dims) - 1:
+            raise ValueError("expected one map per consecutive index pair")
+        for i, mp in enumerate(self.maps):
+            source, target = (i + 1, i) if self._down else (i, i + 1)
+            want = (self.dims[target], self.dims[source])
+            if mp.shape != want:
+                raise ValueError(f"map {i} has shape {mp.shape}, expected {want}")
+
+    @property
+    def length(self) -> int:
+        return len(self.dims)
+
+
+class PersistenceModule(_Module):
     """Spaces of dimensions dims[i] with maps[i] running from i to i+1."""
 
-    def __init__(self, field: Field, dims, maps):
-        self.field = field
-        self.dims = tuple(int(d) for d in dims)
-        if not self.dims:
-            raise ValueError("a persistence module needs at least one index")
-        if any(d < 0 for d in self.dims):
-            raise ValueError("dimensions must be nonnegative")
-        self.maps = tuple(matrix(m, field.p) for m in maps)
-        if len(self.maps) != len(self.dims) - 1:
-            raise ValueError("expected one map per consecutive index pair")
-        for i, mp in enumerate(self.maps):
-            want = (self.dims[i + 1], self.dims[i])
-            if mp.shape != want:
-                raise ValueError(f"map {i} has shape {mp.shape}, expected {want}")
 
-    @property
-    def length(self) -> int:
-        return len(self.dims)
-
-
-class CopersistenceModule:
+class CopersistenceModule(_Module):
     """Spaces of dimensions dims[i] with maps[i] running from i+1 to i."""
 
-    def __init__(self, field: Field, dims, maps):
-        self.field = field
-        self.dims = tuple(int(d) for d in dims)
-        if not self.dims:
-            raise ValueError("a copersistence module needs at least one index")
-        if any(d < 0 for d in self.dims):
-            raise ValueError("dimensions must be nonnegative")
-        self.maps = tuple(matrix(m, field.p) for m in maps)
-        if len(self.maps) != len(self.dims) - 1:
-            raise ValueError("expected one map per consecutive index pair")
-        for i, mp in enumerate(self.maps):
-            want = (self.dims[i], self.dims[i + 1])
-            if mp.shape != want:
-                raise ValueError(f"map {i} has shape {mp.shape}, expected {want}")
-
-    @property
-    def length(self) -> int:
-        return len(self.dims)
+    _down = True
 
     def transposed(self) -> PersistenceModule:
         """The dual module: same dims, every map transposed to run forward."""

@@ -36,10 +36,8 @@ __all__ = [
     "validate_diagram",
     "constant",
     "pullback",
-    "pullback_morphism",
     "extend_by_zero",
     "dualize",
-    "unit_map",
 ]
 
 
@@ -197,6 +195,7 @@ class _Gathered:
 
     def __init__(self, complex_: FilteredComplex, maps: _Maps, sizes, down: bool):
         inc = self.incidences = complex_.incidences()
+        self.down = down
         look = inc.index
         if down:
             found = [look.get((b, a), -1) for a, b in maps.keys]
@@ -249,6 +248,19 @@ class _Gathered:
                 out.append(f"{label} {f!r} -> {t!r} has shape {have}, expected {want}")
         return out
 
+    def stray_problems(self) -> list:
+        """Stored keys that name no codimension-1 incidence, in key order."""
+        by_id = self.incidences.complex.by_id
+        out = []
+        for source, target in self.unmatched:
+            fid, cid = (target, source) if self.down else (source, target)
+            f, t = by_id.get(fid), by_id.get(cid)
+            if f is None or t is None or not (
+                f.dim + 1 == t.dim and set(f.vertices) <= set(t.vertices)
+            ):
+                out.append(f"{source!r} -> {target!r} is not a codimension-1 incidence")
+        return out
+
 
 class _Stalked:
     """Stalks on a complex with maps stored per incidence in a _Maps.
@@ -288,6 +300,15 @@ class _CellularStalks(_Stalked):
 
     _size = stalk
 
+    def _map(self, source_id: str, target_id: str) -> np.ndarray:
+        """The stored map source -> target, or the zero map it may omit."""
+        stored = self._maps.get((source_id, target_id))
+        if stored is not None:
+            return stored
+        if self.stalk(source_id) == 0 or self.stalk(target_id) == 0:
+            return zeros(self.stalk(target_id), self.stalk(source_id))
+        raise KeyError(f"no {self._kind} stored for {source_id!r} -> {target_id!r}")
+
 
 class CellularSheaf(_CellularStalks):
     _kind = "restriction"
@@ -297,12 +318,7 @@ class CellularSheaf(_CellularStalks):
         super().__init__(complex_, stalk_dim, restriction)
 
     def restriction(self, face_id: str, coface_id: str) -> np.ndarray:
-        stored = self._maps.get((face_id, coface_id))
-        if stored is not None:
-            return stored
-        if self.stalk(face_id) == 0 or self.stalk(coface_id) == 0:
-            return zeros(self.stalk(coface_id), self.stalk(face_id))
-        raise KeyError(f"no restriction stored for {face_id!r} -> {coface_id!r}")
+        return self._map(face_id, coface_id)
 
 
 class CellularCosheaf(_CellularStalks):
@@ -313,12 +329,7 @@ class CellularCosheaf(_CellularStalks):
         super().__init__(complex_, stalk_dim, extension)
 
     def extension(self, coface_id: str, face_id: str) -> np.ndarray:
-        stored = self._maps.get((coface_id, face_id))
-        if stored is not None:
-            return stored
-        if self.stalk(face_id) == 0 or self.stalk(coface_id) == 0:
-            return zeros(self.stalk(face_id), self.stalk(coface_id))
-        raise KeyError(f"no extension stored for {coface_id!r} -> {face_id!r}")
+        return self._map(coface_id, face_id)
 
 
 def _commuting(p: int, a: _Batch, b: _Batch, c: _Batch, d: _Batch) -> np.ndarray:
@@ -433,35 +444,26 @@ def _signed_maps(gathered: _Gathered, sizes, down: bool) -> list:
 
 
 def validate_sheaf(sheaf: CellularSheaf) -> list:
-    """Shape violations and non-commuting diamonds, as a list of strings."""
+    """Shape violations, stored maps that name no incidence and
+    non-commuting diamonds, as a list of strings.
+
+    Also validates a cosheaf (validate_cosheaf), whose arrows run from
+    coface to face.
+    """
     gathered = sheaf._gathered
-    problems = gathered.shape_problems(sheaf._kind)
-    by_id = sheaf.complex.by_id
-    for fid, cid in gathered.unmatched:
-        f, t = by_id.get(fid), by_id.get(cid)
-        if f is None or t is None or not (
-            f.dim + 1 == t.dim and set(f.vertices) <= set(t.vertices)
-        ):
-            problems.append(f"{fid!r} -> {cid!r} is not a codimension-1 incidence")
+    problems = gathered.shape_problems(sheaf._kind) + gathered.stray_problems()
     if problems:
         return problems
-    return [
-        f"diamond {s.id!r} -> {t.id!r} does not commute"
-        f" (via {ra.id!r} vs {rb.id!r})"
-        for s, ra, rb, t in _bad_diamonds(sheaf.complex, gathered.batch, False)
-    ]
+    down = sheaf._down
+    for s, ra, rb, t in _bad_diamonds(sheaf.complex, gathered.batch, down):
+        a, b = (t, s) if down else (s, t)
+        problems.append(
+            f"diamond {a.id!r} -> {b.id!r} does not commute (via {ra.id!r} vs {rb.id!r})"
+        )
+    return problems
 
 
-def validate_cosheaf(cosheaf: CellularCosheaf) -> list:
-    gathered = cosheaf._gathered
-    problems = gathered.shape_problems(cosheaf._kind)
-    if problems:
-        return problems
-    return [
-        f"diamond {t.id!r} -> {s.id!r} does not commute"
-        f" (via {ra.id!r} vs {rb.id!r})"
-        for s, ra, rb, t in _bad_diamonds(cosheaf.complex, gathered.batch, True)
-    ]
+validate_cosheaf = validate_sheaf
 
 
 class SheafMorphism:
@@ -596,11 +598,6 @@ def pullback(f: SimplicialMap, sheaf: CellularSheaf) -> CellularSheaf:
     return CellularSheaf(f.source, stalks, restr)
 
 
-def pullback_morphism(f: SimplicialMap, phi: SheafMorphism) -> SheafMorphism:
-    comp = {s.id: phi.component(f.image(s).id) for s in f.source.simplices}
-    return SheafMorphism(pullback(f, phi.source), pullback(f, phi.target), comp)
-
-
 def extend_by_zero(f: SimplicialMap, sheaf: CellularSheaf) -> CellularSheaf:
     """Push a sheaf forward along an inclusion, zero outside the image."""
     if not f.is_inclusion():
@@ -624,22 +621,3 @@ def dualize(sheaf: CellularSheaf) -> CellularCosheaf:
     return CellularCosheaf(
         sheaf.complex, dict(sheaf.stalk_dim), sheaf._maps.transposed()
     )
-
-
-def unit_map(f: SimplicialMap, sheaf: CellularSheaf) -> SheafMorphism:
-    """The comparison F -> extend_by_zero(pullback F) along an inclusion.
-
-    Identity components over simplices in the image, zero elsewhere.
-    """
-    if not f.is_inclusion():
-        raise ValueError("the unit map is defined along inclusions")
-    if sheaf.complex is not f.target:
-        raise ValueError("the unit map starts from a sheaf on the ambient complex")
-    extended = extend_by_zero(f, pullback(f, sheaf))
-    in_image = {f.image(s).id for s in f.source.simplices}
-    comp = {
-        t.id: identity(sheaf.stalk(t.id))
-        for t in f.target.simplices
-        if t.id in in_image
-    }
-    return SheafMorphism(sheaf, extended, comp)

@@ -61,6 +61,24 @@ def _check_assignment(complex_, get_map, shape_of, label):
     return problems
 
 
+def stray_keys(stalks):
+    """Stored keys that name no codimension-1 incidence, in key order.
+
+    A key is (source id, target id): (face, coface), or (coface, face)
+    when the maps run down.
+    """
+    out = []
+    for a, b in stalks._maps.keys:
+        fid, cid = (b, a) if stalks._down else (a, b)
+        f = stalks.complex.by_id.get(fid)
+        t = stalks.complex.by_id.get(cid)
+        if f is None or t is None or not (
+            f.dim + 1 == t.dim and set(f.vertices) <= set(t.vertices)
+        ):
+            out.append(f"{a!r} -> {b!r} is not a codimension-1 incidence")
+    return out
+
+
 def validate_sheaf(sheaf):
     field = sheaf.complex.field
     problems = _check_assignment(
@@ -69,13 +87,7 @@ def validate_sheaf(sheaf):
         lambda f, t: (sheaf.stalk(t.id), sheaf.stalk(f.id)),
         "restriction",
     )
-    for fid, cid in sheaf._maps.keys:
-        f = sheaf.complex.by_id.get(fid)
-        t = sheaf.complex.by_id.get(cid)
-        if f is None or t is None or not (
-            f.dim + 1 == t.dim and set(f.vertices) <= set(t.vertices)
-        ):
-            problems.append(f"{fid!r} -> {cid!r} is not a codimension-1 incidence")
+    problems += stray_keys(sheaf)
     if problems:
         return problems
     r = sheaf.restriction
@@ -99,6 +111,7 @@ def validate_cosheaf(cosheaf):
         lambda f, t: (cosheaf.stalk(f.id), cosheaf.stalk(t.id)),
         "extension",
     )
+    problems += stray_keys(cosheaf)
     if problems:
         return problems
     e = cosheaf.extension
@@ -138,7 +151,7 @@ def validate_morphism(phi):
 def checked_graded_maps(stalks):
     """Each incidence's HomogeneousMatrix keyed (face id, coface id), and
     the problems: maps missing or needing a negative t-power, then
-    non-commuting diamonds."""
+    stored keys that name no incidence, then non-commuting diamonds."""
     field = stalks.complex.field
     down = stalks._down
     problems = []
@@ -154,6 +167,7 @@ def checked_graded_maps(stalks):
             maps[(f.id, t.id)] = stalks._map(source, target)
         except (KeyError, ValueError) as err:
             problems.append(f"{source!r} -> {target!r}: {err}")
+    problems += stray_keys(stalks)
     if problems:
         return maps, problems
     for s, ra, rb, t in diamonds(stalks.complex):

@@ -105,7 +105,7 @@ def label_diagram(lf, n):
             t.id: simplicial_chain_complex(lf.preimage(t.id).subcomplex(i))
             for t in l.simplices
         }
-        bs = {tid: cosheaf_homology_basis(None, n, chains=c) for tid, c in ch.items()}
+        bs = {tid: cosheaf_homology_basis(None, n, c) for tid, c in ch.items()}
         chains.append(ch)
         bases.append(bs)
         stalks = {tid: b.dim for tid, b in bs.items()}

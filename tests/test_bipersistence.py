@@ -14,7 +14,6 @@ from persheaf import (
     grid,
     matrix,
     persistent_cohomology,
-    rank_invariant,
     type_t_direct,
     zeros,
 )
@@ -68,41 +67,12 @@ def test_detects_a_perturbed_map():
     assert check_commutative(g) == (0, 1)
 
 
-def test_rank_invariant_structure():
-    g = grid(edge_diagram(), 0)
-    ranks = rank_invariant(g)
-    cells = [(u, j) for u in range(g.rows) for j in range(g.cols)]
-    comparable = [
-        (a, b) for a in cells for b in cells if a[0] <= b[0] and a[1] <= b[1]
-    ]
-    assert set(ranks) == set(comparable)
-    for (u1, j1), (u2, j2) in comparable:
-        r = ranks[((u1, j1), (u2, j2))]
-        assert 0 <= r <= min(g.dims[u1][j1], g.dims[u2][j2])
-        if (u1, j1) == (u2, j2):
-            assert r == g.dims[u1][j1]
-    assert ranks[((0, 0), (1, 4))] == 0
-    assert ranks[((1, 0), (1, 4))] == 2
-
-
-def test_rank_invariant_is_path_independent():
-    g = grid(edge_diagram(), 0)
-    ranks = rank_invariant(g)
-    # down first, then across the bottom row
-    down = g.vmaps[0][0]
-    across = down
-    for j in range(4):
-        across = F2.matmul(g.hmaps[1][j], across)
-    assert F2.rank(across) == ranks[((0, 0), (1, 4))]
-
-
 def test_single_cell_grid():
     x = FilteredComplex(F2, [Simplex("0", (0,), 0)])
     d = SheafDiagram([constant(x, 1)], [])
     g = grid(d, 0)
     assert g.dims == [[1]]
     assert check_commutative(g) is None
-    assert rank_invariant(g) == {((0, 0), (0, 0)): 1}
 
 
 def test_grid_shape_validation():

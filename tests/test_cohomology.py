@@ -138,7 +138,7 @@ def test_representatives_are_cocycles():
     x = random_complex(rng, F2)
     cc = CochainComplex(random_sheaf(rng, x))
     for k in range(x.dim + 1):
-        basis = cohomology_basis(cc.sheaf, k, cc)
+        basis = cohomology_basis(cc.stalks, k, cc)
         image = cc.field.matmul(cc.delta(k), basis.representatives)
         assert not image.any()
         if basis.dim:

@@ -6,7 +6,6 @@ from persheaf import (
     Simplex,
     SimplicialMap,
     incidence_sign,
-    open_star,
     preimage_subcomplex,
     vietoris_rips,
 )
@@ -89,12 +88,6 @@ def test_subcomplex_and_step_inclusion():
     assert inc.image("0").id == "0"
     mid = x.step_inclusion(0, 1)
     assert [s.id for s in mid.target.simplices] == ["0", "1", "0.1"]
-
-
-def test_open_star():
-    x = hollow_triangle()
-    star = open_star(x, x.by_id["0"])
-    assert [s.id for s in star] == ["0", "0.1", "0.2"]
 
 
 def test_simplicial_map_requires_closed_images():

@@ -166,7 +166,7 @@ def test_assembled_maps_match_block_by_block(p):
             assert same(m.scalar, d)
         gco = filtration_cosheaf(sheaf)
         gch = graded_chain_complex(gco)
-        for m, d in zip(gch.boundaries, ref.graded_scalars(gco)):
+        for m, d in zip(gch.maps, ref.graded_scalars(gco)):
             assert same(m.scalar, d)
         mixed = GradedSheaf(x, degrees, sheaf._maps.as_dict())
         assert validate_graded_sheaf(mixed) == ref.checked_graded_maps(mixed)[1]
@@ -198,7 +198,7 @@ def broken_sheaves(rng, x):
 @pytest.mark.parametrize("p", PRIMES)
 def test_problem_lists_of_broken_inputs(p):
     rng, xs = complexes(p, 8)
-    seen, graded_seen = set(), set()
+    seen, co_seen, graded_seen = set(), set(), set()
     for x in xs:
         for sheaf in broken_sheaves(rng, x):
             got = validate_sheaf(sheaf)
@@ -206,7 +206,9 @@ def test_problem_lists_of_broken_inputs(p):
             seen.update(m.split(" ")[0] for m in got)
             ext = {(t, f): m.T for (f, t), m in sheaf._maps.as_dict().items()}
             co = CellularCosheaf(x, sheaf.stalk_dim, ext)
-            assert validate_cosheaf(co) == ref.validate_cosheaf(co)
+            got = validate_cosheaf(co)
+            assert got == ref.validate_cosheaf(co)
+            co_seen.update(word for m in got for word in m.split(" "))
             # all degrees 0, so only the shapes and the diamonds can
             # fail, then random degrees with negative t-powers
             for top in (1, 3):
@@ -217,11 +219,14 @@ def test_problem_lists_of_broken_inputs(p):
                 graded = GradedSheaf(x, degrees, sheaf._maps.as_dict())
                 got = validate_graded_sheaf(graded)
                 assert got == ref.checked_graded_maps(graded)[1]
-                graded = GradedCosheaf(x, degrees, ext)
-                assert validate_graded_cosheaf(graded) == ref.checked_graded_maps(graded)[1]
                 graded_seen.update(m.split(": ")[-1].split(" ")[0] for m in got)
+                graded = GradedCosheaf(x, degrees, ext)
+                got = validate_graded_cosheaf(graded)
+                assert got == ref.checked_graded_maps(graded)[1]
+                co_seen.update(word for m in got for word in m.split(" "))
     assert {"diamond", "missing", "restriction", "'nowhere'"} <= seen
-    assert {"diamond", '"no', "scalar", "entry"} <= graded_seen
+    assert {"diamond", "missing", "extension", "'nowhere'", '"no'} <= co_seen
+    assert {"diamond", '"no', "scalar", "entry", "'nowhere'"} <= graded_seen
 
 
 @pytest.mark.parametrize("p", PRIMES)

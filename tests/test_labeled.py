@@ -22,7 +22,6 @@ from persheaf import (
     cohomology_basis,
     full_label_complex,
     label_diagram,
-    label_sheaf,
     mixed_feature_barcodes,
     persistent_cohomology,
     pullback,
@@ -225,7 +224,7 @@ PROFILES = [
 @pytest.mark.parametrize("edges,triangles,labels,stalks,profile", PROFILES)
 def test_single_step_feature_profiles(edges, triangles, labels, stalks, profile):
     lf = one_step(edges, triangles, labels)
-    sheaf = label_sheaf(lf.filtration, lf.label_complex, lf.map, 1)
+    sheaf = label_diagram(lf, 1).snapshots[0]
     assert validate_sheaf(sheaf) == []
     assert tuple(sheaf.stalk(t) for t in ("b", "b.r", "r")) == stalks
     assert tuple(cohomology_basis(sheaf, k).dim for k in (0, 1)) == profile

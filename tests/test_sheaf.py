@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from persheaf import (
+    CellularCosheaf,
     CellularSheaf,
     Field,
     FilteredComplex,
@@ -20,8 +21,6 @@ from persheaf import (
     identity,
     matrix,
     pullback,
-    pullback_morphism,
-    unit_map,
     validate_cosheaf,
     validate_diagram,
     validate_graded_cosheaf,
@@ -109,12 +108,20 @@ def test_missing_restriction_is_reported():
 
 def test_non_incidence_key_is_reported():
     seg = segment()
-    bad = CellularSheaf(seg, {"u": 1, "v": 1, "e": 1}, {
+    restr = {
         ("u", "e"): matrix([[1]], 2),
         ("v", "e"): matrix([[1]], 2),
         ("u", "v"): matrix([[1]], 2),
-    })
-    assert any("not a codimension-1 incidence" in m for m in validate_sheaf(bad))
+    }
+    ext = {(t, f): m.T for (f, t), m in restr.items()}
+    stalks = {"u": 1, "v": 1, "e": 1}
+    degrees = {sid: (0,) for sid in stalks}
+    up = ["'u' -> 'v' is not a codimension-1 incidence"]
+    down = ["'v' -> 'u' is not a codimension-1 incidence"]
+    assert validate_sheaf(CellularSheaf(seg, stalks, restr)) == up
+    assert validate_cosheaf(CellularCosheaf(seg, stalks, ext)) == down
+    assert validate_graded_sheaf(GradedSheaf(seg, degrees, restr)) == up
+    assert validate_graded_cosheaf(GradedCosheaf(seg, degrees, ext)) == down
 
 
 def test_twisted_sheaf_commutes():
@@ -243,14 +250,6 @@ def test_pullback_identity_on_collapsed_incidences():
     assert np.array_equal(pb.restriction("0", "0.1"), sheaf.restriction("u", "e"))
 
 
-def test_pullback_morphism_stays_natural():
-    seg = segment()
-    tri = filled_triangle()
-    f = SimplicialMap(tri, seg, {0: 0, 1: 1, 2: 1})
-    phi = rank_two_pair()[2]
-    assert validate_morphism(pullback_morphism(f, phi)) == []
-
-
 def test_extend_by_zero_outside_image():
     x = filled_triangle()
     inc = x.step_inclusion(0)  # whole complex; build a real subcomplex instead
@@ -266,19 +265,6 @@ def test_extend_by_zero_outside_image():
     with pytest.raises(ValueError):
         extend_by_zero(collapse, constant(x, 1))
     assert inc.is_inclusion()
-
-
-def test_unit_map_is_natural():
-    x = filled_triangle()
-    sub = FilteredComplex(F2, [
-        Simplex("0", (0,), 0), Simplex("1", (1,), 0), Simplex("0.1", (0, 1), 0),
-    ])
-    f = SimplicialMap(sub, x, {0: 0, 1: 1})
-    sheaf = constant(x, 2)
-    eta = unit_map(f, sheaf)
-    assert validate_morphism(eta) == []
-    assert np.array_equal(eta.component("0.1"), identity(2))
-    assert eta.component("0.1.2").shape == (0, 2)
 
 
 def test_dualize_transposes_restrictions():
