@@ -13,7 +13,6 @@ from .complexes import (
     FilteredComplex,
     Simplex,
     SimplicialMap,
-    incidence_sign,
     preimage_subcomplex,
     vietoris_rips,
 )

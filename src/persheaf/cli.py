@@ -19,7 +19,7 @@ import math
 import sys
 
 from .bipersistence import check_commutative, grid_by_degree
-from .cohomology import cohomology_basis, persistent_cohomology_by_degree
+from .cohomology import CochainComplex, cohomology_basis, persistent_cohomology_by_degree
 from .complexes import vietoris_rips
 from .formats import (
     BarcodeReport,
@@ -138,6 +138,13 @@ def _finish_barcode(barcode, closed_end: bool, m: int):
     return barcode.closed(m) if closed_end else barcode
 
 
+def _invalid(args, complex_, problems) -> bool:
+    """Write the problems of the input to stderr; whether there are any."""
+    problems = _check_field(args, complex_) + complex_.validate() + problems
+    sys.stderr.write("".join(f"{p}\n" for p in problems))
+    return bool(problems)
+
+
 def _emit(reports, args) -> int:
     sys.stdout.write(render_reports(reports, args.format, single=args.k is not None))
     return 0
@@ -166,12 +173,11 @@ def _cmd_cohomology(args) -> int:
     _no_svg(args)
     complex_ = parse_complex(args.complex)
     sheaf = parse_sheaf(args.sheaf, complex_)
-    problems = _check_field(args, complex_) + complex_.validate() + validate_sheaf(sheaf)
-    if problems:
-        sys.stderr.write("\n".join(problems) + "\n")
+    if _invalid(args, complex_, validate_sheaf(sheaf)):
         return 2
+    cochains = CochainComplex(sheaf, validate=False)  # validated above
     dims = [
-        [k, cohomology_basis(sheaf, k).dim]
+        [k, cohomology_basis(sheaf, k, cochains).dim]
         for k in _degrees(args, complex_.dim)
     ]
     if args.format == "json":
@@ -213,9 +219,7 @@ def _cross_checked(args, degrees, m, p, pointwise, graded, name, note=""):
 def _cmd_persist_a(args) -> int:
     diagram = parse_diagram(args.diagram)
     complex_ = diagram.complex
-    problems = _check_field(args, complex_) + complex_.validate() + validate_diagram(diagram)
-    if problems:
-        sys.stderr.write("\n".join(problems) + "\n")
+    if _invalid(args, complex_, validate_diagram(diagram)):
         return 2
     degrees = _degrees(args, complex_.dim)
     graded = pointwise = None
@@ -240,9 +244,7 @@ def _cmd_persist_a(args) -> int:
 def _cmd_persist_t(args) -> int:
     complex_ = parse_complex(args.complex)
     sheaf = parse_sheaf(args.sheaf, complex_)
-    problems = _check_field(args, complex_) + complex_.validate() + validate_sheaf(sheaf)
-    if problems:
-        sys.stderr.write("\n".join(problems) + "\n")
+    if _invalid(args, complex_, validate_sheaf(sheaf)):
         return 2
     degrees = _degrees(args, complex_.dim)
     direct = graded = None
@@ -260,9 +262,7 @@ def _cmd_bipersist(args) -> int:
     _no_svg(args)
     complex_ = parse_complex(args.complex)
     diagram = parse_diagram(args.diagram, complex_)
-    problems = _check_field(args, complex_) + complex_.validate() + validate_diagram(diagram)
-    if problems:
-        sys.stderr.write("\n".join(problems) + "\n")
+    if _invalid(args, complex_, validate_diagram(diagram)):
         return 2
     grids = grid_by_degree(diagram, _degrees(args, complex_.dim))
     for k, g in grids.items():
@@ -303,40 +303,30 @@ def _labeled_input(args):
     return LabeledFiltration(x, dict(enumerate(labels)))
 
 
+def _emit_pointwise(args, lf, barcodes) -> int:
+    """Emit the pointwise barcodes of a labeled filtration, by degree."""
+    m, p = lf.filtration.steps, lf.filtration.field.p
+    reports = [
+        BarcodeReport.of(k, _finish_barcode(barcode, args.closed_end, m), "pointwise", p)
+        for k, barcode in barcodes.items()
+    ]
+    return _emit(reports, args)
+
+
 def _cmd_labeled(args) -> int:
     lf = _labeled_input(args)
-    m = lf.filtration.steps
     diagram = label_diagram(lf, args.hom_n)
     _check_diagram(diagram)
     found = persistent_cohomology_by_degree(
         diagram, _degrees(args, lf.label_complex.dim)
     )
-    reports = [
-        BarcodeReport.of(
-            k,
-            _finish_barcode(barcode, args.closed_end, m),
-            "pointwise",
-            lf.filtration.field.p,
-        )
-        for k, (_, barcode) in found.items()
-    ]
-    return _emit(reports, args)
+    return _emit_pointwise(args, lf, {k: barcode for k, (_, barcode) in found.items()})
 
 
 def _cmd_unicolored(args) -> int:
     lf = _labeled_input(args)
-    m = lf.filtration.steps
     found = unicolored_pipeline(lf, _degrees(args, max(lf.filtration.dim, 0)))
-    reports = [
-        BarcodeReport.of(
-            k,
-            _finish_barcode(barcode, args.closed_end, m),
-            "pointwise",
-            lf.filtration.field.p,
-        )
-        for k, barcode in found.items()
-    ]
-    return _emit(reports, args)
+    return _emit_pointwise(args, lf, found)
 
 
 _COMMANDS = {

@@ -102,12 +102,10 @@ class _Stacked:
         self.field = complex_.field
         self._offsets: dict[int, dict[str, int]] = {}
         self._ends: dict[int, list] = {}
+        b = complex_._bounds
         for k in range(complex_.dim + 1):
-            off, ends = {}, [0]
-            for s in complex_.simplices_of_dim(k):
-                off[s.id] = ends[-1]
-                ends.append(ends[-1] + stalks.stalk(s.id))
-            self._offsets[k], self._ends[k] = off, ends
+            ends = self._ends[k] = [0, *np.cumsum(stalks._sizes[b[k] : b[k + 1]]).tolist()]
+            self._offsets[k] = dict(zip(complex_._ids[b[k] : b[k + 1]], ends))
         self._counts = {k: len(ends) - 1 for k, ends in self._ends.items()}
         self._echelons: dict[int, Echelon] = {}
         up = self._shift > 0

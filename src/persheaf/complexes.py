@@ -1,23 +1,27 @@
 """Finite filtered simplicial complexes and simplicial maps.
 
-A complex carries one global simplex order, (dimension, entry, vertex
-list), and every cochain or chain basis downstream is laid out in that
-order.  Entry indices record the filtration step at which a simplex
-appears; a plain complex is the special case steps = 1, all entries 0.
+A complex is held as arrays: vertex labels (Python ints of any size or
+sign) and entries are replaced by their ranks, and the k-simplices form
+one (n_k, k+1) int64 array of vertex ranks.  One stable argsort of
+packed (dimension, entry, vertex list) rows gives the global order, in
+which every cochain or chain basis downstream is laid out.  Entry
+indices record the filtration step at which a simplex appears; a plain
+complex is the special case steps = 1, all entries 0.
 
-Every codimension-1 incidence is read from one face table per
-dimension, built once from the vertex lists: row t of face_table(k)
-holds the positions of the faces of the t-th k-simplex, by omitted
-vertex.  incidences() numbers the incidences in that order, so the
-sheaf code validates, checks diamonds and assembles coboundaries by
-index arithmetic on the tables instead of walking simplices.
+Row t of face_table(k), matched on packed vertex rows, holds the
+positions of the faces of the t-th k-simplex, by omitted vertex.
+incidences() numbers the incidences in that order, so validate() and
+the sheaf code check and assemble by index arithmetic on the tables.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain, repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,7 +31,6 @@ __all__ = [
     "Simplex",
     "FilteredComplex",
     "SimplicialMap",
-    "incidence_sign",
     "preimage_subcomplex",
     "vietoris_rips",
 ]
@@ -54,34 +57,107 @@ class Simplex:
         return len(self.vertices) - 1
 
 
+class _SimplexLists(NamedTuple):
+    """Simplices as parallel lists, each checked as Simplex checks it."""
+
+    ids: list
+    vertices: list
+    entries: list
+
+
+def _ranked(lists):
+    """(the distinct ints ascending, the int64 rank of each), over the lists chained."""
+    count = sum(map(len, lists))
+    try:
+        a = np.fromiter(chain.from_iterable(lists), np.int64, count)
+        # return_index too: the sort every np.unique here uses, so no other is loaded
+        distinct, _, ranks = np.unique(a, return_index=True, return_inverse=True)
+        return distinct.tolist(), ranks
+    except OverflowError:  # past int64: rank in Python
+        distinct = sorted(set(chain.from_iterable(lists)))
+        rank = dict(zip(distinct, range(len(distinct))))
+        return distinct, np.fromiter(map(rank.get, chain.from_iterable(lists)), np.int64, count)
+
+
+_PACKED = 2**62
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One int64 per row of small nonnegative ints, ordered as the rows.
+
+    A row packs into base max + 1 digits, which sorts much faster than
+    numpy's row-wise unique; past _PACKED its key is its rank instead.
+    """
+    base = int(rows.max(initial=0)) + 1
+    if base ** rows.shape[1] >= _PACKED:
+        return np.unique(rows, axis=0, return_inverse=True)[1].reshape(-1)
+    packed = np.zeros(len(rows), dtype=np.int64)
+    for column in rows.T:
+        packed = packed * base + column
+    return packed
+
+
+def _unique_rows(rows: np.ndarray):
+    """np.unique(rows, axis=0, return_inverse=True) for small nonnegative ints."""
+    _, first, inverse = np.unique(_row_keys(rows), return_index=True, return_inverse=True)
+    return rows[first], inverse.reshape(-1)
+
+
+def _first_match(keys: np.ndarray, wanted: np.ndarray) -> np.ndarray:
+    """The first position of each wanted key in keys, or -1."""
+    both = np.concatenate([keys, wanted])
+    _, first, inverse = np.unique(both, return_index=True, return_inverse=True)
+    at = first[inverse[len(keys) :]]  # the first equal key, in keys if any is
+    return np.where(at < len(keys), at, -1)
+
+
 class FilteredComplex:
-    """Simplices keyed by id, ordered by (dimension, entry, vertex list)."""
+    """Simplices keyed by id, ordered by (dimension, entry, vertex list).
+
+    simplices are Simplex objects, kept as given, or _SimplexLists, made
+    into Simplex objects once without rerunning their checks.  _rows[k]
+    holds the k-simplices' vertex ranks in order, _keys every entry
+    rank, _bounds[k] the position of the first k-simplex.
+    """
 
     def __init__(self, field: Field, simplices, steps: int | None = None):
         self.field = field
-        order = sorted(simplices, key=lambda s: (s.dim, s.entry, s.vertices))
-        self._order = tuple(order)
-        self.by_id: dict[str, Simplex] = {}
-        for s in self._order:
-            if s.id in self.by_id:
-                raise ValueError(f"duplicate simplex id {s.id!r}")
-            self.by_id[s.id] = s
-        self.by_vertices: dict[tuple, Simplex] = {}
-        for s in self._order:
-            self.by_vertices.setdefault(s.vertices, s)
-        if steps is None:
-            steps = 1 + max((s.entry for s in self._order), default=0)
-        self.steps = int(steps)
-        self._by_dim: dict[int, tuple] = {}
-        for s in self._order:
-            self._by_dim.setdefault(s.dim, [])
-        for s in self._order:
-            self._by_dim[s.dim].append(s)
-        self._by_dim = {k: tuple(v) for k, v in self._by_dim.items()}
+        given = None if isinstance(simplices, _SimplexLists) else list(simplices)
+        ids, vertices, entries = simplices if given is None else (
+            [s.id for s in given], [s.vertices for s in given], [s.entry for s in given]
+        )
+        n = len(ids)
+        lens = np.fromiter(map(len, vertices), dtype=np.int64, count=n)
+        self._labels, ranks = _ranked(vertices)
+        self._entry_values, keys = _ranked([entries])
+        rows = np.zeros((n, int(lens.max(initial=0))), dtype=np.int64)
+        starts = np.repeat(np.cumsum(lens) - lens, lens)
+        rows[np.repeat(np.arange(n), lens), np.arange(len(ranks)) - starts] = ranks
+        order = np.argsort(_row_keys(np.column_stack([lens, keys, rows])), kind="stable")
+        counts = np.bincount(lens, minlength=rows.shape[1] + 1)  # simplices by vertex count
+        b = self._bounds = [0, *np.cumsum(counts[1:]).tolist()]
+        self._rows = {k: rows[order[b[k] : b[k + 1]], : k + 1] for k in range(len(b) - 1)}
+        self._keys = keys[order]
+        pick = order.tolist()
+        self._ids = list(map(ids.__getitem__, pick))
+        if given is None:  # set as Simplex.__init__ does, so instances share keys
+            given, new, set_ = [], object.__new__, object.__setattr__
+            for sid, v, e in zip(ids, vertices, entries):
+                s = new(Simplex)
+                set_(s, "id", sid)
+                set_(s, "vertices", tuple(v))
+                set_(s, "entry", e)
+                given.append(s)
+        self._order = tuple(map(given.__getitem__, pick))
+        self.by_id: dict[str, Simplex] = dict(zip(self._ids, self._order))
+        if len(self.by_id) < n:
+            seen = set()  # add returns None, so next finds the first repeat
+            again = next(sid for sid in self._ids if sid in seen or seen.add(sid))
+            raise ValueError(f"duplicate simplex id {again!r}")
+        self.steps = int(1 + max(entries, default=0) if steps is None else steps)
+        self._by_dim = {k: self._order[b[k] : b[k + 1]] for k in self._rows}
         self._sub_cache: dict[int, FilteredComplex] = {}
-        self._entries: dict[int, list] = {}
         self._face_tables: dict[int, np.ndarray] = {}
-        self._incidences: Incidences | None = None
 
     @property
     def simplices(self) -> tuple:
@@ -89,11 +165,16 @@ class FilteredComplex:
 
     @property
     def dim(self) -> int:
-        return max(self._by_dim, default=-1)
+        return len(self._rows) - 1
 
     @property
     def vertices(self) -> tuple:
-        return tuple(sorted({v for s in self._order for v in s.vertices}))
+        return tuple(self._labels)
+
+    @cached_property
+    def by_vertices(self) -> dict:
+        sims = self._order[::-1]  # so the first of a repeated vertex set wins
+        return dict(zip((s.vertices for s in sims), sims))
 
     def simplices_of_dim(self, k: int) -> tuple:
         return self._by_dim.get(k, ())
@@ -104,78 +185,69 @@ class FilteredComplex:
         They lead simplices_of_dim(k), which is sorted by entry, so
         subcomplex(step) is that prefix of every dimension.
         """
-        entries = self._entries.get(k)
-        if entries is None:
-            entries = self._entries[k] = [s.entry for s in self.simplices_of_dim(k)]
-        return bisect_right(entries, step)
-
-    def faces(self, s: Simplex) -> list:
-        """Codimension-1 faces, in the order their vertex is omitted."""
-        out = []
-        for i in range(len(s.vertices)):
-            fv = s.vertices[:i] + s.vertices[i + 1:]
-            if not fv:
-                continue
-            f = self.by_vertices.get(fv)
-            if f is None:
-                raise KeyError(f"face {fv} of {s.id!r} is missing")
-            out.append(f)
-        return out
+        lo, hi = self._bounds[k : k + 2] if k in self._rows else (0, 0)
+        return int((self._keys[lo:hi] < bisect_right(self._entry_values, step)).sum())
 
     def face_table(self, k: int) -> np.ndarray:
         """Faces of the k-simplices, k >= 1, as an (n_k, k+1) int array.
 
         Entry (t, i) is the position within simplices_of_dim(k-1) of the
         face that omits vertex i of the t-th k-simplex, or -1 when the
-        complex lacks that face.  Built once per dimension; never raises.
+        complex lacks that face.  Built once per dimension by matching
+        packed vertex rows; never raises.
         """
         if k < 1:
             raise ValueError(f"face tables start at dimension 1, got {k}")
         table = self._face_tables.get(k)
         if table is None:
-            at: dict[tuple, int] = {}
-            for n, s in enumerate(self.simplices_of_dim(k - 1)):
-                at.setdefault(s.vertices, n)
-            rows = [
-                [at.get(v[:i] + v[i + 1:], -1) for i in range(k + 1)]
-                for v in (s.vertices for s in self.simplices_of_dim(k))
-            ]
-            table = np.array(rows, dtype=np.int64).reshape(-1, k + 1)
-            self._face_tables[k] = table
+            top = self._rows.get(k, np.zeros((0, k + 1), dtype=np.int64))
+            below = self._rows.get(k - 1, np.zeros((0, k), dtype=np.int64))
+            keep = [[j for j in range(k + 1) if j != i] for i in range(k + 1)]
+            keys = _row_keys(np.concatenate([below, top[:, keep].reshape(-1, k)]))
+            table = _first_match(keys[: len(below)], keys[len(below) :])
+            table = self._face_tables[k] = table.reshape(len(top), k + 1)
         return table
+
+    @cached_property
+    def _incidences(self) -> "Incidences":
+        return Incidences(self)
 
     def incidences(self) -> "Incidences":
         """The codimension-1 incidences read from the face tables, cached."""
-        if self._incidences is None:
-            self._incidences = Incidences(self)
         return self._incidences
 
     def validate(self) -> list:
-        """Closure, entry monotonicity, entry range, duplicate vertex sets."""
+        """Duplicate vertex sets, entry range, closure, entry monotonicity.
+
+        Masks over the arrays find the simplices with a problem; those
+        are then reported one by one, in the global order.
+        """
+        b, keys, sims, inc = self._bounds, self._keys, self._order, self.incidences()
+        first = np.arange(len(sims))  # the first simplex of each vertex set
+        for k, rows in self._rows.items():
+            row_keys = _row_keys(rows)
+            first[b[k] : b[k + 1]] = b[k] + _first_match(row_keys, row_keys)
+        lo, hi = (bisect_left(self._entry_values, e) for e in (0, self.steps))
+        bad = (first != np.arange(len(sims))) | (keys < lo) | (keys >= hi)
+        bad[inc.coface[(inc.face < 0) | (keys[inc.face] > keys[inc.coface])]] = True
         problems = []
-        seen: dict[tuple, str] = {}
-        for s in self._order:
-            prev = seen.get(s.vertices)
-            if prev is not None:
+        for n in np.flatnonzero(bad).tolist():
+            s, twin, k = sims[n], sims[first[n]], sims[n].dim
+            if twin is not s:
                 problems.append(
-                    f"simplices {prev!r} and {s.id!r} share the vertex set {list(s.vertices)}"
+                    f"simplices {twin.id!r} and {s.id!r} share the vertex set {list(s.vertices)}"
                 )
-            else:
-                seen[s.vertices] = s.id
             if not 0 <= s.entry < self.steps:
-                problems.append(
-                    f"entry {s.entry} of {s.id!r} is outside 0..{self.steps - 1}"
-                )
-            if s.dim > 0:
-                for i in range(len(s.vertices)):
-                    fv = s.vertices[:i] + s.vertices[i + 1:]
-                    f = self.by_vertices.get(fv)
-                    if f is None:
-                        problems.append(f"missing face {list(fv)} of {s.id!r}")
-                    elif f.entry > s.entry:
-                        problems.append(
-                            f"entry of face {f.id!r} exceeds entry of coface {s.id!r}"
-                        )
+                problems.append(f"entry {s.entry} of {s.id!r} is outside 0..{self.steps - 1}")
+            at = inc.start.get(k, 0) + (k + 1) * (n - b[k])  # its first incidence
+            for i, f in enumerate(inc.face[at : at + k + 1].tolist() if k else ()):
+                if f < 0:
+                    fv = s.vertices[:i] + s.vertices[i + 1 :]
+                    problems.append(f"missing face {list(fv)} of {s.id!r}")
+                elif keys[f] > keys[n]:
+                    problems.append(
+                        f"entry of face {sims[f].id!r} exceeds entry of coface {s.id!r}"
+                    )
         return problems
 
     def subcomplex(self, step: int) -> "FilteredComplex":
@@ -197,88 +269,60 @@ class FilteredComplex:
         return SimplicialMap(src, tgt, {v: v for v in src.vertices})
 
     def same_data(self, other: "FilteredComplex") -> bool:
-        return (
-            self.field == other.field
-            and self.steps == other.steps
-            and self._order == other._order
-        )
+        return (self.field, self.steps, self._order) == (other.field, other.steps, other._order)
 
 
 class Incidences:
     """Every codimension-1 incidence of a complex, numbered once.
 
-    Incidence n joins a face to a coface; both are positions in the
-    global order (complex.simplices).  The incidences of the k-simplices
-    are numbered from start[k] on, coface by coface in the global
-    order, then by omitted vertex: n = start[k] + (k+1) t + i for the
-    entry (t, i) of face_table(k).  This is the order of
-    sheaves._codim1_pairs.  A face the complex lacks leaves a hole,
-    face[n] = -1, which index skips.
-
-    index maps (face id, coface id) to n.  omitted[n] is i, so the
-    incidence sign is (-1)^omitted[n].  first[k] is the global position
-    of the first k-simplex.
+    Incidence n joins face[n] to coface[n], positions in the global
+    order.  The k-simplices' incidences are numbered from start[k] on,
+    coface by coface, then by omitted vertex: n = start[k] + (k+1) t + i
+    for entry (t, i) of face_table(k), the order of
+    sheaves._codim1_pairs.  A missing face leaves a hole, face[n] = -1,
+    which locate and index skip.  The incidence sign is (-1)^omitted[n].
     """
 
     def __init__(self, complex_: FilteredComplex):
         self.complex = complex_
-        self.first = first = {}
-        n = 0
-        for k in range(complex_.dim + 1):
-            first[k] = n
-            n += len(complex_.simplices_of_dim(k))
         self.start = {1: 0}
-        faces, cofaces, omitted = [], [], []
+        faces, cofaces, omitted = ([np.zeros(0, np.int64)] for _ in range(3))
         for k in range(1, complex_.dim + 1):
             table = complex_.face_table(k)
-            count = len(table)
-            faces.append(np.where(table < 0, -1, table + first[k - 1]).ravel())
-            cofaces.append(np.repeat(np.arange(count) + first[k], k + 1))
-            omitted.append(np.tile(np.arange(k + 1), count))
+            faces.append(np.where(table < 0, -1, table + complex_._bounds[k - 1]).ravel())
+            cofaces.append(np.repeat(np.arange(len(table)) + complex_._bounds[k], k + 1))
+            omitted.append(np.tile(np.arange(k + 1), len(table)))
             self.start[k + 1] = self.start[k] + table.size
-        self.face = np.concatenate(faces) if faces else np.zeros(0, np.int64)
-        self.coface = np.concatenate(cofaces) if cofaces else np.zeros(0, np.int64)
-        self.omitted = np.concatenate(omitted) if omitted else np.zeros(0, np.int64)
-        ids = [s.id for s in complex_.simplices]
-        self.index = {
-            (ids[f], ids[t]): n
-            for n, (f, t) in enumerate(zip(self.face.tolist(), self.coface.tolist()))
-            if f >= 0
-        }
+        self.face, self.coface, self.omitted = map(np.concatenate, (faces, cofaces, omitted))
 
     @property
     def count(self) -> int:
         return len(self.face)
 
+    @cached_property
+    def index(self) -> dict:
+        """(face id, coface id) to n, for every incidence but the holes."""
+        ids = self.complex._ids
+        pairs = zip(self.face.tolist(), self.coface.tolist())
+        return {(ids[f], ids[t]): n for n, (f, t) in enumerate(pairs) if f >= 0}
+
+    def locate(self, faces, cofaces) -> np.ndarray:
+        """The incidence number of each (face id, coface id) pair, or -1."""
+        n = len(self.complex._ids)
+        at = dict(zip(self.complex._ids, range(n)))
+        f, t = (np.fromiter(map(at.get, keys, repeat(-1)), np.int64, len(keys))
+                for keys in (faces, cofaces))
+        found = _first_match(self.face * n + self.coface, f * n + t)
+        found[(f < 0) | (t < 0)] = -1
+        return found
+
     def check_closed(self):
         """Raise ValueError naming the first missing face, if any."""
-        holes = np.flatnonzero(self.face < 0)
-        if holes.size:
-            n = int(holes[0])
-            t = self.complex.simplices[int(self.coface[n])]
-            i = int(self.omitted[n])
-            raise ValueError(
-                f"missing face {list(t.vertices[:i] + t.vertices[i + 1:])} of {t.id!r}"
-            )
-
-
-def incidence_sign(face: Simplex, coface: Simplex) -> int:
-    """(-1)^j when face omits the j-th vertex of coface, else 0."""
-    if face.dim + 1 != coface.dim:
-        return 0
-    fv, cv = face.vertices, coface.vertices
-    omitted = None
-    fi = 0
-    for ci, v in enumerate(cv):
-        if fi < len(fv) and fv[fi] == v:
-            fi += 1
-        elif omitted is None:
-            omitted = ci
-        else:
-            return 0
-    if fi != len(fv) or omitted is None:
-        return 0
-    return -1 if omitted % 2 else 1
+        holes = np.flatnonzero(self.face < 0).tolist()
+        if holes:
+            t, i = self.complex.simplices[self.coface[holes[0]]], int(self.omitted[holes[0]])
+            fv = t.vertices[:i] + t.vertices[i + 1 :]
+            raise ValueError(f"missing face {list(fv)} of {t.id!r}")
 
 
 class SimplicialMap:
@@ -327,7 +371,9 @@ def vietoris_rips(field: Field, points, thresholds, max_dim: int) -> FilteredCom
     """Flag filtration: a simplex enters at the first threshold covering its diameter.
 
     Simplices whose diameter exceeds the last threshold are omitted.  An
-    empty point list yields the empty complex.
+    empty point list yields the empty complex.  Each dimension's cliques
+    extend the last one's by a larger vertex, all at once: a simplex's
+    entry is the largest entry of its edges.
     """
     thresholds = [float(t) for t in thresholds]
     if not thresholds or any(b <= a for a, b in zip(thresholds, thresholds[1:])):
@@ -335,36 +381,18 @@ def vietoris_rips(field: Field, points, thresholds, max_dim: int) -> FilteredCom
     pts = [tuple(float(c) for c in q) for q in points]
     if any(len(q) != len(pts[0]) for q in pts):
         raise ValueError("points must share one dimension")
-
-    def entry_for(d):
-        for idx, t in enumerate(thresholds):
-            if d <= t:
-                return idx
-        return None
-
-    sims = []
-    prev: dict[tuple, float] = {}
-    for v in range(len(pts)):
-        e = entry_for(0.0)
-        if e is None:
-            continue
-        prev[(v,)] = 0.0
-        sims.append(Simplex(id=str(v), vertices=(v,), entry=e))
+    n, m = len(pts), len(thresholds)
+    dist = np.array([math.dist(a, b) for a in pts for b in pts]).reshape(n, n)
+    edge = np.searchsorted(thresholds, dist)  # m where no threshold covers it
+    rows = np.flatnonzero(np.diagonal(edge) < m)[:, None]
+    entries = np.diagonal(edge)[rows[:, 0]]
+    found = [(rows, entries)]
     for _ in range(max_dim):
-        cur: dict[tuple, float] = {}
-        for verts in sorted(prev):
-            diam = prev[verts]
-            for w in range(verts[-1] + 1, len(pts)):
-                d = max(diam, max(math.dist(pts[v], pts[w]) for v in verts))
-                if entry_for(d) is not None:
-                    cur[verts + (w,)] = d
-        for verts in sorted(cur):
-            sims.append(
-                Simplex(
-                    id=".".join(str(v) for v in verts),
-                    vertices=verts,
-                    entry=entry_for(cur[verts]),
-                )
-            )
-        prev = cur
-    return FilteredComplex(field, sims, steps=len(thresholds))
+        grown = np.maximum(entries[:, None], edge[rows].max(axis=1))
+        t, w = np.nonzero((grown < m) & (np.arange(n) > rows[:, -1:]))
+        rows, entries = np.hstack([rows[t], w[:, None]]), grown[t, w]
+        found.append((rows, entries))
+    vertices = [tuple(r) for rows, _ in found for r in rows.tolist()]
+    entries = [e for _, column in found for e in column.tolist()]
+    ids = [".".join(map(str, v)) for v in vertices]
+    return FilteredComplex(field, _SimplexLists(ids, vertices, entries), steps=m)

@@ -17,7 +17,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .complexes import FilteredComplex, Simplex
+from .complexes import FilteredComplex, Simplex, _SimplexLists
 from .linalg import Field, matrix
 from .persistence import Barcode
 from .sheaves import (
@@ -211,18 +211,32 @@ def _restrictions(entries, stalks: dict, p: int, where: str) -> _Maps:
 
 
 def complex_from_data(data: dict, where: str = "complex") -> FilteredComplex:
-    simplices = []
-    for i, s in enumerate(_require(data, "simplices", where, list)):
-        at = f"{where}.simplices[{i}]"
-        vertices = _require(s, "vertices", at, list)
-        _all_integers(vertices, f"{at}.vertices")
-        simplices.append(
-            Simplex(
-                _require(s, "id", at, str),
-                tuple(vertices),
-                _require(s, "entry", at, int),
-            )
+    """The complex of a JSON object, its simplices checked in bulk: each
+    field by its set of types, the vertex lists in one numpy pass.  Only
+    if a check fails are they read one by one, so the first bad one raises.
+    """
+    items = _require(data, "simplices", where, list)
+    try:
+        simplices = _SimplexLists(
+            *(list(map(itemgetter(key), items)) for key in ("id", "vertices", "entry"))
         )
+        flat = list(chain(*simplices.vertices))
+        lens = np.fromiter(map(len, simplices.vertices), np.int64, len(items))
+        rises = np.diff(np.array(flat, dtype=np.int64)) > 0
+        rises[np.cumsum(lens)[:-1] - 1] = True  # where one list ends
+        kinds = zip((items, *simplices, flat), (dict, str, list, int, int))
+        ok = all({*map(type, part)} <= {kind} for part, kind in kinds)
+        ok = ok and lens.min(initial=1) > 0 and min(simplices.entries, default=0) >= 0
+    except (KeyError, TypeError, ValueError, OverflowError, IndexError):
+        ok = False
+    if not (ok and rises.all()):
+        simplices = []
+        for i, s in enumerate(items):
+            at = f"{where}.simplices[{i}]"
+            vertices = _require(s, "vertices", at, list)
+            _all_integers(vertices, f"{at}.vertices")
+            sid, entry = _require(s, "id", at, str), _require(s, "entry", at, int)
+            simplices.append(Simplex(sid, tuple(vertices), entry))
     field = Field(_require(data, "field", where, int))
     return FilteredComplex(
         field, simplices, steps=_require(data, "steps", where, int)
@@ -253,11 +267,8 @@ def sheaf_to_data(sheaf: CellularSheaf, embed_complex: bool = True) -> dict:
     return data
 
 
-def sheaf_from_data(
-    data: dict, complex_: FilteredComplex | None = None, where: str = "sheaf"
-) -> CellularSheaf:
-    stalk_data = _require(data, "stalks", where, dict)
-    restriction_data = _require(data, "restrictions", where, list)
+def _complex_of(data, complex_, where: str, what: str) -> FilteredComplex:
+    """complex_, or the complex embedded in data; both must then agree."""
     embedded = data.get("complex")
     if embedded is not None:
         built = complex_from_data(embedded, f"{where}.complex")
@@ -266,7 +277,16 @@ def sheaf_from_data(
         elif not complex_.same_data(built):
             raise ValueError("embedded complex disagrees with the provided one")
     if complex_ is None:
-        raise ValueError("sheaf data has no complex and none was provided")
+        raise ValueError(f"{what} data has no complex and none was provided")
+    return complex_
+
+
+def sheaf_from_data(
+    data: dict, complex_: FilteredComplex | None = None, where: str = "sheaf"
+) -> CellularSheaf:
+    stalk_data = _require(data, "stalks", where, dict)
+    restriction_data = _require(data, "restrictions", where, list)
+    complex_ = _complex_of(data, complex_, where, "sheaf")
     _all_integers(stalk_data, f"{where}.stalks")
     restrictions = _restrictions(
         restriction_data, stalk_data, complex_.field.p, where
@@ -300,15 +320,7 @@ def diagram_from_data(data: dict, complex_: FilteredComplex | None = None) -> Sh
             f"diagram.steps: expected one entry between consecutive snapshots, "
             f"got {len(step_data)} for {len(snapshot_data)} snapshots"
         )
-    embedded = data.get("complex")
-    if embedded is not None:
-        built = complex_from_data(embedded, "diagram.complex")
-        if complex_ is None:
-            complex_ = built
-        elif not complex_.same_data(built):
-            raise ValueError("embedded complex disagrees with the provided one")
-    if complex_ is None:
-        raise ValueError("diagram data has no complex and none was provided")
+    complex_ = _complex_of(data, complex_, "diagram", "diagram")
     snapshots = [
         sheaf_from_data(s, complex_, f"diagram.snapshots[{i}]")
         for i, s in enumerate(snapshot_data)

@@ -21,7 +21,7 @@ from .cohomology import (
     persistent_cohomology,
     simplicial_chain_complex,
 )
-from .complexes import FilteredComplex, SimplicialMap, Simplex, preimage_subcomplex
+from .complexes import FilteredComplex, SimplicialMap, _SimplexLists, preimage_subcomplex
 from .linalg import matrix
 from .persistence import Barcode
 from .sheaves import CellularSheaf, SheafDiagram, SheafMorphism, _codim1_pairs, pullback
@@ -48,12 +48,9 @@ def full_label_complex(field, names) -> FilteredComplex:
     for name in names:
         if "." in name:
             raise ValueError(f"label name {name!r} contains a dot")
-    simplices = []
-    for r in range(1, len(names) + 1):
-        for combo in combinations(range(len(names)), r):
-            sid = ".".join(names[i] for i in combo)
-            simplices.append(Simplex(sid, combo, 0))
-    return FilteredComplex(field, simplices, steps=1)
+    combos = [c for r in range(len(names)) for c in combinations(range(len(names)), r + 1)]
+    ids = [".".join(names[i] for i in combo) for combo in combos]
+    return FilteredComplex(field, _SimplexLists(ids, combos, [0] * len(combos)), steps=1)
 
 
 class LabeledFiltration:

@@ -19,10 +19,11 @@ complexes of cohomology.py share it.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 
-from .complexes import FilteredComplex, SimplicialMap
+from .complexes import FilteredComplex, SimplicialMap, _unique_rows
 from .linalg import Columns, _mulmod, identity, matrix, zeros
 
 __all__ = [
@@ -125,23 +126,6 @@ def _groups(ids):
     return zip(values.tolist(), np.split(order, starts[1:]))
 
 
-def _unique_rows(rows: np.ndarray):
-    """np.unique(rows, axis=0, return_inverse=True) for small nonnegative ints.
-
-    Each row is packed into one int64 first, which sorts much faster
-    than numpy's row-wise unique.
-    """
-    base = int(rows.max(initial=0)) + 1
-    if base ** rows.shape[1] >= 2**62:
-        combos, inverse = np.unique(rows, axis=0, return_inverse=True)
-        return combos, inverse.reshape(-1)
-    packed = np.zeros(len(rows), dtype=np.int64)
-    for column in rows.T:
-        packed = packed * base + column
-    _, first, inverse = np.unique(packed, return_index=True, return_inverse=True)
-    return rows[first], inverse.reshape(-1)
-
-
 class _Maps:
     """Stored maps keyed by incidence: the matrix of key is batch[keys[key]].
 
@@ -196,12 +180,8 @@ class _Gathered:
     def __init__(self, complex_: FilteredComplex, maps: _Maps, sizes, down: bool):
         inc = self.incidences = complex_.incidences()
         self.down = down
-        look = inc.index
-        if down:
-            found = [look.get((b, a), -1) for a, b in maps.keys]
-        else:
-            found = [look.get(key, -1) for key in maps.keys]
-        found = np.array(found, dtype=np.int64)
+        sources, targets = zip(*maps.keys) if maps.keys else ((), ())
+        found = inc.locate(*((targets, sources) if down else (sources, targets)))
         stored = np.fromiter(maps.keys.values(), dtype=np.int64, count=len(found))
         hit = found >= 0
         self.unmatched = [] if hit.all() else [
@@ -274,9 +254,8 @@ class _Stalked:
     @cached_property
     def _sizes(self) -> np.ndarray:
         """Stalk dimensions in the global simplex order."""
-        return np.array(
-            [self._size(s.id) for s in self.complex.simplices], dtype=np.int64
-        )
+        ids = self.complex._ids
+        return np.fromiter(map(self._size, ids), dtype=np.int64, count=len(ids))
 
     @cached_property
     def _gathered(self) -> _Gathered:
@@ -288,10 +267,9 @@ class _CellularStalks(_Stalked):
 
     def __init__(self, complex_: FilteredComplex, stalk_dim, maps):
         self.complex = complex_
-        self.stalk_dim = {
-            s.id: int(stalk_dim.get(s.id, 0)) for s in complex_.simplices
-        }
-        if any(d < 0 for d in self.stalk_dim.values()):
+        ids = complex_._ids
+        self.stalk_dim = dict(zip(ids, map(int, map(stalk_dim.get, ids, repeat(0)))))
+        if min(self.stalk_dim.values(), default=0) < 0:
             raise ValueError("stalk dimensions must be nonnegative")
         self._maps = _Maps.of(maps, complex_.field.p)
 
@@ -408,13 +386,10 @@ def _signed_maps(gathered: _Gathered, sizes, down: bool) -> list:
     inc.check_closed()
     x = inc.complex
     p = x.field.p
-    offset = np.zeros(len(sizes), dtype=np.int64)
-    totals = []
-    for k in range(x.dim + 1):
-        lo = inc.first[k]
-        seg = sizes[lo : lo + len(x.simplices_of_dim(k))]
-        offset[lo : lo + len(seg)] = np.cumsum(seg) - seg
-        totals.append(int(seg.sum()))
+    b = x._bounds
+    segs = [sizes[b[k] : b[k + 1]] for k in range(x.dim + 1)]
+    offset = np.concatenate([np.cumsum(seg) - seg for seg in segs] or [sizes])
+    totals = [int(seg.sum()) for seg in segs]
     batch = gathered.batch
     maps = []
     for q in range(1, x.dim + 1):

@@ -1,5 +1,7 @@
 """Hand-built fixtures shared across test modules."""
 
+from itertools import combinations
+
 from persheaf import (
     CellularSheaf,
     Field,
@@ -101,3 +103,16 @@ def four_point_matching():
         Simplex("1.2", (1, 2), 2),
     ])
     return LabeledFiltration(x, {0: "blue", 1: "blue", 2: "red", 3: "red"})
+
+
+def closure(top, labels=None):
+    """The Simplex objects of every face of the simplex on top + 1 vertices.
+
+    Vertex v carries labels[v], v by default; ids join the vertex numbers.
+    """
+    labels = labels or list(range(top + 1))
+    return [
+        Simplex(".".join(map(str, vs)), tuple(labels[v] for v in vs), 0)
+        for d in range(top + 1)
+        for vs in combinations(range(top + 1), d + 1)
+    ]

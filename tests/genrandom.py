@@ -10,6 +10,7 @@ component injective.
 
 import numpy as np
 
+from perincidence import faces
 from persheaf import (
     Barcode,
     CellularSheaf,
@@ -59,7 +60,7 @@ def closed_support(complex_, seed_ids):
             continue
         support.add(s.id)
         if s.dim > 0:
-            stack.extend(complex_.faces(s))
+            stack.extend(faces(complex_, s))
     return support
 
 
@@ -94,7 +95,7 @@ def _summand_sheaf(complex_, summands):
     for t in complex_.simplices:
         if t.dim == 0:
             continue
-        for f in complex_.faces(t):
+        for f in faces(complex_, t):
             if stalks[f.id] == 0 or stalks[t.id] == 0:
                 continue
             m = zeros(stalks[t.id], stalks[f.id])
@@ -116,7 +117,7 @@ def _conjugate(sheaf, g):
     for t in sheaf.complex.simplices:
         if t.dim == 0:
             continue
-        for f in sheaf.complex.faces(t):
+        for f in faces(sheaf.complex, t):
             if sheaf.stalk(f.id) == 0 or sheaf.stalk(t.id) == 0:
                 continue
             r = sheaf.restriction(f.id, t.id)

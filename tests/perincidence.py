@@ -6,12 +6,106 @@ instead, one Python step per incidence or diamond, through faces(),
 vertex-tuple lookups and the public accessors: the checks, the
 diamond walk and the block-by-block assembly of the (co)boundaries.
 The differential tests compare the two, entry for entry and message
-for message.
+for message.  The complex itself has references too: its global order,
+its face tables and its validation, walked one simplex at a time over
+a plain list of simplices, with vertex-tuple dicts.
 """
 
 import numpy as np
 
-from persheaf import incidence_sign, zeros
+from persheaf import zeros
+
+
+def global_order(simplices):
+    """The simplices sorted by (dimension, entry, vertex list), stably."""
+    return sorted(simplices, key=lambda s: (s.dim, s.entry, s.vertices))
+
+
+def duplicate_id(simplices):
+    """The ValueError message of the first repeated id in the global order."""
+    seen = set()
+    for s in global_order(simplices):
+        if s.id in seen:
+            return f"duplicate simplex id {s.id!r}"
+        seen.add(s.id)
+    return None
+
+
+def face_table(simplices, k):
+    """FilteredComplex.face_table(k), one vertex-tuple lookup per face."""
+    order = global_order(simplices)
+    at = {}
+    for n, s in enumerate(s for s in order if s.dim == k - 1):
+        at.setdefault(s.vertices, n)
+    rows = [
+        [at.get(s.vertices[:i] + s.vertices[i + 1:], -1) for i in range(k + 1)]
+        for s in order if s.dim == k
+    ]
+    return np.array(rows, dtype=np.int64).reshape(-1, k + 1)
+
+
+def validate_complex(simplices, steps):
+    """FilteredComplex.validate, walking the simplices one at a time."""
+    order = global_order(simplices)
+    by_vertices = {}
+    for s in order:
+        by_vertices.setdefault(s.vertices, s)
+    problems = []
+    seen = {}
+    for s in order:
+        prev = seen.get(s.vertices)
+        if prev is not None:
+            problems.append(
+                f"simplices {prev!r} and {s.id!r} share the vertex set {list(s.vertices)}"
+            )
+        else:
+            seen[s.vertices] = s.id
+        if not 0 <= s.entry < steps:
+            problems.append(f"entry {s.entry} of {s.id!r} is outside 0..{steps - 1}")
+        if s.dim > 0:
+            for i in range(len(s.vertices)):
+                fv = s.vertices[:i] + s.vertices[i + 1:]
+                f = by_vertices.get(fv)
+                if f is None:
+                    problems.append(f"missing face {list(fv)} of {s.id!r}")
+                elif f.entry > s.entry:
+                    problems.append(
+                        f"entry of face {f.id!r} exceeds entry of coface {s.id!r}"
+                    )
+    return problems
+
+
+def faces(complex_, s):
+    """Codimension-1 faces of s, in the order their vertex is omitted."""
+    out = []
+    for i in range(len(s.vertices)):
+        fv = s.vertices[:i] + s.vertices[i + 1:]
+        if not fv:
+            continue
+        f = complex_.by_vertices.get(fv)
+        if f is None:
+            raise KeyError(f"face {fv} of {s.id!r} is missing")
+        out.append(f)
+    return out
+
+
+def incidence_sign(face, coface) -> int:
+    """(-1)^j when face omits the j-th vertex of coface, else 0."""
+    if face.dim + 1 != coface.dim:
+        return 0
+    fv, cv = face.vertices, coface.vertices
+    omitted = None
+    fi = 0
+    for ci, v in enumerate(cv):
+        if fi < len(fv) and fv[fi] == v:
+            fi += 1
+        elif omitted is None:
+            omitted = ci
+        else:
+            return 0
+    if fi != len(fv) or omitted is None:
+        return 0
+    return -1 if omitted % 2 else 1
 
 
 def codim1_pairs(complex_):
@@ -19,7 +113,7 @@ def codim1_pairs(complex_):
     for t in complex_.simplices:
         if t.dim == 0:
             continue
-        for f in complex_.faces(t):
+        for f in faces(complex_, t):
             yield f, t
 
 
@@ -202,7 +296,7 @@ def assemble_blocks(complex_, size, block, down):
         hi, nhi = _offsets(complex_, size, k + 1)
         d = zeros(nlo, nhi) if down else zeros(nhi, nlo)
         for t in complex_.simplices_of_dim(k + 1):
-            for f in complex_.faces(t):
+            for f in faces(complex_, t):
                 b = block(f, t)
                 if b.size == 0:
                     continue

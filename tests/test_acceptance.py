@@ -21,6 +21,7 @@ from builders import (
 )
 from genrandom import random_complex, random_monomorphic_diagram, random_sheaf
 from oracles import betti, persistence_bars
+from perincidence import faces
 from persheaf import (
     Barcode,
     CochainComplex,
@@ -123,7 +124,7 @@ def test_square_constant_backward_persistence():
         assert gco.degrees[s.id] == (s.entry,)
     powers = {}
     for e in x.simplices_of_dim(1):
-        for v in x.faces(e):
+        for v in faces(x, e):
             ext = gco.extension(e.id, v.id)
             powers[(e.id, v.id)] = ext.col_degrees[0] - ext.row_degrees[0]
     assert powers == {

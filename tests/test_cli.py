@@ -4,6 +4,7 @@ Everything goes through main(argv) in process so exit codes and both
 output streams stay visible to the assertions.
 """
 
+import importlib.util
 import itertools
 import json
 import os
@@ -36,6 +37,8 @@ from persheaf.formats import (
 )
 from persheaf.linalg import Columns
 
+import perincidence as ref
+from builders import closure
 from genrandom import random_complex
 from oracles import rref_rank
 
@@ -561,12 +564,13 @@ def validations(monkeypatch):
     return calls
 
 
-def test_each_invocation_validates_once(capsys, tmp_path, validations):
+def test_each_invocation_validates_once(capsys, tmp_path, validations, constructions):
     with open(fx("edge_diagram.json"), encoding="utf-8") as fh:
         embedded = json.load(fh)["complex"]
     cpath = tmp_path / "complex.json"
     cpath.write_text(serialize_json(embedded))
     runs = [
+        (["cohomology", fx("triangle.json"), fx("triangle_sheaf.json")], "validate_sheaf"),
         (["persist-t", fx("square.json"), fx("square_sheaf.json")], "validate_sheaf"),
         (["persist-a", fx("edge_diagram.json")], "validate_diagram"),
         (["bipersist", str(cpath), fx("edge_diagram.json")], "validate_diagram"),
@@ -579,9 +583,13 @@ def test_each_invocation_validates_once(capsys, tmp_path, validations):
     ]
     for argv, top in runs:
         validations.clear()
+        constructions.clear()
         assert run(capsys, argv)[0] == 0
         assert [name for name, _ in validations].count(top) == 1, argv
         assert len(set(validations)) == len(validations), argv
+        if argv[0] == "cohomology":
+            # every degree reads one cochain complex
+            assert constructions == ["CochainComplex"]
 
 
 @pytest.mark.parametrize("k", [None, 1])
@@ -1001,3 +1009,81 @@ def test_cli_import_loads_no_scipy():
         [sys.executable, "-c", code], capture_output=True, text=True, env=env
     )
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
+@pytest.fixture(scope="module")
+def backward_rips(tmp_path_factory):
+    """(complex data, sheaf path) of the first backward-rips bench input at seed 7.
+
+    perfbench/gen.py imports nothing of the package, so it is loaded by
+    path; the workload's sizes are copied from perfbench/run.py.
+    """
+    path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "gen.py")
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    target = {"1,0": 22, "1,1": 60, "1,2": 84, "2,0": 4, "2,1": 65, "2,2": 231}
+    workdir = tmp_path_factory.mktemp("backward-rips")
+    gen.backward(str(workdir), 7 * 1000, 40, [0.1, 0.2, 0.3], target, 0.01)
+    with open(workdir / "complex.json", encoding="utf-8") as fh:
+        return json.load(fh), str(workdir / "sheaf.json")
+
+
+def _persist_t(capsys, tmp_path, data, sheaf):
+    path = tmp_path / "complex.json"
+    path.write_text(json.dumps(data))
+    return run(capsys, ["persist-t", str(path), sheaf])
+
+
+@pytest.mark.parametrize("shift", [2**70, -5])
+def test_vertex_labels_only_need_an_order(capsys, tmp_path, backward_rips, shift):
+    data, sheaf = backward_rips
+    shifted = json.loads(json.dumps(data))
+    for s in shifted["simplices"]:
+        s["vertices"] = [v + shift for v in s["vertices"]]
+    plain = _persist_t(capsys, tmp_path, data, sheaf)
+    assert plain[0] == 0 and plain[1].startswith("H^0: [0, ")
+    assert _persist_t(capsys, tmp_path, shifted, sheaf) == plain
+
+
+def test_entry_past_int64_is_invalid_input(capsys, tmp_path, backward_rips):
+    data, sheaf = backward_rips
+    broken = json.loads(json.dumps(data))
+    broken["simplices"][3]["entry"] = 2**70
+    sims = [Simplex(s["id"], tuple(s["vertices"]), s["entry"]) for s in broken["simplices"]]
+    problems = ref.validate_complex(sims, broken["steps"])
+    assert f"entry {2**70} of {sims[3].id!r} is outside 0..2" in problems
+    assert any("exceeds entry of coface" in p for p in problems)
+    assert _persist_t(capsys, tmp_path, broken, sheaf) == (2, "", "\n".join(problems) + "\n")
+
+
+def test_closure_of_a_7_simplex_through_the_cli(capsys, tmp_path):
+    sims = closure(7, [3 * v - 2**70 for v in range(8)])
+    x = FilteredComplex(Field(3), sims)
+    for k in range(1, 8):
+        assert x.face_table(k).tolist() == ref.face_table(sims, k).tolist()
+    cpath, spath = tmp_path / "complex.json", tmp_path / "sheaf.json"
+    cpath.write_text(serialize_json(complex_to_data(x)))
+    spath.write_text(serialize_json(sheaf_to_data(constant(x, 1), embed_complex=False)))
+    code, out, err = run(capsys, ["cohomology", str(cpath), str(spath)])
+    assert (code, err) == (0, "")
+    assert out == "H^0: 1\n" + "".join(f"H^{k}: 0\n" for k in range(1, 8))
+
+
+def test_parsing_builds_no_simplex_one_at_a_time(capsys, tmp_path, monkeypatch):
+    x = random_complex(random.Random(3), Field(2), 30, min_steps=3)
+    cpath, spath = tmp_path / "complex.json", tmp_path / "sheaf.json"
+    cpath.write_text(serialize_json(complex_to_data(x)))
+    spath.write_text(serialize_json(sheaf_to_data(constant(x, 1), embed_complex=False)))
+    calls = []
+    for cls, name in ((Simplex, "__post_init__"), (FilteredComplex, "__init__")):
+        original = getattr(cls, name)
+
+        def counted(self, *args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, name, counted)
+    argv = ["persist-t", str(cpath), str(spath), "--engine", "direct"]
+    assert run(capsys, argv)[0] == 0
+    assert calls == ["__init__"]

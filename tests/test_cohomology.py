@@ -17,7 +17,6 @@ from persheaf import (
     cosheaf_homology_basis,
     dualize,
     identity,
-    incidence_sign,
     induced_by_sheaf_morphism,
     induced_by_simplicial_map,
     matrix,
@@ -32,6 +31,7 @@ from persheaf.cohomology import _quotient
 from densekernel import sparse_echelon
 from genrandom import random_complex, random_sheaf
 from oracles import betti, rref_rank, sections_dim
+from perincidence import faces, incidence_sign
 
 F2 = Field(2)
 
@@ -67,12 +67,12 @@ def test_coboundary_blocks_carry_signs():
     ])
     sheaf = CellularSheaf(x, {s.id: 1 for s in x.simplices}, {
         (f.id, t.id): matrix([[3]], 5)
-        for t in x.simplices if t.dim == 1 for f in x.faces(t)
+        for t in x.simplices if t.dim == 1 for f in faces(x, t)
     })
     cc = CochainComplex(sheaf)
     d0 = cc.delta(0)
     for t in x.simplices_of_dim(1):
-        for f in x.faces(t):
+        for f in faces(x, t):
             r, c = cc.offset(1, t.id), cc.offset(0, f.id)
             assert d0[r, c] == (incidence_sign(f, t) * 3) % 5
     assert cc.generators(0) == [("0", 0), ("1", 0), ("2", 0)]
@@ -115,7 +115,7 @@ def test_sections_match_equalizer_oracle():
         vdims = {s.id: sheaf.stalk(s.id) for s in x.simplices_of_dim(0)}
         rows = []
         for e in x.simplices_of_dim(1):
-            u, v = x.faces(e)
+            u, v = faces(x, e)
             rows.append((
                 u.id, v.id, sheaf.stalk(e.id),
                 sheaf.restriction(u.id, e.id), sheaf.restriction(v.id, e.id),

@@ -1,11 +1,11 @@
 import pytest
 
+from perincidence import faces, incidence_sign
 from persheaf import (
     Field,
     FilteredComplex,
     Simplex,
     SimplicialMap,
-    incidence_sign,
     preimage_subcomplex,
     vietoris_rips,
 )
@@ -70,8 +70,8 @@ def test_faces_follow_vertex_omission_order():
         Simplex("0.1.2", (0, 1, 2), 0),
     ])
     t = x.by_id["0.1.2"]
-    assert [f.id for f in x.faces(t)] == ["1.2", "0.2", "0.1"]
-    assert [incidence_sign(f, t) for f in x.faces(t)] == [1, -1, 1]
+    assert [f.id for f in faces(x, t)] == ["1.2", "0.2", "0.1"]
+    assert [incidence_sign(f, t) for f in faces(x, t)] == [1, -1, 1]
     assert incidence_sign(x.by_id["0"], t) == 0
     assert incidence_sign(t, x.by_id["0.1"]) == 0
 

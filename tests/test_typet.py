@@ -27,6 +27,7 @@ from builders import square_filtration
 from perstep import pullback_chain
 from genrandom import random_complex, random_sheaf
 from oracles import persistence_bars
+from perincidence import faces
 
 F2 = Field(2)
 
@@ -51,7 +52,7 @@ def test_cosheaf_degrees_are_filtration_entries():
         assert gco.degrees[s.id] == (s.entry,)
     powers = {}
     for e in x.simplices_of_dim(1):
-        for v in x.faces(e):
+        for v in faces(x, e):
             ext = gco.extension(e.id, v.id)
             assert ext.scalar.tolist() in ([[1]], [[-1 % 2]])
             powers[(e.id, v.id)] = ext.col_degrees[0] - ext.row_degrees[0]
