@@ -292,11 +292,17 @@ def _cmd_bipersist(args) -> int:
 
 def _labeled_input(args):
     points, labels = parse_points(args.points)
-    thresholds = [float(t) for t in args.thresholds.split(",") if t.strip()]
+    given = args.thresholds
+    try:
+        thresholds = [float(t) for t in given.split(",") if t.strip()]
+    except ValueError:
+        raise _UsageError(f"--thresholds must be numbers, got {given!r}") from None
     if not thresholds:
         raise _UsageError("--thresholds needs at least one value")
     if not all(math.isfinite(t) for t in thresholds):
-        raise _UsageError(f"--thresholds must be finite, got {args.thresholds!r}")
+        raise _UsageError(f"--thresholds must be finite, got {given!r}")
+    if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
+        raise _UsageError(f"--thresholds must be strictly increasing, got {given!r}")
     p = args.field if args.field is not None else 2
     max_dim = getattr(args, "max_dim", 1)
     x = vietoris_rips(Field(p), points, thresholds, max_dim)

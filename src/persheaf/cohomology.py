@@ -6,9 +6,8 @@ times the orientation sign.  Chain complexes do the same with cosheaf
 extensions, transposed in direction.  Both are filled from the
 sheaf's maps gathered along the face tables, one signed scatter per
 shape group (sheaves._signed_maps).  The maps are stored as sparse
-columns (linalg.Columns); delta(k) and boundary(k) build the dense
-matrix on demand.  Bases of the resulting subquotients keep their
-representative columns so induced maps can be expressed in
+columns (linalg.Columns).  Bases of the resulting subquotients keep
+their representative columns so induced maps can be expressed in
 coordinates.
 
 H^k = ker(delta^k)/im(delta^(k-1)) costs one column reduction of
@@ -186,19 +185,11 @@ class CochainComplex(_Stacked):
 
     _shift = 1
 
-    def delta(self, k: int) -> np.ndarray:
-        """The coboundary C^k -> C^{k+1}; zero-shaped outside 0..dim-1."""
-        return self._map(k).dense()
-
 
 class ChainComplex(_Stacked):
     """Stacked cosheaf stalks with signed extension boundaries."""
 
     _shift = -1
-
-    def boundary(self, k: int) -> np.ndarray:
-        """The boundary C_k -> C_{k-1}; zero-shaped outside 1..dim."""
-        return self._map(k).dense()
 
 
 def _subquotient(space, k: int) -> QuotientBasis:

@@ -217,10 +217,12 @@ class FilteredComplex:
         return self._incidences
 
     def validate(self) -> list:
-        """Duplicate vertex sets, entry range, closure, entry monotonicity.
+        """Step count, duplicate vertex sets, entry range, closure, entry
+        monotonicity.
 
         Masks over the arrays find the simplices with a problem; those
-        are then reported one by one, in the global order.
+        are then reported one by one, in the global order, after a step
+        count below 1.
         """
         b, keys, sims, inc = self._bounds, self._keys, self._order, self.incidences()
         first = np.arange(len(sims))  # the first simplex of each vertex set
@@ -230,7 +232,7 @@ class FilteredComplex:
         lo, hi = (bisect_left(self._entry_values, e) for e in (0, self.steps))
         bad = (first != np.arange(len(sims))) | (keys < lo) | (keys >= hi)
         bad[inc.coface[(inc.face < 0) | (keys[inc.face] > keys[inc.coface])]] = True
-        problems = []
+        problems = [f"steps must be at least 1, got {self.steps}"] if self.steps < 1 else []
         for n in np.flatnonzero(bad).tolist():
             s, twin, k = sims[n], sims[first[n]], sims[n].dim
             if twin is not s:

@@ -360,32 +360,40 @@ def parse_diagram(path: str, complex_: FilteredComplex | None = None) -> SheafDi
 
 
 def _coordinate(text: str, line: int, column: int) -> float:
-    value = float(text)
+    at = f"line {line}, column {column}: coordinate {text!r}"
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValueError(f"{at} is not a number") from None
     if not math.isfinite(value):
-        raise ValueError(
-            f"line {line}, column {column}: coordinate {text!r} is not finite"
-        )
+        raise ValueError(f"{at} is not finite")
     return value
 
 
 def parse_points(path: str):
     """Labeled point cloud: each CSV row is coordinates plus a label.
 
-    Blank cells are skipped; a coordinate that is nan or infinite is a
-    ValueError naming its line and column.
+    Blank cells are skipped.  A coordinate that is not a finite number,
+    a row without a coordinate and a label, and a row with another
+    coordinate count than the first are ValueErrors naming their line.
     """
     points, labels = [], []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         for row in reader:
+            line = reader.line_num
             cells = [(n, cell.strip()) for n, cell in enumerate(row, 1) if cell.strip()]
             if not cells:
                 continue
             if len(cells) < 2:
-                raise ValueError("each row needs coordinates and a label")
-            points.append(
-                tuple(_coordinate(c, reader.line_num, n) for n, c in cells[:-1])
-            )
+                raise ValueError(f"line {line}: each row needs coordinates and a label")
+            point = tuple(_coordinate(c, line, n) for n, c in cells[:-1])
+            if points and len(point) != len(points[0]):
+                raise ValueError(
+                    f"line {line}: expected {len(points[0])} coordinates "
+                    f"as in the first row, got {len(point)}"
+                )
+            points.append(point)
             labels.append(cells[-1][1])
     return points, labels
 

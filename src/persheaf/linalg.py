@@ -13,8 +13,9 @@ later column whose low collides with it (the standard persistence
 reduction of PHAT and Ripser), so equal inputs always produce equal
 bases.  All the fixture matrices downstream depend on that
 determinism.  The based (co)homology of cohomology.py runs it with
-clearing on the stored columns; rank, kernel_basis, image_basis and
-the graded engine reach it through one conversion, Field.sparse.
+clearing on the stored columns; rank, kernel_basis, image_basis,
+solve and the graded engine reach it through one conversion,
+Field.sparse.
 
 _mulmod is the one product: Field.matmul and the stacked diamond check
 of sheaves.py call it, so the int64 overflow bound lives there alone.
@@ -235,7 +236,7 @@ class Field:
     """The prime field F_p, 2 <= p < 2**31.
 
     Carries the elimination routines used everywhere else: rank, kernel
-    and image bases via column reduction, and linear solving via row
+    and image bases and linear solving, all by the one column
     reduction.  No floating point is involved at any stage.
     """
 
@@ -349,46 +350,25 @@ class Field:
     def solve(self, a, b):
         """One solution x of a @ x = b per column of b, or None.
 
-        Free variables are set to 0; pivots are taken top to bottom,
-        left to right, so the particular solution is deterministic.
+        One tracked reduction of [a | b]: a column of b that owns a
+        pivot is outside the column space of a.  Otherwise every column
+        of b reduces to zero against the pivot columns of a alone, so
+        [a | b] @ ops = 0 gives x = -ops[:n, n:], which is zero outside
+        the columns of a independent of those before them; the
+        particular solution is deterministic.
         """
-        p = self.p
         a = self.normalize(a)
         b = self.normalize(b)
         single = b.ndim == 1
         if single:
             b = b.reshape(-1, 1)
-        rows, cols = a.shape
+        rows, n = a.shape
         if b.shape[0] != rows:
             raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-        aug = np.hstack([a, b])
-        pivots = []
-        prow = 0
-        for c in range(cols):
-            if prow >= rows:
-                break
-            nz = aug[prow:, c].nonzero()[0]
-            if nz.size == 0:
-                continue
-            r0 = prow + int(nz[0])
-            if r0 != prow:
-                aug[[prow, r0]] = aug[[r0, prow]]
-            aug[prow] = (aug[prow] * self.inv(aug[prow, c])) % p
-            # clear column c in every other row at once; the pivot row
-            # is zero left of c, so only columns c.. change
-            hit = aug[:, c].nonzero()[0]
-            hit = hit[hit != prow]
-            if hit.size:
-                aug[hit, c:] = (
-                    aug[hit, c:] - np.outer(aug[hit, c], aug[prow, c:])
-                ) % p
-            pivots.append((prow, c))
-            prow += 1
-        if prow < rows and np.any(aug[prow:, cols:]):
+        e = self._column_echelon(self.sparse(np.hstack([a, b])), track=True)
+        if any(j >= n for j in e.pivots.values()):
             return None
-        x = zeros(cols, b.shape[1])
-        for r, c in pivots:
-            x[c] = aug[r, cols:]
+        x = -e.ops.take(np.arange(n, n + b.shape[1])).dense()[:n] % self.p
         return x[:, 0] if single else x
 
     def express(self, b, span, modulo=None):
@@ -406,7 +386,3 @@ class Field:
             return None
         k = span.shape[1]
         return x[:k], x[k:]
-
-    def is_invertible(self, m) -> bool:
-        m = self.normalize(m)
-        return m.shape[0] == m.shape[1] and self.rank(m) == m.shape[0]

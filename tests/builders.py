@@ -116,3 +116,9 @@ def closure(top, labels=None):
         for d in range(top + 1)
         for vs in combinations(range(top + 1), d + 1)
     ]
+
+
+def dense_map(space, k):
+    """The map out of degree k of a CochainComplex (its coboundary) or a
+    ChainComplex (its boundary), dense; zero-shaped where none is stored."""
+    return space._map(k).dense()

@@ -1,12 +1,18 @@
-"""Dense reference for the sparse column reduction.
+"""Dense references for the sparse column reduction and the solve.
 
 The package reduces sparse columns (linalg.Columns), each held as a
-{row: value} dict while it is worked on.  The function here is the
-dense reduction it replaced: the whole matrix and the tracked ops are
-int64 arrays, stored transposed so each column is one contiguous row
-updated in place.  The arithmetic and the pivot order are the same, so
-the differential tests require the same pivots, ops and reduced
-columns, entry for entry.
+{row: value} dict while it is worked on.  column_echelon is the dense
+reduction it replaced: the whole matrix and the tracked ops are int64
+arrays, stored transposed so each column is one contiguous row updated
+in place.  The arithmetic and the pivot order are the same, so the
+differential tests require the same pivots, ops and reduced columns,
+entry for entry.
+
+solve is the Gauss-Jordan row reduction that Field.solve replaced with
+one tracked column reduction.  Both pivot on the columns independent of
+those before them and set every other unknown to 0, so they return the
+same solution, entry for entry, and None on the same systems.  Nothing
+here calls the package.
 """
 
 import numpy as np
@@ -66,3 +72,54 @@ def sparse_echelon(field, m, track=False, clear=()):
     reduced[:, list(found.pivots.values())] = found.reduced.dense()
     ops = found.ops.dense() if track else None
     return reduced, ops, found.pivots
+
+
+def solve(p, a, b):
+    """One solution x of a @ x = b mod p per column of b, or None.
+
+    Gauss-Jordan on [a | b]: pivots are taken top to bottom, left to
+    right, rows are swapped into place, and free unknowns are 0.  A 1-D
+    b gives a 1-D x.
+    """
+    a = np.remainder(np.asarray(a, dtype=np.int64), p)
+    b = np.remainder(np.asarray(b, dtype=np.int64), p)
+    single = b.ndim == 1
+    if single:
+        b = b.reshape(-1, 1)
+    rows, cols = a.shape
+    if b.shape[0] != rows:
+        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+    aug = np.hstack([a, b])
+    pivots = []
+    prow = 0
+    for c in range(cols):
+        if prow >= rows:
+            break
+        nz = aug[prow:, c].nonzero()[0]
+        if nz.size == 0:
+            continue
+        r0 = prow + int(nz[0])
+        if r0 != prow:
+            aug[[prow, r0]] = aug[[r0, prow]]
+        aug[prow] = (aug[prow] * pow(int(aug[prow, c]), p - 2, p)) % p
+        # clear column c in every other row at once; the pivot row is
+        # zero left of c, so only columns c.. change
+        hit = aug[:, c].nonzero()[0]
+        hit = hit[hit != prow]
+        if hit.size:
+            aug[hit, c:] = (aug[hit, c:] - np.outer(aug[hit, c], aug[prow, c:])) % p
+        pivots.append((prow, c))
+        prow += 1
+    if prow < rows and np.any(aug[prow:, cols:]):
+        return None
+    x = np.zeros((cols, b.shape[1]), dtype=np.int64)
+    for r, c in pivots:
+        x[c] = aug[r, cols:]
+    return x[:, 0] if single else x
+
+
+def is_invertible(p, m):
+    """Whether m is square and invertible mod p, by solving m @ x = 1."""
+    m = np.asarray(m)
+    n = m.shape[0]
+    return m.shape[1] == n and solve(p, m, np.eye(n, dtype=np.int64)) is not None

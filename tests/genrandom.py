@@ -10,6 +10,7 @@ component injective.
 
 import numpy as np
 
+import densekernel
 from perincidence import faces
 from persheaf import (
     Barcode,
@@ -78,12 +79,12 @@ def random_invertible(rng, field, n):
             [[rng.randrange(field.p) for _ in range(n)] for _ in range(n)],
             dtype=np.int64,
         )
-        if field.is_invertible(m):
+        if densekernel.is_invertible(field.p, m):
             return m
 
 
 def _inverse(field, g):
-    return field.solve(g, identity(g.shape[0]))
+    return densekernel.solve(field.p, g, identity(g.shape[0]))
 
 
 def _summand_sheaf(complex_, summands):

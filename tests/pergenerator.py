@@ -4,14 +4,16 @@ The package completes each level basis with one column reduction and
 solves each restriction once, at the top level.  The function here
 takes the literal route instead: a rank test per candidate unit
 vector, and one solve per generator per incidence, in the level basis
-of the generator's birth level.  The differential tests compare the
-two, degree for degree and entry for entry.
+of the generator's birth level, by the Gauss-Jordan reference of
+densekernel.py.  The differential tests compare the two, degree for
+degree and entry for entry.
 """
 
 import numpy as np
 
 from persheaf import GradedSheaf, NotFreeError, zeros
 
+import densekernel
 from perincidence import codim1_pairs
 
 
@@ -61,7 +63,7 @@ def diagram_to_graded_sheaf(diagram):
         for g, a in enumerate(fdeg):
             r_a = diagram.snapshots[a].restriction(f.id, t.id)
             vec = field.matmul(r_a, level_bases[f.id][a][:, g : g + 1])
-            sol = field.solve(level_bases[t.id][a], vec)
+            sol = densekernel.solve(field.p, level_bases[t.id][a], vec)
             if sol is None:
                 raise AssertionError(f"level basis at {t.id!r} is not a basis")
             scalar[: sol.shape[0], g : g + 1] = sol

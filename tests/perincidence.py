@@ -50,7 +50,7 @@ def validate_complex(simplices, steps):
     by_vertices = {}
     for s in order:
         by_vertices.setdefault(s.vertices, s)
-    problems = []
+    problems = [f"steps must be at least 1, got {steps}"] if steps < 1 else []
     seen = {}
     for s in order:
         prev = seen.get(s.vertices)

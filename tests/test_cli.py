@@ -356,6 +356,25 @@ def test_non_finite_thresholds(capsys, command, value):
     assert err.startswith("usage error: --thresholds must be finite")
 
 
+@pytest.mark.parametrize("command", ["labeled", "unicolored"])
+@pytest.mark.parametrize(
+    "value, problem",
+    [
+        ("a", "must be numbers"),
+        ("0.5,x,1.5", "must be numbers"),
+        ("0.3,0.1", "must be strictly increasing"),
+        ("0.5,0.5", "must be strictly increasing"),
+    ],
+)
+def test_bad_thresholds_are_usage_errors(capsys, command, value, problem):
+    argv = [command, fx("points.csv"), "--thresholds", value]
+    if command == "labeled":
+        argv += ["--max-dim", "2", "--hom-n", "1"]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err == f"usage error: --thresholds {problem}, got {value!r}\n"
+
+
 def _drop_key(tmp_path, name, edit):
     with open(fx(name), encoding="utf-8") as fh:
         data = json.load(fh)
@@ -953,6 +972,25 @@ def test_non_finite_coordinates_exit_2(capsys, tmp_path, command, value):
     assert err == f"error: line 3, column 1: coordinate {value!r} is not finite\n"
 
 
+@pytest.mark.parametrize("command", ["labeled", "unicolored"])
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("x,1,1", "line 3, column 1: coordinate 'x' is not a number"),
+        ("0,,1e,red", "line 3, column 3: coordinate '1e' is not a number"),
+        ("blue", "line 3: each row needs coordinates and a label"),
+        ("1,2,3,red", "line 3: expected 2 coordinates as in the first row, got 3"),
+        ("1, ,red", "line 3: expected 2 coordinates as in the first row, got 1"),
+    ],
+)
+def test_bad_point_rows_name_their_line(capsys, tmp_path, command, row, message):
+    path = tmp_path / "points.csv"
+    path.write_text(f"0,0,blue\n\n{row}\n1,0,red\n2,2,red\n")
+    argv = [command, str(path), "--thresholds", "0.5,1.5"]
+    argv += ["--max-dim", "1", "--hom-n", "0"] if command == "labeled" else []
+    assert run(capsys, argv) == (2, "", f"error: {message}\n")
+
+
 @pytest.fixture
 def coords_solves(monkeypatch):
     """Calls of QuotientBasis.coords, and the solves made inside them."""
@@ -1055,6 +1093,33 @@ def test_entry_past_int64_is_invalid_input(capsys, tmp_path, backward_rips):
     assert f"entry {2**70} of {sims[3].id!r} is outside 0..2" in problems
     assert any("exceeds entry of coface" in p for p in problems)
     assert _persist_t(capsys, tmp_path, broken, sheaf) == (2, "", "\n".join(problems) + "\n")
+
+
+STEP_COUNT_INPUTS = {
+    "validate": ["sheaf"],
+    "cohomology": ["complex", "sheaf"],
+    "persist-t": ["complex", "sheaf"],
+    "persist-a": ["diagram"],
+    "bipersist": ["complex", "diagram"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(STEP_COUNT_INPUTS))
+@pytest.mark.parametrize("steps", [-1, 0])
+def test_step_count_below_one_is_invalid_input(capsys, tmp_path, command, steps):
+    complex_ = {"field": 2, "steps": steps, "simplices": []}
+    level = {"stalks": {}, "restrictions": []}
+    files = {
+        "complex": complex_,
+        "sheaf": {"complex": complex_, **level},
+        "diagram": {"complex": complex_, "snapshots": [level], "steps": []},
+    }
+    for name, data in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(data))
+    argv = [command] + [str(tmp_path / f"{n}.json") for n in STEP_COUNT_INPUTS[command]]
+    message = f"steps must be at least 1, got {steps}\n"
+    want = (message, "") if command == "validate" else ("", message)
+    assert run(capsys, argv) == (2, *want)
 
 
 def test_closure_of_a_7_simplex_through_the_cli(capsys, tmp_path):

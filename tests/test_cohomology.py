@@ -28,6 +28,7 @@ from persheaf import (
 )
 from persheaf.cohomology import _quotient
 
+from builders import dense_map
 from densekernel import sparse_echelon
 from genrandom import random_complex, random_sheaf
 from oracles import betti, rref_rank, sections_dim
@@ -70,7 +71,7 @@ def test_coboundary_blocks_carry_signs():
         for t in x.simplices if t.dim == 1 for f in faces(x, t)
     })
     cc = CochainComplex(sheaf)
-    d0 = cc.delta(0)
+    d0 = dense_map(cc, 0)
     for t in x.simplices_of_dim(1):
         for f in faces(x, t):
             r, c = cc.offset(1, t.id), cc.offset(0, f.id)
@@ -91,7 +92,7 @@ def test_delta_squares_to_zero():
         x = random_complex(rng, Field(rng.choice([2, 5])))
         cc = CochainComplex(random_sheaf(rng, x))
         for k in range(x.dim + 1):
-            prod = cc.field.matmul(cc.delta(k + 1), cc.delta(k))
+            prod = cc.field.matmul(dense_map(cc, k + 1), dense_map(cc, k))
             assert not prod.any()
 
 
@@ -139,7 +140,7 @@ def test_representatives_are_cocycles():
     cc = CochainComplex(random_sheaf(rng, x))
     for k in range(x.dim + 1):
         basis = cohomology_basis(cc.stalks, k, cc)
-        image = cc.field.matmul(cc.delta(k), basis.representatives)
+        image = cc.field.matmul(dense_map(cc, k), basis.representatives)
         assert not image.any()
         if basis.dim:
             got = basis.coords(basis.representatives)
@@ -264,8 +265,8 @@ def test_cleared_echelon_matches_the_full_one():
         for _ in range(20):
             cc = CochainComplex(random_sheaf(rng, random_complex(rng, field, 30)))
             for k in range(cc.complex.dim):
-                m = cc.delta(k)
-                clear = sparse_echelon(field, cc.delta(k - 1))[2]
+                m = dense_map(cc, k)
+                clear = sparse_echelon(field, dense_map(cc, k - 1))[2]
                 full, _, owner = sparse_echelon(field, m, track=True)
                 reduced, ops, got = sparse_echelon(field, m, track=True, clear=clear)
                 assert got == owner
@@ -315,10 +316,10 @@ def cleared_subquotients(p):
             for k in order:
                 basis = cohomology_basis(sheaf, k, cc)
                 known = betti(vs, k, p) if sheaf is const else None
-                yield cc.delta(k), cc.delta(k - 1), basis, known
+                yield dense_map(cc, k), dense_map(cc, k - 1), basis, known
                 hom = cosheaf_homology_basis(None, k, ch)
                 assert hom.dim == basis.dim
-                yield ch.boundary(k), ch.boundary(k + 1), hom, known
+                yield dense_map(ch, k), dense_map(ch, k + 1), hom, known
 
 
 @pytest.mark.parametrize("p", QUOTIENT_PRIMES)

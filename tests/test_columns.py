@@ -17,6 +17,7 @@ from persheaf import CochainComplex, Field, constant, zeros
 from persheaf.linalg import Columns
 
 import densekernel
+from builders import dense_map
 from genrandom import random_complex, random_sheaf
 from oracles import coboundary, rref_rank
 
@@ -105,8 +106,8 @@ def test_clearing_invariants(p):
         for sheaf in (constant(x, 1), random_sheaf(rng, x)):
             cc = CochainComplex(sheaf)
             for k in range(x.dim):
-                m = cc.delta(k)
-                clear = field._column_echelon(field.sparse(cc.delta(k - 1))).pivots
+                m = dense_map(cc, k)
+                clear = field._column_echelon(field.sparse(dense_map(cc, k - 1))).pivots
                 full = check_against_dense(field, m)
                 cleared = check_against_dense(field, m, clear)
                 assert cleared.pivots == full.pivots
@@ -148,7 +149,7 @@ def test_step_maps_are_the_dense_leading_blocks(p):
         for i in range(x.steps):
             view = cc.step(i)
             for k in range(-1, x.dim + 1):
-                block = cc.delta(k)[: view.dim(k + 1), : view.dim(k)]
-                assert np.array_equal(view.delta(k), block)
+                block = dense_map(cc, k)[: view.dim(k + 1), : view.dim(k)]
+                assert np.array_equal(dense_map(view, k), block)
                 if k in view._maps:
                     check_against_dense(field, block)

@@ -55,6 +55,10 @@ def _entry_past_steps(rng, sims, steps):
     return sims[:n] + [Simplex(s.id, s.vertices, entry)] + sims[n + 1:], steps
 
 
+def _steps_below_one(rng, sims, steps):
+    return sims, rng.choice([0, -1, -(2**70)])
+
+
 def _face_after_coface(rng, sims, steps):
     faces = [n for n, s in enumerate(sims) if any(s.dim + 1 == t.dim for t in sims)]
     n = rng.choice(faces or range(len(sims)))
@@ -82,6 +86,7 @@ MUTATIONS = {
     "repeated-vertex-set": _repeated_vertex_set,
     "repeated-id": _repeated_id,
     "entry-past-steps": _entry_past_steps,
+    "steps-below-one": _steps_below_one,
     "face-after-coface": _face_after_coface,
     "shuffled": _shuffled,
     "relabeled": _relabeled,
