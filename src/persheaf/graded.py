@@ -17,7 +17,8 @@ Graded sheaves and cosheaves store their maps like cellular ones and
 share their incidence walker: the missing, mis-shaped and
 negative-power maps are found per shape group, the diamonds by index
 arithmetic on the face tables, and each graded (co)boundary is one
-signed scatter per shape group.
+signed scatter per shape group.  A stalk-wise injective diagram
+becomes one graded sheaf in one pass (diagram_to_graded_sheaf).
 """
 
 from __future__ import annotations
@@ -27,16 +28,19 @@ from functools import cached_property
 import numpy as np
 
 from .complexes import FilteredComplex
-from .linalg import Field, identity, matrix, zeros
+from .linalg import Columns, Field, _hstack, _mulcols, matrix, zeros
 from .persistence import Barcode
 from .sheaves import (
     CellularSheaf,
     SheafDiagram,
     _bad_diamonds,
+    _block_diagonal,
     _check_diagram,
     _codim1_pairs,
     _groups,
+    _incidence_maps,
     _Maps,
+    _restriction_operator,
     _signed_maps,
     _Stalked,
 )
@@ -424,44 +428,43 @@ graded_chain_complex = graded_cochain_complex
 def diagram_to_graded_sheaf(diagram: SheafDiagram) -> GradedSheaf:
     """Collapse a valid stalk-wise injective diagram into one graded sheaf.
 
-    Each stalk's levels are merged into a free module.  At each level
-    the pushed-forward basis of the level below is completed by one
-    column reduction of [images | I]: the unit columns that own a pivot
-    are the generators born there, the ones a greedy rank test would
-    keep, and an image column that owns none means the step is not
-    injective (NotFreeError).  Each restriction is solved once, at the
-    top level: solve(B_t, r @ B_f) with B the top bases.  Their leading
-    columns are the pushed-forward bases of the lower levels, so by
-    naturality every generator's column equals its coordinates at its
-    birth level, padded with zeros.
+    All simplices share one sparse basis, pushed at each level through
+    the step's block-diagonal components and reduced once for its
+    pivots; blocks never mix.  A pushed column that owns none is a step
+    that is not injective (NotFreeError, at the first simplex's first).
+    The units at the rows left unowned are the generators born there:
+    those a reduction of [pushed | I] keeps.  Sorted by simplex, the top
+    basis B is block-diagonal and square; with A the top restrictions
+    as one operator, block (t, f) of B^-1 A B is restriction (f, t).
     """
-    field = diagram.complex.field
-    degrees = {}
-    bases = {}
-    for s in diagram.complex.simplices:
-        sid = s.id
-        gens = []
-        basis = zeros(diagram.snapshots[0].stalk(sid), 0)
-        for i, sheaf in enumerate(diagram.snapshots):
-            if i > 0:
-                basis = field.matmul(diagram.steps[i - 1].component(sid), basis)
-            units = identity(sheaf.stalk(sid))
-            k = basis.shape[1]
-            owner = field._column_echelon(field.sparse(np.hstack([basis, units]))).pivots
-            owned = sorted(owner.values())
-            if owned[:k] != list(range(k)):
-                raise NotFreeError(f"diagram not free at {sid}, step {i - 1}")
-            born = [j - k for j in owned[k:]]
-            basis = np.hstack([basis, units[:, born]])
-            gens += [i] * len(born)
-        degrees[sid] = tuple(gens)
-        bases[sid] = basis
-    top = diagram.snapshots[-1]
-    restriction = {}
-    for f, t in _codim1_pairs(diagram.complex):
-        pushed = field.matmul(top.restriction(f.id, t.id), bases[f.id])
-        restriction[(f.id, t.id)] = field.solve(bases[t.id], pushed)
-    return GradedSheaf(diagram.complex, degrees, restriction)
+    x = diagram.complex
+    field, p = x.field, x.field.p
+    owner = level = np.zeros(0, dtype=np.int64)  # each generator's simplex, birth
+    failed = {}  # simplex -> its first step that is not injective
+    basis = field.sparse(zeros(int(diagram.snapshots[0]._sizes.sum()), 0))
+    for i, sheaf in enumerate(diagram.snapshots):
+        if i:
+            basis = _mulcols(_block_diagonal(diagram.steps[i - 1]), basis, p)
+        found = field._column_echelon(basis)
+        for j in found.zero:
+            failed.setdefault(int(owner[j]), i - 1)
+        free = np.ones(basis.shape[0], dtype=bool)
+        free[list(found.pivots)] = False
+        born = np.flatnonzero(free)  # ascending
+        basis = _hstack(basis, Columns.units(len(free), born))
+        owner = np.concatenate([owner, np.repeat(np.arange(len(x._ids)), sheaf._sizes)[born]])
+        level = np.concatenate([level, np.full(len(born), i)])
+    if failed:
+        s = min(failed)
+        raise NotFreeError(f"diagram not free at {x._ids[s]}, step {failed[s]}")
+    # a stable sort groups the generators by simplex, each in birth order
+    order = np.argsort(owner, kind="stable")
+    basis, level, top = basis.take(order), level[order], diagram.snapshots[-1]
+    inverse = field._solve(basis, Columns.units(len(level), np.arange(len(level))))
+    solved = _mulcols(inverse, _mulcols(_restriction_operator(top), basis, p), p)
+    gens = np.split(level, np.cumsum(top._sizes)[:-1])
+    degrees = dict(zip(x._ids, (tuple(g.tolist()) for g in gens)))
+    return GradedSheaf(x, degrees, _incidence_maps(solved, top))
 
 
 def diagram_graded_barcode_by_degree(diagram: SheafDiagram, degrees) -> dict:
@@ -514,10 +517,7 @@ def evaluate_at(gc: GradedComplex, n: int) -> SlicedComplex:
     t-action to level n+1 is an identity block on generators alive at
     level n, widened by zeros for the level-(n+1) arrivals.
     """
-    dims = {}
-    deltas = {}
-    t_actions = {}
-    masks = {}
+    dims, deltas, t_actions, masks = {}, {}, {}, {}
     for k in range(len(gc.spaces)):
         degs = gc.space(k).degrees
         mask = [i for i, a in enumerate(degs) if a <= n]

@@ -2,7 +2,8 @@
 
 Dense matrices are numpy int64 arrays with entries reduced mod p; a
 0 x n or n x 0 array is a legitimate zero map.  The (co)boundaries of
-cohomology.py are sparse instead: Columns stores each column as its
+cohomology.py and the block-diagonal bases of the diagram conversion
+in graded.py are sparse instead: Columns stores each column as its
 ascending row indices and nonzero values (compressed sparse columns),
 in int64 arrays.
 
@@ -15,10 +16,11 @@ bases.  All the fixture matrices downstream depend on that
 determinism.  The based (co)homology of cohomology.py runs it with
 clearing on the stored columns; rank, kernel_basis, image_basis,
 solve and the graded engine reach it through one conversion,
-Field.sparse.
+Field.sparse, and the diagram conversion hands it Columns directly,
+through Field._solve, the sparse core of solve.
 
-_mulmod is the one product: Field.matmul and the stacked diamond check
-of sheaves.py call it, so the int64 overflow bound lives there alone.
+_mulmod is the one dense product: Field.matmul and the stacked diamond
+check of sheaves.py call it, so the int64 overflow bound lives there.
 While inner * (p-1)^2 < 2^63 a product is one int64 matmul and one
 reduction.  Past that bound (every inner size from 2 up at p = 2^31-1)
 the right operand is split into 16-bit limbs, b = hi * 2^16 + lo, and
@@ -26,12 +28,15 @@ a @ b = ((a @ hi mod p) * 2^16 + a @ lo) mod p, with the inner
 dimension cut into chunks short enough that no partial sum reaches
 2^63, after the delayed-reduction products of Dumas, Giorgi and Pernet
 ("Dense linear algebra over word-size prime fields: the FFLAS and
-FFPACK packages", ACM TOMS 2008).  No product needs Python integers
+FFPACK packages", ACM TOMS 2008).  _mulcols is the one sparse
+product, Columns by Columns: every term is reduced mod p before one
+segmented sum, so it needs no limbs.  No product needs Python integers
 or floating point.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -158,6 +163,12 @@ class Columns:
         cols, rows = np.nonzero(m.T)
         return cls(m.shape, _indptr(cols, m.shape[1]), rows, m[rows, cols])
 
+    @classmethod
+    def units(cls, rows: int, at) -> "Columns":
+        """The unit vectors of F^rows at the rows at, as columns in that order."""
+        at = np.asarray(at, dtype=np.int64)
+        return cls((rows, len(at)), np.arange(len(at) + 1), at, np.ones_like(at))
+
     def dense(self) -> np.ndarray:
         out = zeros(*self.shape)
         cols = np.repeat(np.arange(self.shape[1]), np.diff(self.indptr))
@@ -191,17 +202,48 @@ class Columns:
 
 def _from_dicts(rows: int, columns: list) -> Columns:
     """Columns from one {row: value} dict per column."""
-    indptr, at, values = [0], [], []
-    for col in columns:
-        keys = sorted(col)
-        at += keys
-        values += [col[r] for r in keys]
-        indptr.append(len(at))
+    counts = np.fromiter(map(len, columns), np.int64, len(columns))
+    total = int(counts.sum())
+    at = np.fromiter(chain.from_iterable(columns), np.int64, total)
+    values = np.fromiter(chain.from_iterable(map(dict.values, columns)), np.int64, total)
+    order = np.lexsort((at, np.repeat(np.arange(len(columns)), counts)))
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    return Columns((rows, len(columns)), indptr, at[order], values[order])
+
+
+def _mulcols(a: Columns, b: Columns, p: int) -> Columns:
+    """a @ b mod p for Columns with entries in [0, p), p < 2^31, exactly.
+
+    Column k of a is gathered once for each nonzero b[k, j], each
+    product is reduced mod p, and the terms of one (j, row) are added
+    by one segmented sum.  Every term is below 2^31, so a sum of fewer
+    than 2^32 of them stays below 2^63.  No dense matrix is formed.
+    """
+    if a.shape[1] != b.shape[0]:
+        raise ValueError(f"cannot multiply shapes {a.shape} and {b.shape}")
+    starts = a.indptr[b.indices]
+    lengths = a.indptr[b.indices + 1] - starts
+    ptr = np.concatenate([[0], np.cumsum(lengths)])
+    at = np.repeat(starts - ptr[:-1], lengths) + np.arange(ptr[-1])
+    rows = a.indices[at]
+    cols = np.repeat(np.repeat(np.arange(b.shape[1]), np.diff(b.indptr)), lengths)
+    terms = a.data[at] * np.repeat(b.data, lengths) % p
+    order = np.lexsort((rows, cols))
+    rows, cols, terms = rows[order], cols[order], terms[order]
+    first = np.flatnonzero((np.diff(rows, prepend=-1) != 0) | (np.diff(cols, prepend=-1) != 0))
+    sums = np.add.reduceat(terms, first) % p if len(first) else terms
+    keep = sums != 0
+    rows, cols = rows[first][keep], cols[first][keep]
+    return Columns((a.shape[0], b.shape[1]), _indptr(cols, b.shape[1]), rows, sums[keep])
+
+
+def _hstack(a: Columns, b: Columns) -> Columns:
+    """[a | b]: b's columns after a's, both with a's rows."""
     return Columns(
-        (rows, len(columns)),
-        np.array(indptr, dtype=np.int64),
-        np.array(at, dtype=np.int64),
-        np.array(values, dtype=np.int64),
+        (a.shape[0], a.shape[1] + b.shape[1]),
+        np.concatenate([a.indptr, a.indptr[-1] + b.indptr[1:]]),
+        np.concatenate([a.indices, b.indices]),
+        np.concatenate([a.data, b.data]),
     )
 
 
@@ -350,6 +392,24 @@ class Field:
     def solve(self, a, b):
         """One solution x of a @ x = b per column of b, or None.
 
+        Dense form of _solve: a 1-D b gives a 1-D x.
+        """
+        a = self.normalize(a)
+        b = self.normalize(b)
+        single = b.ndim == 1
+        if single:
+            b = b.reshape(-1, 1)
+        if b.shape[0] != a.shape[0]:
+            raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+        x = self._solve(self.sparse(a), self.sparse(b))
+        if x is None:
+            return None
+        x = x.dense()
+        return x[:, 0] if single else x
+
+    def _solve(self, a: Columns, b: Columns) -> Columns | None:
+        """One solution x of a @ x = b per column of b, or None.
+
         One tracked reduction of [a | b]: a column of b that owns a
         pivot is outside the column space of a.  Otherwise every column
         of b reduces to zero against the pivot columns of a alone, so
@@ -357,19 +417,13 @@ class Field:
         the columns of a independent of those before them; the
         particular solution is deterministic.
         """
-        a = self.normalize(a)
-        b = self.normalize(b)
-        single = b.ndim == 1
-        if single:
-            b = b.reshape(-1, 1)
-        rows, n = a.shape
-        if b.shape[0] != rows:
-            raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-        e = self._column_echelon(self.sparse(np.hstack([a, b])), track=True)
+        n, m = a.shape[1], b.shape[1]
+        e = self._column_echelon(_hstack(a, b), track=True)
         if any(j >= n for j in e.pivots.values()):
             return None
-        x = -e.ops.take(np.arange(n, n + b.shape[1])).dense()[:n] % self.p
-        return x[:, 0] if single else x
+        x = e.ops.take(np.arange(n, n + m)).leading(n, m)
+        x.data = self.p - x.data
+        return x
 
     def express(self, b, span, modulo=None):
         """Write the columns of b as span @ c + modulo @ d.

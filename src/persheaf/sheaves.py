@@ -13,7 +13,11 @@ presence and shape checks are array comparisons, the diamonds are
 index arithmetic on the face tables, and each (co)boundary is
 gathered into sparse columns with one signed scatter per shape group
 (_signed_maps).  The graded stalks of graded.py and the cochain
-complexes of cohomology.py share it.
+complexes of cohomology.py share it.  The same scatter lays out the
+components of a morphism block-diagonally (_block_diagonal) and every
+restriction of a sheaf as one operator (_restriction_operator), whose
+blocks _incidence_maps reads back as stored maps; the diagram
+conversion of graded.py works on those.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .complexes import FilteredComplex, SimplicialMap, _unique_rows
+from .complexes import FilteredComplex, SimplicialMap, _first_match, _unique_rows
 from .linalg import Columns, _mulmod, identity, matrix, zeros
 
 __all__ = [
@@ -271,6 +275,8 @@ class _CellularStalks(_Stalked):
         self.stalk_dim = dict(zip(ids, map(int, map(stalk_dim.get, ids, repeat(0)))))
         if min(self.stalk_dim.values(), default=0) < 0:
             raise ValueError("stalk dimensions must be nonnegative")
+        # ids that name no simplex, reported by validate_sheaf
+        self._stray = [sid for sid in stalk_dim if sid not in self.stalk_dim]
         self._maps = _Maps.of(maps, complex_.field.p)
 
     def stalk(self, sid: str) -> int:
@@ -372,15 +378,46 @@ def _bad_diamonds(complex_: FilteredComplex, batch: _Batch, down: bool) -> list:
     return bad
 
 
+def _starts(sizes) -> np.ndarray:
+    """Where each block of the given sizes starts when they are stacked."""
+    return np.cumsum(sizes) - sizes
+
+
+def _scatter(shape, batch: _Batch, row_off, col_off, negate=None, p=0) -> Columns:
+    """batch[n] with its first entry at (row_off[n], col_off[n]), for each
+    n, as Columns of shape; negated mod p where negate[n].
+
+    The blocks must not overlap.  The entries of each shape group are
+    laid out with one scatter, and no dense matrix is formed.
+    """
+    empty = np.zeros(0, dtype=np.int64)
+    entries = [(empty, empty, empty)]
+    for g, members in _groups(batch.group):
+        stack = batch.stacks[g]
+        r, c = stack.shape[1:]
+        if r == 0 or c == 0:
+            continue
+        vals = stack[batch.slot[members]]
+        if negate is not None:
+            odd = negate[members]
+            vals[odd] = (p - vals[odd]) % p
+        rows = row_off[members][:, None, None] + np.arange(r)[:, None]
+        cols = col_off[members][:, None, None] + np.arange(c)
+        entries.append(
+            tuple(np.broadcast_to(a, vals.shape).ravel() for a in (rows, cols, vals))
+        )
+    rows, cols, vals = (np.concatenate(part) for part in zip(*entries))
+    return Columns.from_entries(shape, rows, cols, vals)
+
+
 def _signed_maps(gathered: _Gathered, sizes, down: bool) -> list:
     """The signed (co)boundaries of gathered maps over stalks of sizes.
 
     maps[q - 1] runs from dimension q - 1 to q, or from q to q - 1 when
     down, as Columns.  The block of an incidence sits at its stalks'
     offsets, in the global order, and is its map times (-1)^i, i the
-    omitted vertex; the entries of each shape group are laid out with
-    one scatter, and no dense matrix is formed.  Maps are already
-    reduced mod p.  A missing face is a ValueError.
+    omitted vertex (_scatter).  Maps are already reduced mod p.  A
+    missing face is a ValueError.
     """
     inc = gathered.incidences
     inc.check_closed()
@@ -388,45 +425,75 @@ def _signed_maps(gathered: _Gathered, sizes, down: bool) -> list:
     p = x.field.p
     b = x._bounds
     segs = [sizes[b[k] : b[k + 1]] for k in range(x.dim + 1)]
-    offset = np.concatenate([np.cumsum(seg) - seg for seg in segs] or [sizes])
+    offset = np.concatenate([_starts(seg) for seg in segs] or [sizes])
     totals = [int(seg.sum()) for seg in segs]
-    batch = gathered.batch
     maps = []
     for q in range(1, x.dim + 1):
-        lo, hi = inc.start[q], inc.start[q + 1]
+        n = np.arange(inc.start[q], inc.start[q + 1])
+        f_off, t_off = offset[inc.face[n]], offset[inc.coface[n]]
+        rows, cols = (f_off, t_off) if down else (t_off, f_off)
         shape = (totals[q - 1], totals[q]) if down else (totals[q], totals[q - 1])
-        empty = np.zeros(0, dtype=np.int64)
-        entries = [(empty, empty, empty)]
-        for g, members in _groups(batch.group[lo:hi]):
-            stack = batch.stacks[g]
-            r, c = stack.shape[1:]
-            if r == 0 or c == 0:
-                continue
-            members = lo + members
-            vals = stack[batch.slot[members]]
-            odd = inc.omitted[members] % 2 == 1
-            vals[odd] = (p - vals[odd]) % p
-            f_off, t_off = offset[inc.face[members]], offset[inc.coface[members]]
-            row_off, col_off = (f_off, t_off) if down else (t_off, f_off)
-            rows = row_off[:, None, None] + np.arange(r)[:, None]
-            cols = col_off[:, None, None] + np.arange(c)
-            entries.append(
-                tuple(np.broadcast_to(a, vals.shape).ravel() for a in (rows, cols, vals))
-            )
-        rows, cols, vals = (np.concatenate(part) for part in zip(*entries))
-        maps.append(Columns.from_entries(shape, rows, cols, vals))
+        odd = inc.omitted[n] % 2 == 1
+        maps.append(_scatter(shape, gathered.batch.take(n), rows, cols, odd, p))
     return maps
 
 
+def _restriction_operator(sheaf: CellularSheaf) -> Columns:
+    """Every restriction of a sheaf in one square matrix, unsigned.
+
+    Rows and columns both stack the stalks in the global order, and
+    block (coface, face) is the restriction from face to coface.  A
+    missing face, restriction or shape is a ValueError.
+    """
+    inc = sheaf._gathered.incidences
+    inc.check_closed()
+    problems = sheaf._gathered.shape_problems(sheaf._kind)
+    if problems:
+        raise ValueError("invalid sheaf: " + "; ".join(problems))
+    start = _starts(sheaf._sizes)
+    n = int(sheaf._sizes.sum())
+    return _scatter((n, n), sheaf._gathered.batch, start[inc.coface], start[inc.face])
+
+
+def _incidence_maps(op: Columns, sheaf: CellularSheaf) -> _Maps:
+    """The blocks of op, a square operator laid out as
+    _restriction_operator(sheaf), as stored maps keyed (face id, coface
+    id) and stacked as sheaf's restrictions are.
+
+    Every entry of op must lie in the block of an incidence.  No dense
+    matrix over all simplices is formed.
+    """
+    inc, batch, sizes = sheaf._gathered.incidences, sheaf._gathered.batch, sheaf._sizes
+    n = len(sizes)
+    owner = np.repeat(np.arange(n), sizes)  # the simplex of each row and column
+    rows = op.indices
+    cols = np.repeat(np.arange(op.shape[1]), np.diff(op.indptr))
+    at = _first_match(inc.face * n + inc.coface, owner[cols] * n + owner[rows])
+    if (at < 0).any():
+        raise AssertionError("an entry lies outside every incidence block")
+    start = _starts(sizes)
+    stacks = [np.zeros_like(stack) for stack in batch.stacks]
+    for g, members in _groups(batch.group[at]):
+        hit = at[members]
+        stacks[g][
+            batch.slot[hit],
+            rows[members] - start[inc.coface[hit]],
+            cols[members] - start[inc.face[hit]],
+        ] = op.data[members]
+    return _Maps(inc.index, _Batch(stacks, batch.group, batch.slot))
+
+
 def validate_sheaf(sheaf: CellularSheaf) -> list:
-    """Shape violations, stored maps that name no incidence and
-    non-commuting diamonds, as a list of strings.
+    """Stalks stored under an id that names no simplex, shape
+    violations, stored maps that name no incidence and non-commuting
+    diamonds, as a list of strings.
 
     Also validates a cosheaf (validate_cosheaf), whose arrows run from
     coface to face.
     """
     gathered = sheaf._gathered
-    problems = gathered.shape_problems(sheaf._kind) + gathered.stray_problems()
+    problems = [f"stalk stored under {sid!r}, which names no simplex" for sid in sheaf._stray]
+    problems += gathered.shape_problems(sheaf._kind) + gathered.stray_problems()
     if problems:
         return problems
     down = sheaf._down
@@ -467,24 +534,46 @@ class SheafMorphism:
         return zeros(self.target.stalk(sid), self.source.stalk(sid))
 
 
+def _block_diagonal(phi: SheafMorphism) -> Columns:
+    """phi as one matrix from the source's stalks, stacked in the global
+    order, to the target's: its components on the diagonal.  A
+    component of the wrong shape is a ValueError."""
+    rows, cols = phi.target._sizes, phi.source._sizes
+    comps = _Batch.of([phi.component(sid) for sid in phi.complex._ids])
+    bad = np.flatnonzero((comps.shapes() != np.stack([rows, cols], axis=1)).any(axis=1))
+    if bad.size:
+        n = int(bad[0])
+        raise ValueError(
+            f"component at {phi.complex._ids[n]!r} has shape {comps[n].shape},"
+            f" expected {(int(rows[n]), int(cols[n]))}"
+        )
+    shape = (int(rows.sum()), int(cols.sum()))
+    return _scatter(shape, comps, _starts(rows), _starts(cols))
+
+
 def validate_morphism(phi: SheafMorphism) -> list:
-    """Component shape errors and naturality failures across incidences."""
-    field = phi.complex.field
+    """Component shape errors, components stored under an id that names
+    no simplex, and naturality failures across incidences."""
+    x = phi.complex
     problems = []
-    for s in phi.complex.simplices:
+    for s in x.simplices:
         want = (phi.target.stalk(s.id), phi.source.stalk(s.id))
         if phi.component(s.id).shape != want:
             problems.append(
                 f"component at {s.id!r} has shape {phi.component(s.id).shape},"
                 f" expected {want}"
             )
+    problems += [
+        f"component stored under {sid!r}, which names no simplex"
+        for sid in phi._component
+        if sid not in x.by_id
+    ]
     if problems:
         return problems
     # one square per incidence, comp(t) @ source(f, t) against
     # target(f, t) @ comp(f); an incidence whose restriction is missing
     # or mis-shaped in either sheaf is left to that sheaf's validation
-    x = phi.complex
-    p = field.p
+    p = x.field.p
     comps = _Batch.of([phi.component(s.id) % p for s in x.simplices])
     source, target = phi.source._gathered, phi.target._gathered
     inc = source.incidences

@@ -2,6 +2,8 @@
 
 from itertools import combinations
 
+import numpy as np
+
 from persheaf import (
     CellularSheaf,
     Field,
@@ -13,6 +15,8 @@ from persheaf import (
     identity,
     matrix,
 )
+
+from perincidence import codim1_pairs
 
 F2 = Field(2)
 
@@ -122,3 +126,43 @@ def dense_map(space, k):
     """The map out of degree k of a CochainComplex (its coboundary) or a
     ChainComplex (its boundary), dense; zero-shaped where none is stored."""
     return space._map(k).dense()
+
+
+def nested_coordinate_diagram(complex_, top_rank, snapshots):
+    """Nested coordinate subsheaves of the constant sheaf of rank top_rank.
+
+    The stalk of the n-th simplex at snapshot i is the span of the
+    leading r coordinates, r = (0, 0, 1, 1, 2)[n % 5] + i // 2 raised to
+    its rank at snapshot i - 1 and to its faces' ranks, and capped at
+    top_rank.  Every restriction and every step component is the
+    inclusion of leading coordinates, so every diamond and every
+    naturality square commutes and every step is injective.
+    """
+    pairs = [(f.id, t.id) for f, t in codim1_pairs(complex_)]
+    ranks, prev = [], None
+    for i in range(snapshots):
+        r = {
+            s.id: max((0, 0, 1, 1, 2)[n % 5] + i // 2, prev[s.id] if prev else 0)
+            for n, s in enumerate(complex_.simplices)
+        }
+        for f, t in pairs:  # a face's rank is final before its cofaces'
+            r[t] = max(r[t], r[f])
+        prev = {sid: min(top_rank, d) for sid, d in r.items()}
+        ranks.append(prev)
+
+    def inclusion(rows, cols):
+        return np.eye(rows, cols, dtype=np.int64)
+
+    snaps = [
+        CellularSheaf(complex_, r, {
+            (f, t): inclusion(r[t], r[f]) for f, t in pairs if r[f] and r[t]
+        })
+        for r in ranks
+    ]
+    steps = [
+        SheafMorphism(a, b, {
+            sid: inclusion(rb[sid], ra[sid]) for sid in ra if ra[sid] and rb[sid]
+        })
+        for a, b, ra, rb in zip(snaps, snaps[1:], ranks, ranks[1:])
+    ]
+    return SheafDiagram(snaps, steps)

@@ -1,7 +1,8 @@
 """Per-generator reference for the diagram-to-graded-sheaf conversion.
 
-The package completes each level basis with one column reduction and
-solves each restriction once, at the top level.  The function here
+The package converts every simplex at once: one column reduction per
+level of a block-diagonal basis, and every restriction read from one
+product with the inverse of the top basis.  The function here
 takes the literal route instead: a rank test per candidate unit
 vector, and one solve per generator per incidence, in the level basis
 of the generator's birth level, by the Gauss-Jordan reference of

@@ -173,9 +173,19 @@ def stray_keys(stalks):
     return out
 
 
+def stray_ids(stored, complex_, what):
+    """Stored ids that name no simplex, in stored order."""
+    return [
+        f"{what} stored under {sid!r}, which names no simplex"
+        for sid in stored
+        if sid not in complex_.by_id
+    ]
+
+
 def validate_sheaf(sheaf):
     field = sheaf.complex.field
-    problems = _check_assignment(
+    problems = stray_ids(sheaf._stray, sheaf.complex, "stalk")
+    problems += _check_assignment(
         sheaf.complex,
         lambda f, t: sheaf.restriction(f.id, t.id),
         lambda f, t: (sheaf.stalk(t.id), sheaf.stalk(f.id)),
@@ -199,7 +209,8 @@ def validate_sheaf(sheaf):
 
 def validate_cosheaf(cosheaf):
     field = cosheaf.complex.field
-    problems = _check_assignment(
+    problems = stray_ids(cosheaf._stray, cosheaf.complex, "stalk")
+    problems += _check_assignment(
         cosheaf.complex,
         lambda f, t: cosheaf.extension(t.id, f.id),
         lambda f, t: (cosheaf.stalk(f.id), cosheaf.stalk(t.id)),
@@ -222,7 +233,8 @@ def validate_cosheaf(cosheaf):
 
 
 def validate_morphism(phi):
-    """Component shapes, then two Field.matmul calls per incidence."""
+    """Component shapes and stray ids, then two Field.matmul calls per
+    incidence."""
     field = phi.complex.field
     problems = []
     for s in phi.complex.simplices:
@@ -232,6 +244,7 @@ def validate_morphism(phi):
                 f"component at {s.id!r} has shape {phi.component(s.id).shape},"
                 f" expected {want}"
             )
+    problems += stray_ids(phi._component, phi.complex, "component")
     if problems:
         return problems
     for f, t in codim1_pairs(phi.complex):

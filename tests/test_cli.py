@@ -38,7 +38,7 @@ from persheaf.formats import (
 from persheaf.linalg import Columns
 
 import perincidence as ref
-from builders import closure
+from builders import closure, edge_diagram
 from genrandom import random_complex
 from oracles import rref_rank
 
@@ -1120,6 +1120,46 @@ def test_step_count_below_one_is_invalid_input(capsys, tmp_path, command, steps)
     message = f"steps must be at least 1, got {steps}\n"
     want = (message, "") if command == "validate" else ("", message)
     assert run(capsys, argv) == (2, *want)
+
+
+def stray_id_run(capsys, tmp_path, command, edit):
+    """(exit, stdout, stderr) of command on the edge diagram's files,
+    after edit(files) changed their data."""
+    d = edge_diagram()
+    files = {
+        "complex": complex_to_data(d.complex),
+        "sheaf": sheaf_to_data(d.snapshots[-1]),
+        "diagram": diagram_to_data(d),
+    }
+    edit(files)
+    for name, data in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(data))
+    argv = [command] + [str(tmp_path / f"{n}.json") for n in STEP_COUNT_INPUTS[command]]
+    return run(capsys, argv)
+
+
+@pytest.mark.parametrize("command", sorted(STEP_COUNT_INPUTS))
+def test_stalk_under_no_simplex_is_invalid_input(capsys, tmp_path, command):
+    assert stray_id_run(capsys, tmp_path, command, lambda files: None)[0] == 0
+
+    def stray(files):
+        files["sheaf"]["stalks"]["nope"] = 1
+        files["diagram"]["snapshots"][1]["stalks"]["nope"] = 1
+
+    message = "stalk stored under 'nope', which names no simplex\n"
+    if "diagram" in STEP_COUNT_INPUTS[command]:
+        message = "snapshot 1: " + message
+    want = (message, "") if command == "validate" else ("", message)
+    assert stray_id_run(capsys, tmp_path, command, stray) == (2, *want)
+
+
+@pytest.mark.parametrize("command", ["bipersist", "persist-a"])
+def test_component_under_no_simplex_is_invalid_input(capsys, tmp_path, command):
+    def ghost(files):
+        files["diagram"]["steps"][2]["ghost"] = [[1]]
+
+    message = "step 2: component stored under 'ghost', which names no simplex\n"
+    assert stray_id_run(capsys, tmp_path, command, ghost) == (2, "", message)
 
 
 def test_closure_of_a_7_simplex_through_the_cli(capsys, tmp_path):

@@ -5,7 +5,9 @@ tests/densekernel.py keeps the dense reduction it replaced, with the
 same arithmetic and pivot order, so the two must agree entry for
 entry: pivots, zero columns, reduced columns and tracked ops, with and
 without clearing, on random matrices and on the coboundaries of random
-sheaves, at the smallest primes and the largest allowed one.
+sheaves, at the smallest primes and the largest allowed one.  The
+sparse product linalg._mulcols must agree with the dense one,
+linalg._mulmod, in the same way.
 """
 
 import random
@@ -14,7 +16,7 @@ import numpy as np
 import pytest
 
 from persheaf import CochainComplex, Field, constant, zeros
-from persheaf.linalg import Columns
+from persheaf.linalg import Columns, _mulcols, _mulmod
 
 import densekernel
 from builders import dense_map
@@ -153,3 +155,43 @@ def test_step_maps_are_the_dense_leading_blocks(p):
                 assert np.array_equal(dense_map(view, k), block)
                 if k in view._maps:
                     check_against_dense(field, block)
+
+
+def product_cases(field, rng):
+    """Pairs (a, b) with a.shape[1] == b.shape[0]."""
+    p = field.p
+    for r, k, c in [(0, 0, 0), (0, 3, 2), (3, 0, 2), (3, 2, 0), (0, 4, 0), (2, 0, 0)]:
+        yield random_matrix(rng, p, r, k), random_matrix(rng, p, k, c)
+    for _ in range(40):
+        r, k, c = (int(n) for n in rng.integers(1, 9, size=3))
+        a = random_matrix(rng, p, r, k)
+        yield a, random_matrix(rng, p, k, c)
+        # b's columns share their inner indices, so terms meet in one entry
+        yield a, np.repeat(rng.integers(0, p, size=(k, 1)), c, axis=1)
+        # all-zero products: a kernel basis, and disjoint inner supports
+        yield a, field.kernel_basis(a)
+        half = zeros(r, k)
+        half[:, : k // 2] = a[:, : k // 2]
+        other = random_matrix(rng, p, k, c)
+        other[: k // 2] = 0
+        yield half, other
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_sparse_product_matches_the_dense_one(p):
+    field = Field(p)
+    rng = np.random.default_rng(80 + p % 1000)
+    zero_products = 0
+    for a, b in product_cases(field, rng):
+        got = _mulcols(field.sparse(a), field.sparse(b), p)
+        want = _mulmod(a, b, p)
+        assert got.shape == want.shape
+        assert np.array_equal(got.dense(), want)
+        # canonical: no stored zeros, rows ascending within each column
+        canonical = Columns.from_dense(want)
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, name), getattr(canonical, name))
+        zero_products += want.size > 0 and not want.any()
+    assert zero_products >= 40
+    with pytest.raises(ValueError, match="cannot multiply"):
+        _mulcols(field.sparse(zeros(2, 3)), field.sparse(zeros(2, 3)), p)

@@ -194,6 +194,7 @@ def broken_sheaves(rng, x):
     bogus[(v, v)] = np.zeros((1, 1), dtype=np.int64)
     bogus[("nowhere", v)] = np.zeros((1, 1), dtype=np.int64)
     yield CellularSheaf(x, sheaf.stalk_dim, bogus)
+    yield CellularSheaf(x, {**sheaf.stalk_dim, "nope": 1, "gone": 0}, restr)
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -225,7 +226,7 @@ def test_problem_lists_of_broken_inputs(p):
                 got = validate_graded_cosheaf(graded)
                 assert got == ref.checked_graded_maps(graded)[1]
                 co_seen.update(word for m in got for word in m.split(" "))
-    assert {"diamond", "missing", "restriction", "'nowhere'"} <= seen
+    assert {"diamond", "missing", "restriction", "'nowhere'", "stalk"} <= seen
     assert {"diamond", "missing", "extension", "'nowhere'", '"no'} <= co_seen
     assert {"diamond", '"no', "scalar", "entry", "'nowhere'"} <= graded_seen
 
@@ -251,6 +252,10 @@ def test_naturality_matches_per_incidence_loop(p):
         assert validate_morphism(broken) == want
         failed += bool(want)
         checked += 1
+        ghost = SheafMorphism(phi.source, phi.target, {**comps, "ghost": [[1]]})
+        want = ref.validate_morphism(ghost)
+        assert validate_morphism(ghost) == want
+        assert "component stored under 'ghost', which names no simplex" in want
     assert failed > 3
 
 

@@ -27,12 +27,13 @@ from persheaf import (
     persistent_cohomology,
     validate_graded_sheaf,
     validate_sheaf,
+    vietoris_rips,
     zeros,
 )
 from persheaf.graded import _graded_kernel, _graded_quotient_bars, _graded_snf_bars
 
 import pergenerator
-from builders import edge_diagram
+from builders import closure, edge_diagram, nested_coordinate_diagram
 from perincidence import codim1_pairs
 from oracles import rref_rank
 from genrandom import random_complex, random_monomorphic_diagram
@@ -251,32 +252,42 @@ def _not_injective(rng, diagram):
     return SheafDiagram(diagram.snapshots, steps)
 
 
+def count_reductions(monkeypatch):
+    """A list that grows by one at each call of Field._column_echelon."""
+    calls = []
+    reduce = Field._column_echelon
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return reduce(self, *args, **kwargs)
+
+    monkeypatch.setattr(Field, "_column_echelon", counted)
+    return calls
+
+
+def assert_same_graded_sheaf(got, want):
+    """Degrees and every restriction equal, entry for entry."""
+    assert got.degrees == want.degrees
+    for f, t in codim1_pairs(got.complex):
+        a, b = got.restriction(f.id, t.id), want.restriction(f.id, t.id)
+        assert a.scalar.dtype == b.scalar.dtype == np.int64
+        assert np.array_equal(a.scalar, b.scalar)
+        assert (a.row_degrees, a.col_degrees) == (b.row_degrees, b.col_degrees)
+
+
 @pytest.mark.parametrize("p", [2, 3, 2**31 - 1])
 def test_conversion_matches_the_per_generator_reference(p, monkeypatch):
     rng = random.Random(1009 + p % 1000)
-    calls = []
-    solve = Field.solve
-
-    def counted(self, a, b):
-        calls.append(1)
-        return solve(self, a, b)
-
     for _ in range(12):
         x = random_complex(rng, Field(p), max_simplices=14)
         d = random_monomorphic_diagram(rng, x, max_total=4)
         want = pergenerator.diagram_to_graded_sheaf(d)
-        calls.clear()
-        monkeypatch.setattr(Field, "solve", counted)
+        calls = count_reductions(monkeypatch)
         got = diagram_to_graded_sheaf(d)
-        monkeypatch.setattr(Field, "solve", solve)
-        incidences = list(codim1_pairs(x))
-        assert len(calls) == len(incidences)
-        assert got.degrees == want.degrees
-        for f, t in incidences:
-            a, b = got.restriction(f.id, t.id), want.restriction(f.id, t.id)
-            assert a.scalar.dtype == b.scalar.dtype == np.int64
-            assert np.array_equal(a.scalar, b.scalar)
-            assert (a.row_degrees, a.col_degrees) == (b.row_degrees, b.col_degrees)
+        monkeypatch.undo()
+        # one reduction per level and one for every restriction at once
+        assert len(calls) <= d.length + 1
+        assert_same_graded_sheaf(got, want)
         if d.steps and any(phi.component(s.id).size for phi in d.steps for s in x.simplices):
             broken = _not_injective(rng, d)
             with pytest.raises(NotFreeError) as old:
@@ -284,6 +295,87 @@ def test_conversion_matches_the_per_generator_reference(p, monkeypatch):
             with pytest.raises(NotFreeError) as new:
                 diagram_to_graded_sheaf(broken)
             assert str(new.value) == str(old.value)
+
+
+def test_conversion_reductions_do_not_grow_with_the_complex(monkeypatch):
+    counts = []
+    for n in (6, 14):
+        rng = random.Random(n)
+        points = [(rng.random(), rng.random()) for _ in range(n)]
+        x = vietoris_rips(Field(2**31 - 1), points, [0.3, 0.5, 0.7], 2)
+        d = nested_coordinate_diagram(x, 3, 4)
+        want = pergenerator.diagram_to_graded_sheaf(d)
+        calls = count_reductions(monkeypatch)
+        got = diagram_to_graded_sheaf(d)
+        monkeypatch.undo()
+        assert_same_graded_sheaf(got, want)
+        counts.append((len(x.simplices), len(calls)))
+    (small, first), (large, second) = counts
+    assert large > 3 * small
+    assert first == second <= 4 + 1
+
+
+@pytest.mark.parametrize("p", [2, 2**31 - 1])
+def test_conversion_of_empty_pieces(p):
+    f = Field(p)
+    vertices = FilteredComplex(f, [Simplex(str(v), (v,), v % 2) for v in range(4)])
+    for d in (
+        nested_coordinate_diagram(vertices, 2, 3),
+        nested_coordinate_diagram(vertices, 0, 2),
+        nested_coordinate_diagram(FilteredComplex(f, []), 2, 2),
+    ):
+        assert_same_graded_sheaf(
+            diagram_to_graded_sheaf(d), pergenerator.diagram_to_graded_sheaf(d)
+        )
+    # a first snapshot whose stalks are all zero, and a last one too
+    x = FilteredComplex(f, closure(2))
+    d = nested_coordinate_diagram(x, 3, 4)
+    none = CellularSheaf(x, {}, {})
+    into = SheafMorphism(none, d.snapshots[0], {})
+    out = SheafMorphism(d.snapshots[-1], none, {})
+    for zero_ended in (
+        SheafDiagram([none, *d.snapshots], [into, *d.steps]),
+        SheafDiagram([none, none], [SheafMorphism(none, none, {})]),
+    ):
+        assert_same_graded_sheaf(
+            diagram_to_graded_sheaf(zero_ended),
+            pergenerator.diagram_to_graded_sheaf(zero_ended),
+        )
+    with pytest.raises(NotFreeError) as old:
+        pergenerator.diagram_to_graded_sheaf(SheafDiagram([*d.snapshots, none], [*d.steps, out]))
+    with pytest.raises(NotFreeError) as new:
+        diagram_to_graded_sheaf(SheafDiagram([*d.snapshots, none], [*d.steps, out]))
+    assert str(new.value) == str(old.value)
+
+
+def test_conversion_refuses_maps_of_the_wrong_shape():
+    d = edge_diagram()
+    comps = {s.id: d.steps[1].component(s.id) for s in d.complex.simplices}
+    comps["1"] = zeros(2, 2)
+    steps = list(d.steps)
+    steps[1] = SheafMorphism(d.snapshots[1], d.snapshots[2], comps)
+    shape = r"^component at '1' has shape \(2, 2\), expected \(2, 1\)$"
+    with pytest.raises(ValueError, match=shape):
+        diagram_to_graded_sheaf(SheafDiagram(d.snapshots, steps))
+    bare = CellularSheaf(d.complex, d.snapshots[-1].stalk_dim, {})
+    out = SheafMorphism(d.snapshots[-2], bare, d.steps[-1]._component)
+    with pytest.raises(ValueError, match="missing restriction for '0' -> '0.1'"):
+        diagram_to_graded_sheaf(SheafDiagram([*d.snapshots[:-1], bare], [*d.steps[:-1], out]))
+
+
+def test_not_free_names_the_first_simplex_not_the_first_step():
+    # '0' fails only at step 2, '1' already at step 0; the reference
+    # walks simplex by simplex, so '0' at step 2 is reported
+    x = FilteredComplex(F5, [Simplex("0", (0,), 0), Simplex("1", (1,), 0)])
+    snaps = [CellularSheaf(x, {"0": 2, "1": 2}, {}) for _ in range(4)]
+    keep, fold = identity(2), matrix([[1, 1], [2, 2]], 5)
+    comps = [{"0": keep, "1": fold}, {"0": keep, "1": keep}, {"0": fold, "1": fold}]
+    d = SheafDiagram(snaps, [SheafMorphism(a, b, c) for a, b, c in zip(snaps, snaps[1:], comps)])
+    with pytest.raises(NotFreeError) as old:
+        pergenerator.diagram_to_graded_sheaf(d)
+    assert str(old.value) == "diagram not free at 0, step 2"
+    with pytest.raises(NotFreeError, match=r"^diagram not free at 0, step 2$"):
+        diagram_to_graded_sheaf(d)
 
 
 def test_not_free_message_names_the_first_failing_step():
