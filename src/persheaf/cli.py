@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 usage error (a negative --k, --max-dim or
---hom-n among them), 2 invalid input, 3 engine mismatch (the
+--hom-n among them), 2 invalid input (also an input too large to
+allocate, reported in one line), 3 engine mismatch (the
 cross-checking modes treat any disagreement between two routes to the
 same barcode as a hard failure), 4 internal error (a broken internal
 invariant, reported in one line on stderr).
@@ -10,13 +11,23 @@ persist-t, persist-a, bipersist, labeled and unicolored validate their
 input once, build what every degree shares once, and then do only the
 per-degree work; a filtration's complex is assembled once and read at
 every step through its leading blocks.
+
+Importing this module pins OpenBLAS to one thread, unless the caller
+has set OPENBLAS_NUM_THREADS: nothing here runs BLAS, and its thread
+pool would only slow start-up.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
+
+# All arithmetic is exact F_p on int64 arrays, which numpy never hands to
+# BLAS; OpenBLAS's worker thread would only cost start-up.  Set before
+# numpy loads, which the package imports below do; a caller's value wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .bipersistence import check_commutative, grid_by_degree
 from .cohomology import CochainComplex, cohomology_basis, persistent_cohomology_by_degree
@@ -358,7 +369,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 1
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, MemoryError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except AssertionError as exc:

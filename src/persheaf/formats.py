@@ -288,6 +288,12 @@ def sheaf_from_data(
     restriction_data = _require(data, "restrictions", where, list)
     complex_ = _complex_of(data, complex_, where, "sheaf")
     _all_integers(stalk_data, f"{where}.stalks")
+    dims = stalk_data.values()
+    if min(dims, default=0) < 0 or max(dims, default=0) >= 2**63:
+        sid, dim = next((k, v) for k, v in stalk_data.items() if not 0 <= v < 2**63)
+        raise ValueError(
+            f"{where}.stalks[{sid!r}]: expected a dimension from 0 to 2^63 - 1, got {dim}"
+        )
     restrictions = _restrictions(
         restriction_data, stalk_data, complex_.field.p, where
     )

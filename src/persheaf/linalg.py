@@ -302,12 +302,6 @@ class Field:
     def normalize(self, m) -> np.ndarray:
         return np.asarray(m, dtype=np.int64) % self.p
 
-    def inv(self, a: int) -> int:
-        a = int(a) % self.p
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0")
-        return pow(a, self.p - 2, self.p)
-
     def matmul(self, a, b) -> np.ndarray:
         """a @ b mod p, exact in int64 for every p < 2^31.
 

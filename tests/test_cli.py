@@ -553,6 +553,36 @@ def test_wrongly_typed_json_is_invalid_input(capsys, tmp_path, command, name, ed
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("command", ["persist-t", "persist-a", "validate"])
+@pytest.mark.parametrize("dim", [-1, 2**63])
+def test_out_of_range_stalk_is_invalid_input(capsys, tmp_path, command, dim):
+    if command == "persist-a":
+        edit = _set(["snapshots", 1, "stalks", "0"], dim)
+        argv = [command, _drop_key(tmp_path, "edge_diagram.json", edit)]
+        where = "diagram.snapshots[1]"
+    else:
+        path = _drop_key(tmp_path, "triangle_sheaf.json", _set(["stalks", "0"], dim))
+        complex_ = [fx("triangle.json")] if command == "persist-t" else []
+        argv, where = [command, *complex_, path], "sheaf"
+    code, out, err = run(capsys, argv)
+    message = f"{where}.stalks['0']: expected a dimension from 0 to 2^63 - 1, got {dim}"
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("command", ["persist-t", "cohomology"])
+def test_unallocatable_stalk_exits_2_in_one_line(capsys, tmp_path, command):
+    """numpy refuses a 10^12-entry cochain vector before allocating it."""
+    cpath = tmp_path / "vertex.json"
+    cpath.write_text(json.dumps(
+        {"field": 2, "steps": 1, "simplices": [{"id": "0", "vertices": [0], "entry": 0}]}
+    ))
+    spath = tmp_path / "vertex_sheaf.json"
+    spath.write_text(json.dumps({"stalks": {"0": 10**12}, "restrictions": []}))
+    code, out, err = run(capsys, [command, str(cpath), str(spath)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+
+
 def test_broken_invariant_exits_4(capsys, monkeypatch):
     def broken(sheaf, degrees):
         raise AssertionError("pivot (0, 0) would need a negative t-power")
@@ -1036,17 +1066,69 @@ def test_coords_back_substitute_without_solving(capsys, tmp_path, coords_solves,
     assert coords_solves["solves"] == []
 
 
-def test_cli_import_loads_no_scipy():
+def _fresh_python(code: str, **env) -> tuple:
+    """(exit code, stdout, stderr) of code run in a new interpreter with
+    PYTHONPATH=src.  env sets variables; a value of None unsets one."""
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-    env = dict(os.environ, PYTHONPATH=src)
+    environ = dict(os.environ, PYTHONPATH=src)
+    for name, value in env.items():
+        if value is None:
+            environ.pop(name, None)
+        else:
+            environ[name] = value
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=environ
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_cli_import_loads_no_scipy():
     code = (
         "import sys, persheaf.cli; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
-    done = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    assert _fresh_python(code) == (0, "[]\n", "")
+
+
+def test_package_import_loads_no_module_and_sets_no_variable():
+    code = (
+        "import os, sys\n"
+        "before = dict(os.environ)\n"
+        "import persheaf\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'persheaf')))\n"
+        "print(dict(os.environ) == before)\n"
     )
-    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+    assert _fresh_python(code, OPENBLAS_NUM_THREADS=None) == (0, "['persheaf']\nTrue\n", "")
+
+
+@pytest.mark.parametrize("given, pinned", [(None, "1"), ("3", "3")])
+def test_cli_import_pins_openblas_unless_the_caller_did(given, pinned):
+    code = "import os, persheaf.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert _fresh_python(code, OPENBLAS_NUM_THREADS=given) == (0, f"{pinned}\n", "")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
+def test_cli_import_starts_no_thread():
+    code = "import os, persheaf.cli; print(len(os.listdir('/proc/self/task')))"
+    assert _fresh_python(code, OPENBLAS_NUM_THREADS=None) == (0, "1\n", "")
+
+
+def test_package_names_load_on_first_use():
+    code = (
+        "import persheaf\n"
+        "print([n for n in persheaf.__all__ if n not in dir(persheaf)])\n"
+        "for name in persheaf.__all__:\n"
+        "    getattr(persheaf, name)\n"
+        "star = {}\n"
+        "exec('from persheaf import *', star)\n"
+        "print(sorted(set(persheaf.__all__) - set(star)))\n"
+        "try:\n"
+        "    persheaf.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n"
+    )
+    expected = "[]\n[]\nmodule 'persheaf' has no attribute 'no_such_name'\n"
+    assert _fresh_python(code) == (0, expected, "")
 
 
 @pytest.fixture(scope="module")
