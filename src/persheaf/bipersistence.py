@@ -12,16 +12,9 @@ every square can be checked for commutativity the same way.
 
 from __future__ import annotations
 
-import numpy as np
-
-from .cohomology import (
-    CochainComplex,
-    _cochain_map,
-    _induced,
-    _step_map,
-    cohomology_basis,
-)
-from .sheaves import SheafDiagram, _check_diagram
+from .cohomology import CochainComplex, _induced, _step_map, cohomology_basis
+from .linalg import _mulcols
+from .sheaves import SheafDiagram, _block_diagonal, _check_diagram
 
 __all__ = ["BiGrid", "grid", "grid_by_degree", "check_commutative"]
 
@@ -31,13 +24,15 @@ class BiGrid:
 
     hmaps[u][j] maps column j to column j+1 inside row u; vmaps[u][j]
     maps row u to row u+1 inside column j.  All rows have equal length.
+    The maps are held as linalg.Columns; a dense map given here is
+    converted once.
     """
 
     def __init__(self, field, dims, hmaps, vmaps):
         self.field = field
         self.dims = [list(row) for row in dims]
-        self.hmaps = [list(row) for row in hmaps]
-        self.vmaps = [list(row) for row in vmaps]
+        self.hmaps = [[field.sparse(m) for m in row] for row in hmaps]
+        self.vmaps = [[field.sparse(m) for m in row] for row in vmaps]
         rows = len(self.dims)
         if rows == 0 or len(self.dims[0]) == 0:
             raise ValueError("a grid needs at least one row and column")
@@ -94,10 +89,7 @@ def grid_by_degree(diagram: SheafDiagram, degrees) -> dict:
     out = {}
     for k in degrees:
         bases = [[cohomology_basis(cc.stalks, k, cc) for cc in row] for row in rows]
-        chain_maps = [
-            _cochain_map(phi, full[j], full[j + 1], k)
-            for j, phi in enumerate(diagram.steps)
-        ]
+        chain_maps = [_block_diagonal(phi, k) for phi in diagram.steps]
         hmaps = [
             [
                 _induced(m, bases[u][j], bases[u][j + 1])
@@ -131,12 +123,14 @@ def check_commutative(g: BiGrid):
 
     The square at (u, j) has corners (u, j) and (u+1, j+1); failure
     means right-then-down disagrees with down-then-right from (u, j).
+    Both composites are sparse products (linalg._mulcols), whose stored
+    arrays are canonical, so they are compared array for array.
     """
-    field = g.field
+    p = g.field.p
     for u in range(g.rows - 1):
         for j in range(g.cols - 1):
-            rd = field.matmul(g.vmaps[u][j + 1], g.hmaps[u][j])
-            dr = field.matmul(g.hmaps[u + 1][j], g.vmaps[u][j])
-            if not np.array_equal(rd, dr):
+            rd = _mulcols(g.vmaps[u][j + 1], g.hmaps[u][j], p)
+            dr = _mulcols(g.hmaps[u + 1][j], g.vmaps[u][j], p)
+            if rd != dr:
                 return (u, j)
     return None

@@ -1,11 +1,12 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 usage error (a negative --k, --max-dim or
---hom-n among them), 2 invalid input (also an input too large to
-allocate, reported in one line), 3 engine mismatch (the
-cross-checking modes treat any disagreement between two routes to the
-same barcode as a hard failure), 4 internal error (a broken internal
-invariant, reported in one line on stderr).
+--hom-n, and a --field that is not a prime below 2^31, among them), 2
+invalid input (also an input too large to allocate, reported in one
+line, and a --field that disagrees with the input's field), 3 engine
+mismatch (the cross-checking modes treat any disagreement between two
+routes to the same barcode as a hard failure), 4 internal error (a
+broken internal invariant, reported in one line on stderr).
 
 persist-t, persist-a, bipersist, labeled and unicolored validate their
 input once, build what every degree shares once, and then do only the
@@ -43,7 +44,7 @@ from .formats import (
 )
 from .graded import NotFreeError, diagram_graded_barcode_by_degree
 from .labeled import LabeledFiltration, label_diagram, unicolored_pipeline
-from .linalg import Field
+from .linalg import Field, _is_prime
 from .persistence import barcodes_equal
 from .sheaves import _check_diagram, validate_diagram, validate_sheaf
 from .typet import type_t_direct_by_degree, type_t_graded_by_degree
@@ -71,9 +72,21 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
+def _field_order(text: str) -> int:
+    """A --field value: a prime p with 2 <= p < 2^31."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if not (2 <= value < 2**31 and _is_prime(value)):
+        # raised past argparse, which would prefix the option's name
+        raise _UsageError(f"--field must be a prime below 2^31, got {value}")
+    return value
+
+
 def _create_parser() -> _Parser:
     common = _Parser(add_help=False)
-    common.add_argument("--field", type=int, default=None)
+    common.add_argument("--field", type=_field_order, default=None)
     common.add_argument(
         "--format", choices=("text", "json", "svg"), default="text"
     )

@@ -7,8 +7,12 @@ extensions, transposed in direction.  Both are filled from the
 sheaf's maps gathered along the face tables, one signed scatter per
 shape group (sheaves._signed_maps).  The maps are stored as sparse
 columns (linalg.Columns).  Bases of the resulting subquotients keep
-their representative columns so induced maps can be expressed in
-coordinates.
+their representative cycles as Columns too (unit columns at a top
+degree), so no dense C^k x H^k matrix is formed: an induced map is
+the sparse product (linalg._mulcols) of the cochain map, itself
+Columns, with the representatives, rewritten in coordinates, and it
+is Columns as well.  Only the label sheaves of labeled.py store a
+class map densely, as a restriction or a morphism component.
 
 H^k = ker(delta^k)/im(delta^(k-1)) costs one column reduction of
 delta^k.  It clears (skips) the columns that are pivot rows of
@@ -21,7 +25,8 @@ representatives.
 Coordinates need no solve.  In the basis of ker(delta^k) made of the
 representatives and the reduced pivot columns of delta^(k-1), no two
 vectors share a lowest nonzero row, so QuotientBasis.coords is a
-back-substitution by lowest row.
+back-substitution by lowest row, one column at a time, each as a
+{row: value} dict.
 
 A filtration is assembled once.  Its step-i subcomplex is a prefix of
 every dimension in the global order, so step(i) is a view whose maps
@@ -36,7 +41,7 @@ from functools import cached_property
 import numpy as np
 
 from .complexes import FilteredComplex, SimplicialMap
-from .linalg import Columns, Echelon, identity, zeros
+from .linalg import Columns, Echelon, _addmul, _from_dicts, _mulcols, zeros
 from .persistence import PersistenceModule, decompose_by_ranks
 from .sheaves import (
     CellularSheaf,
@@ -45,6 +50,7 @@ from .sheaves import (
     constant,
     dualize,
     pullback,
+    _block_diagonal,
     _check_diagram,
     _signed_maps,
     validate_sheaf,
@@ -228,70 +234,72 @@ class QuotientBasis:
     cycles and killed are Columns, together a basis of the cycles in
     which no two columns share a lowest nonzero row: each cycle's is
     its own column of the tracked reduction, each killed vector's a
-    pivot row of the map into degree k.  representatives is cycles as a
-    dense matrix.  coords() rewrites ambient columns as classes in this
-    basis; asking for the coordinates of something outside the subspace
-    is an error, not a projection.
+    pivot row of the map into degree k.  The cycles are the
+    representatives; at a top degree they are unit columns.  coords()
+    rewrites ambient columns as classes in this basis; asking for the
+    coordinates of something outside the subspace is an error, not a
+    projection.
     """
 
     def __init__(self, space, degree: int, cycles: Columns, killed: Columns):
         self.space = space
         self.degree = degree
         self.cycles = cycles
-        self.representatives = cycles.dense()
         self.killed = killed
 
     @property
     def dim(self) -> int:
-        return self.representatives.shape[1]
+        return self.cycles.shape[1]
 
     @cached_property
-    def _by_low(self) -> list:
-        """(low, rows, values, inverse of the low value, slot) for each
-        basis column, lowest rows first; slot is the column's coordinate,
-        or -1 for a killed vector."""
+    def _by_low(self) -> dict:
+        """low -> (column as {row: value}, inverse of its value at low,
+        slot) for each basis column, keyed by its lowest nonzero row;
+        slot is the column's coordinate, or -1 for a killed vector."""
         p = self.space.field.p
-        out = []
+        out = {}
         for basis, is_cycle in ((self.cycles, True), (self.killed, False)):
+            rows, values = basis.indices.tolist(), basis.data.tolist()
             ptr = basis.indptr.tolist()
             for t in range(basis.shape[1]):
-                rows = basis.indices[ptr[t] : ptr[t + 1]]
-                values = basis.data[ptr[t] : ptr[t + 1]]
-                inv = pow(int(values[-1]), -1, p)
-                slot = t if is_cycle else -1
-                out.append((int(rows[-1]), rows, values[:, None], inv, slot))
-        out.sort(key=lambda entry: -entry[0])
+                a, b = ptr[t], ptr[t + 1]
+                col = dict(zip(rows[a:b], values[a:b]))
+                out[rows[b - 1]] = (col, pow(values[b - 1], -1, p), t if is_cycle else -1)
         return out
 
-    def coords(self, vectors) -> np.ndarray:
+    def coords(self, vectors: Columns) -> Columns:
         """Coordinates of the classes of vectors' columns, by back-substitution.
 
-        The lowest nonzero row of what is left of the columns names the
-        one basis column that can clear it; whatever no basis column
-        clears lies outside the cycles.
+        The lowest nonzero row of what is left of a column names the one
+        basis column that can clear it; a low that no basis column owns
+        lies outside the cycles.  Each column is worked on as a
+        {row: value} dict, so the cost is its own fill-in.
         """
-        field = self.space.field
-        p = field.p
-        v = field.normalize(vectors)
-        if v.ndim == 1:
-            v = v.reshape(-1, 1)
-        if v.shape[0] != self.cycles.shape[0]:
+        p = self.space.field.p
+        if vectors.shape[0] != self.cycles.shape[0]:
             raise ValueError(
                 f"expected {self.cycles.shape[0]} rows in degree {self.degree}, "
-                f"got {v.shape[0]}"
+                f"got {vectors.shape[0]}"
             )
-        out = zeros(self.dim, v.shape[1])
-        for low, rows, values, inv, slot in self._by_low:
-            row = v[low]
-            if not row.any():
-                continue
-            coef = row * inv % p
-            v[rows] = (v[rows] - values * coef) % p
-            if slot >= 0:
-                out[slot] = coef
-        if v.any():
-            raise ValueError("columns do not represent classes in this basis")
-        return out
+        by_low = self._by_low
+        rows, values = vectors.indices.tolist(), vectors.data.tolist()
+        ptr = vectors.indptr.tolist()
+        out = []
+        for j in range(vectors.shape[1]):
+            col = dict(zip(rows[ptr[j] : ptr[j + 1]], values[ptr[j] : ptr[j + 1]]))
+            found = {}
+            while col:
+                low = max(col)
+                owner = by_low.get(low)
+                if owner is None:
+                    raise ValueError("columns do not represent classes in this basis")
+                basis, inverse, slot = owner
+                coef = col[low] * inverse % p
+                _addmul(col, basis, p - coef, p)
+                if slot >= 0:
+                    found[slot] = coef
+            out.append(found)
+        return _from_dicts(self.dim, out)
 
 
 def cohomology_basis(
@@ -320,33 +328,17 @@ def simplicial_homology_basis(complex_: FilteredComplex, n: int) -> QuotientBasi
     return cosheaf_homology_basis(None, n, simplicial_chain_complex(complex_))
 
 
-def _cochain_map(phi: SheafMorphism, src, tgt, k: int) -> np.ndarray:
-    """The degree-k cochain map of phi from src's C^k to tgt's C^k.
+def _induced(m: Columns, source_basis: QuotientBasis, target_basis: QuotientBasis) -> Columns:
+    """Matrix of a cochain map's leading block between two bases.
 
-    Block diagonal with the morphism components.  On step views of
-    complexes over phi's own complex, the step's map is the leading
-    block of the full one.
+    m is the degree-k cochain map of a morphism over the whole complex
+    (sheaves._block_diagonal); on step views of the complexes it
+    restricts to its leading block.
     """
-    m = zeros(tgt.dim(k), src.dim(k))
-    for s in phi.complex.simplices_of_dim(k):
-        comp = phi.component(s.id)
-        if comp.size == 0:
-            continue
-        ro = tgt.offset(k, s.id)
-        co = src.offset(k, s.id)
-        m[ro : ro + comp.shape[0], co : co + comp.shape[1]] = comp
-    return m
-
-
-def _induced(
-    m: np.ndarray, source_basis: QuotientBasis, target_basis: QuotientBasis
-) -> np.ndarray:
-    """Matrix of a cochain map's leading block between two bases."""
     k = source_basis.degree
-    block = m[: target_basis.space.dim(k), : source_basis.space.dim(k)]
-    return target_basis.coords(
-        source_basis.space.field.matmul(block, source_basis.representatives)
-    )
+    block = m.leading(target_basis.space.dim(k), source_basis.space.dim(k))
+    p = source_basis.space.field.p
+    return target_basis.coords(_mulcols(block, source_basis.cycles, p))
 
 
 def induced_by_sheaf_morphism(
@@ -354,7 +346,7 @@ def induced_by_sheaf_morphism(
     k: int | None = None,
     source_basis: QuotientBasis | None = None,
     target_basis: QuotientBasis | None = None,
-) -> np.ndarray:
+) -> Columns:
     """Matrix of H^k(phi) in the chosen bases.
 
     The cochain map is block diagonal with the morphism components;
@@ -367,25 +359,24 @@ def induced_by_sheaf_morphism(
         target_basis = cohomology_basis(phi.target, k)
     if source_basis.degree != target_basis.degree:
         raise ValueError("bases live in different degrees")
-    k = source_basis.degree
-    m = _cochain_map(phi, source_basis.space, target_basis.space, k)
-    return _induced(m, source_basis, target_basis)
+    return _induced(_block_diagonal(phi, source_basis.degree), source_basis, target_basis)
 
 
-def _step_map(source_basis: QuotientBasis, target_basis: QuotientBasis) -> np.ndarray:
+def _step_map(source_basis: QuotientBasis, target_basis: QuotientBasis) -> Columns:
     """Matrix of the map between two step views of one complex.
 
     The spaces of a smaller step are the leading rows of a larger
     one's, so a cocycle of a larger step restricts by dropping its
-    trailing rows and a cycle of a smaller step is included by padding
-    zero rows; no inclusion matrix is formed.
+    trailing rows and a cycle of a smaller step is included by widening
+    its row count; no inclusion matrix is formed.
     """
-    k = source_basis.degree
-    reps = source_basis.representatives
-    rows = target_basis.space.dim(k)
+    reps = source_basis.cycles
+    rows = target_basis.space.dim(source_basis.degree)
     if rows > reps.shape[0]:
-        reps = np.vstack([reps, zeros(rows - reps.shape[0], reps.shape[1])])
-    return target_basis.coords(reps[:rows])
+        reps = Columns((rows, reps.shape[1]), reps.indptr, reps.indices, reps.data)
+    else:
+        reps = reps.leading(rows, reps.shape[1])
+    return target_basis.coords(reps)
 
 
 def induced_by_simplicial_map(
@@ -394,7 +385,7 @@ def induced_by_simplicial_map(
     k: int | None = None,
     source_basis: QuotientBasis | None = None,
     target_basis: QuotientBasis | None = None,
-) -> np.ndarray:
+) -> Columns:
     """Matrix of the pullback map H^k(target side) -> H^k(source side).
 
     A k-simplex whose image stays k-dimensional copies the image block;
@@ -410,8 +401,7 @@ def induced_by_simplicial_map(
         raise ValueError("bases live in different degrees")
     k = source_basis.degree
     src, tgt = source_basis.space, target_basis.space
-    field = src.field
-    m = zeros(tgt.dim(k), src.dim(k))
+    rows, cols = [], []
     for s in f.source.simplices_of_dim(k):
         t = f.image(s)
         if t.dim != k:
@@ -419,19 +409,21 @@ def induced_by_simplicial_map(
         d = tgt.block_dim(s.id)
         if src.block_dim(t.id) != d:
             raise ValueError(f"stalk mismatch over {s.id!r} and {t.id!r}")
-        if d == 0:
-            continue
         ro = tgt.offset(k, s.id)
         co = src.offset(k, t.id)
-        m[ro : ro + d, co : co + d] = identity(d)
-    return target_basis.coords(field.matmul(m, source_basis.representatives))
+        rows.extend(range(ro, ro + d))
+        cols.extend(range(co, co + d))
+    rows, cols = np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64)
+    m = Columns.from_entries((tgt.dim(k), src.dim(k)), rows, cols, np.ones_like(rows))
+    p = src.field.p
+    return target_basis.coords(_mulcols(m, source_basis.cycles, p))
 
 
-def _include(sub, sup, k: int, vectors: np.ndarray) -> np.ndarray:
+def _include(sub, sup, k: int, vectors: Columns) -> Columns:
     """Degree-k vectors of sub rewritten in sup, matching blocks by simplex id.
 
     sub's simplices must all lie in sup with equal stalks; the result
-    is one row scatter, zero on the rows of the other simplices.
+    re-indexes the rows, and is zero on the rows of the other simplices.
     """
     rows = []
     for s in sub.simplices(k):
@@ -440,14 +432,16 @@ def _include(sub, sup, k: int, vectors: np.ndarray) -> np.ndarray:
             raise ValueError(f"block size differs at {s.id!r}")
         ro = sup.offset(k, s.id)
         rows.extend(range(ro, ro + d))
-    out = zeros(sup.dim(k), vectors.shape[1])
-    out[rows] = vectors
-    return out
+    rows = np.array(rows, dtype=np.int64)
+    cols = np.repeat(np.arange(vectors.shape[1]), np.diff(vectors.indptr))
+    shape = (sup.dim(k), vectors.shape[1])
+    return Columns.from_entries(shape, rows[vectors.indices], cols, vectors.data)
 
 
 def chain_inclusion_matrix(sub, sup, k: int) -> np.ndarray:
     """Identity blocks placing sub's degree-k space inside sup's by simplex id."""
-    return _include(sub, sup, k, identity(sub.dim(k)))
+    n = sub.dim(k)
+    return _include(sub, sup, k, Columns.units(n, np.arange(n))).dense()
 
 
 def persistent_cohomology_by_degree(diagram: SheafDiagram, degrees) -> dict:

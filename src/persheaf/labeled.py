@@ -104,8 +104,8 @@ def _sheaf_from_layer(label_complex, chains, bases, n) -> CellularSheaf:
     for f, t in _codim1_pairs(label_complex):
         if stalks[f.id] == 0 or stalks[t.id] == 0:
             continue
-        cycles = _include(chains[f.id], chains[t.id], n, bases[f.id].representatives)
-        restrictions[(f.id, t.id)] = bases[t.id].coords(cycles)
+        cycles = _include(chains[f.id], chains[t.id], n, bases[f.id].cycles)
+        restrictions[(f.id, t.id)] = bases[t.id].coords(cycles).dense()
     return CellularSheaf(label_complex, stalks, restrictions)
 
 
@@ -131,7 +131,7 @@ def label_diagram(lf: LabeledFiltration, n: int) -> SheafDiagram:
             a, b = bases[i][tid], bases[i + 1][tid]
             if a.dim == 0 or b.dim == 0:
                 continue
-            comp[tid] = _step_map(a, b)
+            comp[tid] = _step_map(a, b).dense()
         steps.append(SheafMorphism(snapshots[i], snapshots[i + 1], comp))
     return SheafDiagram(snapshots, steps)
 

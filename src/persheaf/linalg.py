@@ -1,11 +1,12 @@
 """Exact linear algebra over prime fields.
 
 Dense matrices are numpy int64 arrays with entries reduced mod p; a
-0 x n or n x 0 array is a legitimate zero map.  The (co)boundaries of
-cohomology.py and the block-diagonal bases of the diagram conversion
-in graded.py are sparse instead: Columns stores each column as its
-ascending row indices and nonzero values (compressed sparse columns),
-in int64 arrays.
+0 x n or n x 0 array is a legitimate zero map.  The (co)boundaries,
+cohomology classes and induced maps of cohomology.py, the maps of
+persistence modules and grids, and the block-diagonal bases of the
+diagram conversion in graded.py are sparse instead: Columns stores
+each column as its ascending row indices and nonzero values
+(compressed sparse columns), in int64 arrays.
 
 Field._column_echelon is the one column reduction, and it runs on
 Columns: it walks columns left to right and pivots on the lowest
@@ -14,24 +15,29 @@ later column whose low collides with it (the standard persistence
 reduction of PHAT and Ripser), so equal inputs always produce equal
 bases.  All the fixture matrices downstream depend on that
 determinism.  The based (co)homology of cohomology.py runs it with
-clearing on the stored columns; rank, kernel_basis, image_basis,
-solve and the graded engine reach it through one conversion,
-Field.sparse, and the diagram conversion hands it Columns directly,
-through Field._solve, the sparse core of solve.
+clearing on the stored columns, and the rank table of persistence.py
+on its sparse composites; rank, kernel_basis, image_basis, solve and
+the graded engine reach it through one conversion, Field.sparse, and
+the diagram conversion hands it Columns directly, through
+Field._solve, the sparse core of solve.
 
-_mulmod is the one dense product: Field.matmul and the stacked diamond
-check of sheaves.py call it, so the int64 overflow bound lives there.
-While inner * (p-1)^2 < 2^63 a product is one int64 matmul and one
-reduction.  Past that bound (every inner size from 2 up at p = 2^31-1)
-the right operand is split into 16-bit limbs, b = hi * 2^16 + lo, and
-a @ b = ((a @ hi mod p) * 2^16 + a @ lo) mod p, with the inner
-dimension cut into chunks short enough that no partial sum reaches
-2^63, after the delayed-reduction products of Dumas, Giorgi and Pernet
-("Dense linear algebra over word-size prime fields: the FFLAS and
-FFPACK packages", ACM TOMS 2008).  _mulcols is the one sparse
-product, Columns by Columns: every term is reduced mod p before one
-segmented sum, so it needs no limbs.  No product needs Python integers
-or floating point.
+_mulmod is the one dense product: Field.matmul (the graded engine's
+check that consecutive maps compose to zero) and the stacked diamond
+and naturality checks of sheaves.py (_commuting) call it, so the int64
+overflow bound lives there; no class, class map or rank table of the
+pointwise engines goes through it.  While inner * (p-1)^2 < 2^63 a
+product is one int64 matmul and one reduction.  Past that bound
+(every inner size from 2 up at p = 2^31-1) the right operand is split
+into 16-bit limbs, b = hi * 2^16 + lo, and a @ b = ((a @ hi mod p) *
+2^16 + a @ lo) mod p, with the inner dimension cut into chunks short
+enough that no partial sum reaches 2^63, after the delayed-reduction
+products of Dumas, Giorgi and Pernet ("Dense linear algebra over
+word-size prime fields: the FFLAS and FFPACK packages", ACM TOMS
+2008).  _mulcols is the one sparse product, Columns by Columns: every
+term is reduced mod p before one segmented sum, so it needs no limbs.
+The induced maps, the rank table, the commutativity check of a grid
+and the diagram conversion all multiply with it.  No product needs
+Python integers or floating point.
 """
 
 from __future__ import annotations
@@ -186,6 +192,23 @@ class Columns:
             (self.shape[0], len(cols)), indptr, self.indices[at], self.data[at]
         )
 
+    def __eq__(self, other):
+        """Equal shape and equal stored arrays: the same matrix when both
+        hold their rows ascending and no zeros, as every constructor here
+        leaves them."""
+        return (
+            isinstance(other, Columns)
+            and self.shape == other.shape
+            and all(
+                np.array_equal(getattr(self, name), getattr(other, name))
+                for name in ("indptr", "indices", "data")
+            )
+        )
+
+    def transposed(self) -> "Columns":
+        cols = np.repeat(np.arange(self.shape[1]), np.diff(self.indptr))
+        return Columns.from_entries(self.shape[::-1], cols, self.indices, self.data)
+
     def leading(self, rows: int, cols: int) -> "Columns":
         """The leading rows x cols block: a prefix of the columns,
         without the entries past row rows."""
@@ -316,7 +339,9 @@ class Field:
         return _mulmod(a, b, self.p)
 
     def sparse(self, m) -> Columns:
-        """A dense matrix as Columns, reduced mod p."""
+        """A dense matrix as Columns, reduced mod p; Columns pass through."""
+        if isinstance(m, Columns):
+            return m
         return Columns.from_dense(self.normalize(m))
 
     def _column_echelon(self, m: Columns, track: bool = False, clear=()) -> Echelon:

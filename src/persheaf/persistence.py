@@ -1,16 +1,18 @@
 """One-parameter persistence modules and their interval decomposition.
 
 A module of length m is a chain of F_p spaces joined by forward maps;
-a copersistence module runs the maps backward.  Decomposition is by the
-rank formula: bar multiplicities are an inclusion-exclusion over ranks
-of composite maps.  The diagram is implicitly continued to the right by
-identity maps, so a class alive at the last index belongs to an
-unbounded bar, written (a, None).
+a copersistence module runs the maps backward.  The maps are held as
+linalg.Columns.  Decomposition is by the rank formula: bar
+multiplicities are an inclusion-exclusion over ranks of composite
+maps, which are sparse products (linalg._mulcols, not the dense
+_mulmod) ranked by the one column reduction.  The diagram is
+implicitly continued to the right by identity maps, so a class alive
+at the last index belongs to an unbounded bar, written (a, None).
 """
 
 from __future__ import annotations
 
-from .linalg import Field, matrix
+from .linalg import Field, _mulcols
 
 __all__ = [
     "Barcode",
@@ -101,7 +103,8 @@ def reflect(bc: Barcode, m: int) -> Barcode:
 class _Module:
     """Spaces of dimensions dims[i], with maps[i] between i and i+1.
 
-    The maps run forward, from i to i+1, unless _down.
+    The maps run forward, from i to i+1, unless _down.  They are held
+    as Columns; a dense map given here is converted once.
     """
 
     _down = False
@@ -114,7 +117,7 @@ class _Module:
             raise ValueError(f"a {name} module needs at least one index")
         if any(d < 0 for d in self.dims):
             raise ValueError("dimensions must be nonnegative")
-        self.maps = tuple(matrix(m, field.p) for m in maps)
+        self.maps = tuple(field.sparse(m) for m in maps)
         if len(self.maps) != len(self.dims) - 1:
             raise ValueError("expected one map per consecutive index pair")
         for i, mp in enumerate(self.maps):
@@ -139,25 +142,28 @@ class CopersistenceModule(_Module):
 
     def transposed(self) -> PersistenceModule:
         """The dual module: same dims, every map transposed to run forward."""
-        return PersistenceModule(self.field, self.dims, [m.T for m in self.maps])
+        return PersistenceModule(self.field, self.dims, [m.transposed() for m in self.maps])
 
 
 def _composite_ranks(module: PersistenceModule) -> list:
     """r[a][b] = rank of the composite map a -> b, r[a][a] = dims[a].
 
-    Row a starts from maps[a] itself, so a module of length m makes
-    (m-1)(m-2)/2 products and none with an identity.
+    Row a starts from maps[a] itself and goes on from the reduced pivot
+    columns of each composite, a basis of its image, so a module of
+    length m makes (m-1)(m-2)/2 sparse products, none with an identity,
+    and each is only as wide as the rank before it.
     """
     m = module.length
     field = module.field
     r = [[0] * m for _ in range(m)]
     for a in range(m):
         r[a][a] = module.dims[a]
-        comp = None
+        image = None
         for b in range(a + 1, m):
             step = module.maps[b - 1]
-            comp = step if comp is None else field.matmul(step, comp)
-            r[a][b] = field.rank(comp)
+            comp = step if image is None else _mulcols(step, image, field.p)
+            image = field._column_echelon(comp).reduced
+            r[a][b] = image.shape[1]
     return r
 
 

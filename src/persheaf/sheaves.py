@@ -534,17 +534,22 @@ class SheafMorphism:
         return zeros(self.target.stalk(sid), self.source.stalk(sid))
 
 
-def _block_diagonal(phi: SheafMorphism) -> Columns:
+def _block_diagonal(phi: SheafMorphism, dim: int | None = None) -> Columns:
     """phi as one matrix from the source's stalks, stacked in the global
-    order, to the target's: its components on the diagonal.  A
-    component of the wrong shape is a ValueError."""
-    rows, cols = phi.target._sizes, phi.source._sizes
-    comps = _Batch.of([phi.component(sid) for sid in phi.complex._ids])
+    order, to the target's: its components on the diagonal.  With dim,
+    only the stalks of the dim-simplices, which makes the degree-dim
+    cochain map.  A component of the wrong shape is a ValueError."""
+    x = phi.complex
+    lo, hi = (0, len(x._ids)) if dim is None else (
+        x._bounds[dim : dim + 2] if dim in x._rows else (0, 0)
+    )
+    rows, cols = phi.target._sizes[lo:hi], phi.source._sizes[lo:hi]
+    comps = _Batch.of([phi.component(sid) for sid in x._ids[lo:hi]])
     bad = np.flatnonzero((comps.shapes() != np.stack([rows, cols], axis=1)).any(axis=1))
     if bad.size:
         n = int(bad[0])
         raise ValueError(
-            f"component at {phi.complex._ids[n]!r} has shape {comps[n].shape},"
+            f"component at {x._ids[lo + n]!r} has shape {comps[n].shape},"
             f" expected {(int(rows[n]), int(cols[n]))}"
         )
     shape = (int(rows.sum()), int(cols.sum()))

@@ -11,8 +11,14 @@ entry for entry.
 solve is the Gauss-Jordan row reduction that Field.solve replaced with
 one tracked column reduction.  Both pivot on the columns independent of
 those before them and set every other unknown to 0, so they return the
-same solution, entry for entry, and None on the same systems.  Nothing
-here calls the package.
+same solution, entry for entry, and None on the same systems.
+
+coords and composite_ranks are the dense class arithmetic that the
+sparse QuotientBasis.coords and persistence._composite_ranks replaced:
+a back-substitution that updates every vector at once with row
+operations, and a rank table of dense composites.  Coordinates in a
+fixed basis are unique, so the tests require equal coordinates, entry
+for entry, and equal rank tables.  Nothing here calls the package.
 """
 
 import numpy as np
@@ -123,3 +129,61 @@ def is_invertible(p, m):
     m = np.asarray(m)
     n = m.shape[0]
     return m.shape[1] == n and solve(p, m, np.eye(n, dtype=np.int64)) is not None
+
+
+def matmul(p, a, b):
+    """a @ b mod p, exactly, through Python integers."""
+    return ((a.astype(object) @ b.astype(object)) % p).astype(np.int64).reshape(
+        a.shape[0], b.shape[1]
+    )
+
+
+def coords(p, cycles, killed, vectors):
+    """Coordinates of the classes of vectors' columns in the basis cycles,
+    modulo killed, by dense back-substitution.
+
+    cycles and killed are dense, and no two of their columns share a
+    lowest nonzero row.  Basis columns are taken lowest row first; each
+    clears its low row from every vector at once.  Whatever is left is
+    outside the span: ValueError.
+    """
+    basis = []
+    for m, is_cycle in ((cycles, True), (killed, False)):
+        for t in range(m.shape[1]):
+            rows = np.flatnonzero(m[:, t])
+            values = m[rows, t]
+            inv = pow(int(values[-1]), p - 2, p)
+            basis.append((int(rows[-1]), rows, values[:, None], inv, t if is_cycle else -1))
+    basis.sort(key=lambda entry: -entry[0])
+    v = np.remainder(np.asarray(vectors, dtype=np.int64), p)
+    out = np.zeros((cycles.shape[1], v.shape[1]), dtype=np.int64)
+    for low, rows, values, inv, slot in basis:
+        row = v[low]
+        if not row.any():
+            continue
+        # entries stay below p < 2^31, so values * coef < 2^62
+        coef = row * inv % p
+        v[rows] = (v[rows] - values * coef) % p
+        if slot >= 0:
+            out[slot] = coef
+    if v.any():
+        raise ValueError("columns do not represent classes in this basis")
+    return out
+
+
+def composite_ranks(p, dims, maps):
+    """r[a][b] = rank of maps[b-1] @ ... @ maps[a] mod p, r[a][a] = dims[a].
+
+    Each composite is a dense product of the whole maps, and each rank
+    one dense column reduction of it.
+    """
+    m = len(dims)
+    r = [[0] * m for _ in range(m)]
+    for a in range(m):
+        r[a][a] = dims[a]
+        comp = None
+        for b in range(a + 1, m):
+            step = np.asarray(maps[b - 1], dtype=np.int64)
+            comp = step if comp is None else matmul(p, step, comp)
+            r[a][b] = len(column_echelon(p, comp)[2])
+    return r

@@ -91,7 +91,7 @@ def _inclusion(sub, sup, k):
 
 
 def _included(field, sub, sup, k, basis):
-    return field.matmul(_inclusion(sub, sup, k), basis.representatives)
+    return field.sparse(field.matmul(_inclusion(sub, sup, k), basis.cycles.dense()))
 
 
 def label_diagram(lf, n):
@@ -112,7 +112,7 @@ def label_diagram(lf, n):
         restrictions = {
             (f.id, t.id): bs[t.id].coords(
                 _included(field, ch[f.id], ch[t.id], n, bs[f.id])
-            )
+            ).dense()
             for f, t in _codim1_pairs(l)
             if stalks[f.id] and stalks[t.id]
         }
@@ -125,6 +125,6 @@ def label_diagram(lf, n):
             if a.dim == 0 or b.dim == 0:
                 continue
             sub, sup = chains[i][tid], chains[i + 1][tid]
-            comp[tid] = b.coords(_included(field, sub, sup, n, a))
+            comp[tid] = b.coords(_included(field, sub, sup, n, a)).dense()
         steps.append(SheafMorphism(snapshots[i], snapshots[i + 1], comp))
     return SheafDiagram(snapshots, steps)

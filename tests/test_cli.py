@@ -27,6 +27,7 @@ from persheaf import (
     constant,
     sheaves,
 )
+from persheaf import persistence
 from persheaf.cli import main
 from persheaf.formats import (
     complex_to_data,
@@ -37,10 +38,10 @@ from persheaf.formats import (
 )
 from persheaf.linalg import Columns
 
+import densekernel
 import perincidence as ref
 from builders import closure, edge_diagram
 from genrandom import random_complex
-from oracles import rref_rank
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -256,6 +257,33 @@ def test_field_mismatch(capsys):
     )
     assert code == 2
     assert "disagrees with the file's field" in err
+
+
+FIELD_RUNS = {
+    "validate": ["validate", fx("triangle_sheaf.json")],
+    "cohomology": ["cohomology", fx("triangle.json"), fx("triangle_sheaf.json")],
+    "persist-a": ["persist-a", fx("edge_diagram.json")],
+    "persist-t": ["persist-t", fx("square.json"), fx("square_sheaf.json")],
+    "bipersist": ["bipersist", fx("square.json"), fx("edge_diagram.json")],
+    "labeled": [
+        "labeled", fx("points.csv"), "--thresholds", "0.5,1.5",
+        "--max-dim", "1", "--hom-n", "0",
+    ],
+    "unicolored": ["unicolored", fx("points.csv"), "--thresholds", "0.5,1.5"],
+}
+
+
+@pytest.mark.parametrize("command", list(FIELD_RUNS))
+@pytest.mark.parametrize("value", ["4", "1", "0", "-3", "2147483648"])
+def test_field_that_is_no_field_order_is_a_usage_error(capsys, command, value):
+    code, out, err = run(capsys, FIELD_RUNS[command] + ["--field", value])
+    assert (code, out) == (1, "")
+    assert err == f"usage error: --field must be a prime below 2^31, got {value}\n"
+
+
+def test_non_integer_field_keeps_its_message(capsys):
+    argv = FIELD_RUNS["unicolored"] + ["--field", "x"]
+    assert run(capsys, argv) == (1, "", "usage error: argument --field: invalid int value: 'x'\n")
 
 
 @pytest.mark.parametrize("command", ["validate", "cohomology", "bipersist"])
@@ -657,8 +685,14 @@ def test_persist_t_reduces_each_coboundary_once(capsys, tmp_path, monkeypatch, k
         return original(self, m, *args, **kwargs)
 
     monkeypatch.setattr(Field, "_column_echelon", counted)
-    # the rank formula's own reductions go to the oracle instead
-    monkeypatch.setattr(Field, "rank", lambda self, m: rref_rank(m, self.p))
+    # the rank formula's own reductions go to the dense reference instead
+    monkeypatch.setattr(
+        persistence,
+        "_composite_ranks",
+        lambda module: densekernel.composite_ranks(
+            module.field.p, module.dims, [m.dense() for m in module.maps]
+        ),
+    )
     argv = ["persist-t", str(cpath), str(spath), "--engine", "direct"]
     argv += [] if k is None else ["--k", str(k)]
     assert run(capsys, argv)[0] == 0
