@@ -1,9 +1,10 @@
 """Free graded modules over F[t] and the degree-ordered reduction to barcodes.
 
-A graded matrix stores scalar entries only; the t-power of entry (i, j)
-is implied by the generator degrees, column minus row.  Each map of a
-graded complex is column-reduced once, lowest pivot first, with rows
-and columns in (degree, position) order: the standard persistence
+A graded matrix stores scalar entries only, as linalg.Columns like
+every other operator; the t-power of entry (i, j) is implied by the
+generator degrees, column minus row.  Each map of a graded complex is
+column-reduced once, lowest pivot first, with rows and columns put in
+(degree, position) order on the sparse form: the standard persistence
 reduction (Zomorodian and Carlsson, "Computing persistent homology",
 2005), which serves every degree that reads the map.  Adding an earlier
 column into a later one multiplies it by a nonnegative power of t, so
@@ -17,8 +18,10 @@ Graded sheaves and cosheaves store their maps like cellular ones and
 share their incidence walker: the missing, mis-shaped and
 negative-power maps are found per shape group, the diamonds by index
 arithmetic on the face tables, and each graded (co)boundary is one
-signed scatter per shape group.  A stalk-wise injective diagram
-becomes one graded sheaf in one pass (diagram_to_graded_sheaf).
+signed scatter per shape group, kept sparse; that consecutive maps
+compose to zero is checked with the sparse product.  A stalk-wise
+injective diagram becomes one graded sheaf in one pass
+(diagram_to_graded_sheaf).
 """
 
 from __future__ import annotations
@@ -102,26 +105,28 @@ class GradedFreeModule:
 class HomogeneousMatrix:
     """Scalar part of a degree-0 map between free graded modules.
 
-    Entry (i, j) stands for scalar * t**(col_deg[j] - row_deg[i]); a
-    nonzero scalar below a higher-degree row would need a negative
-    power and is rejected.
+    scalar is Columns, converted once from any matrix form.  Entry
+    (i, j) stands for scalar * t**(col_deg[j] - row_deg[i]); a nonzero
+    scalar below a higher-degree row would need a negative power and is
+    rejected, the first such entry row by row named.
     """
 
     def __init__(self, field: Field, scalar, row_degrees, col_degrees):
         self.field = field
-        self.scalar = matrix(scalar, field.p)
+        self.scalar = field.sparse(scalar if isinstance(scalar, Columns) else matrix(scalar))
         self.row_degrees = tuple(int(d) for d in row_degrees)
         self.col_degrees = tuple(int(d) for d in col_degrees)
         want = (len(self.row_degrees), len(self.col_degrees))
         if self.scalar.shape != want:
             raise ValueError(f"scalar shape {self.scalar.shape}, degrees want {want}")
-        rz, cz = np.nonzero(self.scalar)
-        bad = np.flatnonzero(
+        rz = self.scalar.indices
+        cz = np.repeat(np.arange(want[1]), np.diff(self.scalar.indptr))
+        bad = (
             np.array(self.col_degrees, dtype=np.int64)[cz]
             < np.array(self.row_degrees, dtype=np.int64)[rz]
         )
-        if bad.size:
-            i, j = int(rz[bad[0]]), int(cz[bad[0]])
+        if bad.any():
+            i, j = min(zip(rz[bad].tolist(), cz[bad].tolist()))
             raise ValueError(f"entry ({i}, {j}) would need a negative t-power")
 
     @property
@@ -140,9 +145,11 @@ class HomogeneousMatrix:
         """
         rows = _degree_order(self.row_degrees)
         cols = _degree_order(self.col_degrees)
-        owner = self.field._column_echelon(
-            self.field.sparse(self.scalar[np.ix_(rows, cols)])
-        ).pivots
+        m = self.scalar.take(cols)
+        # rows relabelled by the inverse permutation; the reduction reads
+        # each column as a dict, so they need not ascend
+        m.indices = np.argsort(rows)[m.indices]
+        owner = self.field._column_echelon(m).pivots
         pivots = {rows[i]: cols[j] for i, j in owner.items()}
         for i, j in pivots.items():
             if self.col_degrees[j] < self.row_degrees[i]:
@@ -151,9 +158,8 @@ class HomogeneousMatrix:
 
 
 def _zero_hom(field, target: GradedFreeModule, source: GradedFreeModule):
-    return HomogeneousMatrix(
-        field, zeros(target.rank, source.rank), target.degrees, source.degrees
-    )
+    zero = field.sparse(zeros(target.rank, source.rank))
+    return HomogeneousMatrix(field, zero, target.degrees, source.degrees)
 
 
 class GradedComplex:
@@ -182,7 +188,7 @@ class GradedComplex:
             first, then = self.maps[i : i + 2]
             if down:
                 first, then = then, first
-            if field.matmul(then.scalar, first.scalar).any():
+            if _mulcols(then.scalar, first.scalar, field.p).data.size:
                 raise ValueError(f"maps {i} and {i + 1} do not compose to zero")
 
     def space(self, k: int) -> GradedFreeModule:
@@ -214,7 +220,7 @@ def _graded_kernel(field: Field, scalar, col_degrees):
     columns the reduction empties.
     """
     cols = _degree_order(col_degrees)
-    found = field._column_echelon(field.sparse(np.asarray(scalar)[:, cols]), track=True)
+    found = field._column_echelon(field.sparse(scalar).take(cols), track=True)
     emptied = found.zero
     basis = zeros(len(cols), len(emptied))
     basis[cols] = found.ops.take(emptied).dense()
@@ -415,9 +421,7 @@ def graded_cochain_complex(stalks: _GradedStalks) -> GradedComplex:
     for k, scalar in enumerate(scalars):
         lo, hi = spaces[k], spaces[k + 1]
         rows, cols = (lo, hi) if stalks._down else (hi, lo)
-        homs.append(
-            HomogeneousMatrix(field, scalar.dense(), rows.degrees, cols.degrees)
-        )
+        homs.append(HomogeneousMatrix(field, scalar, rows.degrees, cols.degrees))
     kind = GradedChainComplex if stalks._down else GradedComplex
     return kind(field, spaces, homs)
 
@@ -530,8 +534,7 @@ def evaluate_at(gc: GradedComplex, n: int) -> SlicedComplex:
             t[lookup[gen], col] = 1
         t_actions[k] = t
     for k in range(len(gc.maps)):
-        scalar = gc.maps[k].scalar
-        deltas[k] = scalar[np.ix_(masks[k + 1], masks[k])].copy()
+        deltas[k] = gc.maps[k].scalar.dense()[np.ix_(masks[k + 1], masks[k])]
     return SlicedComplex(n, dims, deltas, t_actions)
 
 
@@ -545,6 +548,6 @@ def evaluate_sheaf_at(gs: GradedSheaf, n: int) -> CellularSheaf:
         stalks[sid] = len(mask)
     restr = {}
     for f, t in _codim1_pairs(gs.complex):
-        scalar = gs.restriction(f.id, t.id).scalar
-        restr[(f.id, t.id)] = scalar[np.ix_(masks[t.id], masks[f.id])].copy()
+        scalar = gs.restriction(f.id, t.id).scalar.dense()
+        restr[(f.id, t.id)] = scalar[np.ix_(masks[t.id], masks[f.id])]
     return CellularSheaf(gs.complex, stalks, restr)

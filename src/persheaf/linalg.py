@@ -3,8 +3,9 @@
 Dense matrices are numpy int64 arrays with entries reduced mod p; a
 0 x n or n x 0 array is a legitimate zero map.  The (co)boundaries,
 cohomology classes and induced maps of cohomology.py, the maps of
-persistence modules and grids, and the block-diagonal bases of the
-diagram conversion in graded.py are sparse instead: Columns stores
+persistence modules and grids, and the graded (co)boundaries and the
+block-diagonal bases of the diagram conversion in graded.py are
+sparse instead: Columns stores
 each column as its ascending row indices and nonzero values
 (compressed sparse columns), in int64 arrays.
 
@@ -16,16 +17,16 @@ reduction of PHAT and Ripser), so equal inputs always produce equal
 bases.  All the fixture matrices downstream depend on that
 determinism.  The based (co)homology of cohomology.py runs it with
 clearing on the stored columns, and the rank table of persistence.py
-on its sparse composites; rank, kernel_basis, image_basis, solve and
-the graded engine reach it through one conversion, Field.sparse, and
-the diagram conversion hands it Columns directly, through
-Field._solve, the sparse core of solve.
+on its sparse composites, and the graded engine on its (co)boundaries
+in degree order; rank, kernel_basis, image_basis and solve reach it
+through one conversion, Field.sparse, and the diagram conversion hands
+it Columns directly, through Field._solve, the sparse core of solve.
 
-_mulmod is the one dense product: Field.matmul (the graded engine's
-check that consecutive maps compose to zero) and the stacked diamond
-and naturality checks of sheaves.py (_commuting) call it, so the int64
-overflow bound lives there; no class, class map or rank table of the
-pointwise engines goes through it.  While inner * (p-1)^2 < 2^63 a
+_mulmod is the one dense product: the stacked diamond and naturality
+checks of sheaves.py (_commuting) call it, and so does Field.matmul,
+which nothing in the package calls (perfbench/tracer.py wraps it), so
+the int64 overflow bound lives there; no class, class map, rank table
+or graded map goes through it.  While inner * (p-1)^2 < 2^63 a
 product is one int64 matmul and one reduction.  Past that bound
 (every inner size from 2 up at p = 2^31-1) the right operand is split
 into 16-bit limbs, b = hi * 2^16 + lo, and a @ b = ((a @ hi mod p) *
@@ -35,8 +36,9 @@ products of Dumas, Giorgi and Pernet ("Dense linear algebra over
 word-size prime fields: the FFLAS and FFPACK packages", ACM TOMS
 2008).  _mulcols is the one sparse product, Columns by Columns: every
 term is reduced mod p before one segmented sum, so it needs no limbs.
-The induced maps, the rank table, the commutativity check of a grid
-and the diagram conversion all multiply with it.  No product needs
+The induced maps, the rank table, the commutativity check of a grid,
+the diagram conversion and the graded engine's check that consecutive
+maps compose to zero all multiply with it.  No product needs
 Python integers or floating point.
 """
 

@@ -280,7 +280,8 @@ def checked_graded_maps(stalks):
     for s, ra, rb, t in diamonds(stalks.complex):
         composites = []
         for r in (ra, rb):
-            near, far = maps[(s.id, r.id)].scalar, maps[(r.id, t.id)].scalar
+            near = maps[(s.id, r.id)].scalar.dense()
+            far = maps[(r.id, t.id)].scalar.dense()
             composites.append(field.matmul(near, far) if down else field.matmul(far, near))
         if not np.array_equal(*composites):
             source, target = arrow(s, t)
@@ -342,6 +343,6 @@ def graded_scalars(stalks):
     return assemble_blocks(
         stalks.complex,
         lambda sid: len(stalks.degrees[sid]),
-        lambda f, t: maps[(f.id, t.id)].scalar,
+        lambda f, t: maps[(f.id, t.id)].scalar.dense(),
         stalks._down,
     )

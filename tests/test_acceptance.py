@@ -87,9 +87,9 @@ def test_growing_edge_diagram_module_and_barcode():
     gs = diagram_to_graded_sheaf(d)
     assert gs.degrees == {"0": (0, 1), "0.1": (0, 0, 3), "1": (0, 2, 4)}
     r1 = gs.restriction("0", "0.1")
-    assert r1.scalar.tolist() == [[1, 0], [0, 1], [0, 0]]
+    assert r1.scalar.dense().tolist() == [[1, 0], [0, 1], [0, 0]]
     r2 = gs.restriction("1", "0.1")
-    assert r2.scalar.tolist() == [[0, 0, 1], [1, 0, 0], [0, 0, 0]]
+    assert r2.scalar.dense().tolist() == [[0, 0, 1], [1, 0, 0], [0, 0, 0]]
     graded = diagram_graded_barcode(d, 0)
     assert graded == Barcode([(1, None), (2, None), (4, None)])
     _, pointwise = persistent_cohomology(d, 0)

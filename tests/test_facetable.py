@@ -164,11 +164,11 @@ def test_assembled_maps_match_block_by_block(p):
         gs = GradedSheaf(x, falling, sheaf._maps.as_dict())
         gc = graded_cochain_complex(gs)
         for m, d in zip(gc.maps, ref.graded_scalars(gs)):
-            assert same(m.scalar, d)
+            assert same(m.scalar.dense(), d)
         gco = filtration_cosheaf(sheaf)
         gch = graded_chain_complex(gco)
         for m, d in zip(gch.maps, ref.graded_scalars(gco)):
-            assert same(m.scalar, d)
+            assert same(m.scalar.dense(), d)
         mixed = GradedSheaf(x, degrees, sheaf._maps.as_dict())
         assert validate_graded_sheaf(mixed) == ref.checked_graded_maps(mixed)[1]
 

@@ -54,7 +54,7 @@ def test_cosheaf_degrees_are_filtration_entries():
     for e in x.simplices_of_dim(1):
         for v in faces(x, e):
             ext = gco.extension(e.id, v.id)
-            assert ext.scalar.tolist() in ([[1]], [[-1 % 2]])
+            assert ext.scalar.dense().tolist() in ([[1]], [[-1 % 2]])
             powers[(e.id, v.id)] = ext.col_degrees[0] - ext.row_degrees[0]
     assert powers == {
         ("0.1", "0"): 1, ("0.1", "1"): 1,
