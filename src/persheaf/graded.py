@@ -14,13 +14,15 @@ of the map into a position gives the bar (deg i, deg j - 1) when the
 degrees differ; a generator whose column the map out of the position
 empties, and that no pivot kills, gives an open bar.
 
-Graded sheaves and cosheaves store their maps like cellular ones and
-share their incidence walker: the missing, mis-shaped and
-negative-power maps are found per shape group, the diamonds by index
-arithmetic on the face tables, and each graded (co)boundary is one
-signed scatter per shape group, kept sparse; that consecutive maps
-compose to zero is checked with the sparse product.  A stalk-wise
-injective diagram becomes one graded sheaf in one pass
+A graded sheaf or cosheaf is a cellular one whose stalk generators
+carry degrees: it keeps the cellular stalk store, incidence walker and
+checks, and adds the negative-power maps, found per shape group.  Each
+graded (co)boundary is one signed scatter per shape group, kept
+sparse.  The assembly checks only the store; a negative t-power is
+refused by HomogeneousMatrix, and a diamond that does not commute by
+the sparse check that consecutive maps compose to zero, which on a
+closed complex holds exactly when every diamond commutes.  A
+stalk-wise injective diagram becomes one graded sheaf in one pass
 (diagram_to_graded_sheaf).
 """
 
@@ -34,18 +36,19 @@ from .complexes import FilteredComplex
 from .linalg import Columns, Field, _hstack, _mulcols, matrix, zeros
 from .persistence import Barcode
 from .sheaves import (
+    CellularCosheaf,
     CellularSheaf,
     SheafDiagram,
-    _bad_diamonds,
     _block_diagonal,
     _check_diagram,
     _codim1_pairs,
+    _diamond_problems,
     _groups,
     _incidence_maps,
-    _Maps,
     _restriction_operator,
     _signed_maps,
-    _Stalked,
+    _starts,
+    _store_problems,
 )
 
 __all__ = [
@@ -280,96 +283,49 @@ def graded_barcode(gc: GradedComplex, k: int) -> Barcode:
 graded_homology_barcode = graded_barcode
 
 
-class _GradedStalks(_Stalked):
-    """Per-simplex free graded modules with one stored map per incidence.
+class _Graded:
+    """Generator degrees on a cellular sheaf or cosheaf.
 
-    Stored maps are keyed (source id, target id); a map touching a
-    module of rank 0 need not be stored.  Subclasses name their maps
-    in _kind.
+    The stalk of a simplex is free of rank len(degrees[sid]), and each
+    map is the scalar part of a HomogeneousMatrix between the stalks'
+    degrees.  Ids that name no simplex are kept as stray stalks.
     """
 
     def __init__(self, complex_: FilteredComplex, degrees, maps):
-        self.complex = complex_
-        self.degrees = {
-            s.id: tuple(int(d) for d in degrees.get(s.id, ()))
-            for s in complex_.simplices
-        }
+        degrees = {sid: tuple(map(int, ds)) for sid, ds in degrees.items()}
+        super().__init__(complex_, {sid: len(ds) for sid, ds in degrees.items()}, maps)
+        self.degrees = {sid: degrees.get(sid, ()) for sid in self.stalk_dim}
         if any(d < 0 for ds in self.degrees.values() for d in ds):
             raise ValueError("generator degrees must be nonnegative")
-        self._maps = _Maps.of(maps, complex_.field.p)
-
-    def module(self, sid: str) -> GradedFreeModule:
-        return GradedFreeModule(self.degrees[sid])
-
-    def _size(self, sid: str) -> int:
-        return len(self.degrees[sid])
 
     def _map(self, source_id: str, target_id: str) -> HomogeneousMatrix:
-        rows = self.degrees[target_id]
-        cols = self.degrees[source_id]
-        stored = self._maps.get((source_id, target_id))
-        if stored is None:
-            if rows and cols:
-                raise KeyError(
-                    f"no {self._kind} stored for {source_id!r} -> {target_id!r}"
-                )
-            stored = zeros(len(rows), len(cols))
-        return HomogeneousMatrix(self.complex.field, stored, rows, cols)
+        rows, cols = self.degrees[target_id], self.degrees[source_id]
+        scalar = super()._map(source_id, target_id)
+        return HomogeneousMatrix(self.complex.field, scalar, rows, cols)
 
 
-class GradedSheaf(_GradedStalks):
+class GradedSheaf(_Graded, CellularSheaf):
     """Graded modules with homogeneous restrictions, face to coface."""
 
-    _kind = "restriction"
 
-    def restriction(self, face_id: str, coface_id: str) -> HomogeneousMatrix:
-        return self._map(face_id, coface_id)
-
-
-class GradedCosheaf(_GradedStalks):
+class GradedCosheaf(_Graded, CellularCosheaf):
     """Graded modules with homogeneous extensions, coface to face."""
 
-    _kind = "extension"
-    _down = True
 
-    def extension(self, coface_id: str, face_id: str) -> HomogeneousMatrix:
-        return self._map(coface_id, face_id)
-
-
-def validate_graded_sheaf(stalks: _GradedStalks) -> list:
-    """Problems of the stored maps of a graded sheaf or cosheaf, as strings.
-
-    Maps that are missing, mis-shaped or would need a negative t-power,
-    in incidence order, then stored keys that name no incidence; only
-    without those, diamonds whose two composites differ.  Each map is
-    read from the gathered incidences, and the t-powers are checked per
-    shape group.
-    """
+def _power_problems(stalks: _Graded) -> list:
+    """Well-shaped stored maps with an entry that would need a negative
+    t-power, in incidence order, each with the first such entry row by
+    row.  The t-powers are checked per shape group."""
     gathered = stalks._gathered
     inc = gathered.incidences
     sims = stalks.complex.simplices
-    down = stalks._down
-    source, target = (inc.coface, inc.face) if down else (inc.face, inc.coface)
-
-    def arrow(n):
-        return f"{sims[source[n]].id!r} -> {sims[target[n]].id!r}"
-
-    found = {}
-    for n in np.flatnonzero(gathered.faulty).tolist():
-        if gathered.missing[n]:
-            err = KeyError(f"no {stalks._kind} stored for {arrow(n)}")
-        else:
-            have, want = tuple(gathered.have[n].tolist()), tuple(gathered.want[n].tolist())
-            err = f"scalar shape {have}, degrees want {want}"
-        found[n] = f"{arrow(n)}: {err}"
+    source, target = (inc.coface, inc.face) if stalks._down else (inc.face, inc.coface)
     # entry (i, j) of a map stands for t^(col degree j - row degree i)
-    sizes = stalks._sizes
-    flat = np.array(
-        [d for s in sims for d in stalks.degrees[s.id]], dtype=np.int64
-    )
-    first = np.cumsum(sizes) - sizes
+    flat = np.array([d for ds in stalks.degrees.values() for d in ds], dtype=np.int64)
+    first = _starts(stalks._sizes)
     batch = gathered.batch
     groups = np.where(gathered.faulty | (inc.face < 0), -1, batch.group)
+    found = {}
     for g, members in _groups(groups):
         stack = batch.stacks[g]
         r, c = stack.shape[1:]
@@ -384,27 +340,34 @@ def validate_graded_sheaf(stalks: _GradedStalks) -> list:
         hit = negative.any(axis=1)
         for n, at in zip(members[hit].tolist(), negative[hit].argmax(axis=1).tolist()):
             i, j = divmod(at, c)
-            found[n] = f"{arrow(n)}: entry ({i}, {j}) would need a negative t-power"
-    problems = [found[n] for n in sorted(found)] + gathered.stray_problems()
-    if problems:
-        return problems
-    for s, _, _, t in _bad_diamonds(stalks.complex, batch, down):
-        a, b = (t, s) if down else (s, t)
-        problems.append(f"diamond {a.id!r} -> {b.id!r} does not commute")
-    return problems
+            arrow = f"{sims[source[n]].id!r} -> {sims[target[n]].id!r}"
+            found[n] = f"{arrow}: entry ({i}, {j}) would need a negative t-power"
+    return [found[n] for n in sorted(found)]
+
+
+def validate_graded_sheaf(stalks: _Graded) -> list:
+    """Problems of a graded sheaf or cosheaf, as strings.
+
+    The store problems of validate_sheaf, then the maps that would need
+    a negative t-power; only without those, the diamonds whose two
+    composites differ.
+    """
+    return _store_problems(stalks) + _power_problems(stalks) or _diamond_problems(stalks)
 
 
 validate_graded_cosheaf = validate_graded_sheaf
 
 
-def graded_cochain_complex(stalks: _GradedStalks) -> GradedComplex:
+def graded_cochain_complex(stalks: _Graded) -> GradedComplex:
     """Assemble the signed coboundaries k -> k+1 of a graded sheaf.
 
     Also assembles the boundaries k+1 -> k of a graded cosheaf into a
     GradedChainComplex (graded_chain_complex).  Each map is one signed
-    scatter per shape group of the gathered stored maps.
+    scatter per shape group of the gathered stored maps.  Only the
+    store is checked first: the two routes of a diamond carry opposite
+    signs, so the complex refuses one that does not commute.
     """
-    problems = validate_graded_sheaf(stalks)
+    problems = _store_problems(stalks)
     if problems:
         what = "cosheaf" if stalks._down else "sheaf"
         raise ValueError(f"invalid graded {what}: " + "; ".join(problems))

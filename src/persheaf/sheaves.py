@@ -12,8 +12,9 @@ the complex's numbered incidences (FilteredComplex.incidences), so the
 presence and shape checks are array comparisons, the diamonds are
 index arithmetic on the face tables, and each (co)boundary is
 gathered into sparse columns with one signed scatter per shape group
-(_signed_maps).  The graded stalks of graded.py and the cochain
-complexes of cohomology.py share it.  The same scatter lays out the
+(_signed_maps).  The cochain complexes of cohomology.py share it, and
+so do the graded sheaves of graded.py, cellular ones whose stalk
+generators carry degrees.  The same scatter lays out the
 components of a morphism block-diagonally (_block_diagonal) and every
 restriction of a sheaf as one operator (_restriction_operator), whose
 blocks _incidence_maps reads back as stored maps; the diagram
@@ -246,28 +247,14 @@ class _Gathered:
         return out
 
 
-class _Stalked:
-    """Stalks on a complex with maps stored per incidence in a _Maps.
+class _CellularStalks:
+    """Stalk dimensions per simplex and one stored matrix per incidence.
 
-    Subclasses give _size(sid), the stalk dimension, name their maps in
-    _kind, and set _down when the maps run from coface to face.
+    Subclasses name their maps in _kind, and set _down when the maps
+    run from coface to face.
     """
 
     _down = False
-
-    @cached_property
-    def _sizes(self) -> np.ndarray:
-        """Stalk dimensions in the global simplex order."""
-        ids = self.complex._ids
-        return np.fromiter(map(self._size, ids), dtype=np.int64, count=len(ids))
-
-    @cached_property
-    def _gathered(self) -> _Gathered:
-        return _Gathered(self.complex, self._maps, self._sizes, self._down)
-
-
-class _CellularStalks(_Stalked):
-    """Stalk dimensions per simplex and one stored matrix per incidence."""
 
     def __init__(self, complex_: FilteredComplex, stalk_dim, maps):
         self.complex = complex_
@@ -279,10 +266,17 @@ class _CellularStalks(_Stalked):
         self._stray = [sid for sid in stalk_dim if sid not in self.stalk_dim]
         self._maps = _Maps.of(maps, complex_.field.p)
 
+    @cached_property
+    def _sizes(self) -> np.ndarray:
+        """Stalk dimensions in the global simplex order."""
+        return np.fromiter(self.stalk_dim.values(), dtype=np.int64, count=len(self.stalk_dim))
+
+    @cached_property
+    def _gathered(self) -> _Gathered:
+        return _Gathered(self.complex, self._maps, self._sizes, self._down)
+
     def stalk(self, sid: str) -> int:
         return self.stalk_dim[sid]
-
-    _size = stalk
 
     def _map(self, source_id: str, target_id: str) -> np.ndarray:
         """The stored map source -> target, or the zero map it may omit."""
@@ -483,26 +477,36 @@ def _incidence_maps(op: Columns, sheaf: CellularSheaf) -> _Maps:
     return _Maps(inc.index, _Batch(stacks, batch.group, batch.slot))
 
 
-def validate_sheaf(sheaf: CellularSheaf) -> list:
-    """Stalks stored under an id that names no simplex, shape
-    violations, stored maps that name no incidence and non-commuting
-    diamonds, as a list of strings.
+def _store_problems(stalks: _CellularStalks) -> list:
+    """Stalks stored under an id that names no simplex, missing and
+    mis-shaped maps in incidence order, then stored maps that name no
+    incidence."""
+    problems = [f"stalk stored under {sid!r}, which names no simplex" for sid in stalks._stray]
+    gathered = stalks._gathered
+    return problems + gathered.shape_problems(stalks._kind) + gathered.stray_problems()
 
-    Also validates a cosheaf (validate_cosheaf), whose arrows run from
-    coface to face.
-    """
-    gathered = sheaf._gathered
-    problems = [f"stalk stored under {sid!r}, which names no simplex" for sid in sheaf._stray]
-    problems += gathered.shape_problems(sheaf._kind) + gathered.stray_problems()
-    if problems:
-        return problems
-    down = sheaf._down
-    for s, ra, rb, t in _bad_diamonds(sheaf.complex, gathered.batch, down):
+
+def _diamond_problems(stalks: _CellularStalks) -> list:
+    """The diamonds whose two composites differ, named with the two
+    simplices between their ends."""
+    down = stalks._down
+    problems = []
+    for s, ra, rb, t in _bad_diamonds(stalks.complex, stalks._gathered.batch, down):
         a, b = (t, s) if down else (s, t)
         problems.append(
             f"diamond {a.id!r} -> {b.id!r} does not commute (via {ra.id!r} vs {rb.id!r})"
         )
     return problems
+
+
+def validate_sheaf(sheaf: CellularSheaf) -> list:
+    """The store problems of a sheaf (_store_problems), or, only without
+    them, its non-commuting diamonds, as a list of strings.
+
+    Also validates a cosheaf (validate_cosheaf), whose arrows run from
+    coface to face.
+    """
+    return _store_problems(sheaf) or _diamond_problems(sheaf)
 
 
 validate_cosheaf = validate_sheaf

@@ -14,6 +14,7 @@ a plain list of simplices, with vertex-tuple dicts.
 import numpy as np
 
 from persheaf import zeros
+from persheaf.sheaves import _CellularStalks
 
 
 def global_order(simplices):
@@ -140,7 +141,9 @@ def diamonds(complex_):
 
 
 def _check_assignment(complex_, get_map, shape_of, label):
-    problems = []
+    """Missing and mis-shaped maps, and the well-shaped ones keyed
+    (face id, coface id)."""
+    problems, found = [], {}
     for f, t in codim1_pairs(complex_):
         want = shape_of(f, t)
         try:
@@ -152,7 +155,9 @@ def _check_assignment(complex_, get_map, shape_of, label):
             problems.append(
                 f"{label} {f.id!r} -> {t.id!r} has shape {m.shape}, expected {want}"
             )
-    return problems
+        else:
+            found[(f.id, t.id)] = m
+    return problems, found
 
 
 def stray_keys(stalks):
@@ -182,54 +187,56 @@ def stray_ids(stored, complex_, what):
     ]
 
 
-def validate_sheaf(sheaf):
-    field = sheaf.complex.field
-    problems = stray_ids(sheaf._stray, sheaf.complex, "stalk")
-    problems += _check_assignment(
-        sheaf.complex,
-        lambda f, t: sheaf.restriction(f.id, t.id),
-        lambda f, t: (sheaf.stalk(t.id), sheaf.stalk(f.id)),
-        "restriction",
-    )
-    problems += stray_keys(sheaf)
-    if problems:
-        return problems
-    r = sheaf.restriction
+def store_problems(stalks, get_map):
+    """Stalks stored under an id that names no simplex, missing and
+    mis-shaped maps, then stored keys that name no incidence; and the
+    well-shaped maps keyed (face id, coface id).
+
+    get_map(face, coface) is the map of the incidence as stored, or a
+    KeyError.
+    """
+    if stalks._down:
+        shape = lambda f, t: (stalks.stalk(f.id), stalks.stalk(t.id))
+    else:
+        shape = lambda f, t: (stalks.stalk(t.id), stalks.stalk(f.id))
+    problems = stray_ids(stalks._stray, stalks.complex, "stalk")
+    wrong, found = _check_assignment(stalks.complex, get_map, shape, stalks._kind)
+    return problems + wrong + stray_keys(stalks), found
+
+
+def diamond_problems(stalks, get_map):
+    """Diamonds whose two composites differ, one Field.matmul pair each.
+
+    get_map is read as in store_problems: face to coface, or coface to
+    face when the maps run down.
+    """
+    field = stalks.complex.field
+    down = stalks._down
     out = []
-    for s, ra, rb, t in diamonds(sheaf.complex):
-        left = field.matmul(r(ra.id, t.id), r(s.id, ra.id))
-        right = field.matmul(r(rb.id, t.id), r(s.id, rb.id))
-        if not np.array_equal(left, right):
+    for s, ra, rb, t in diamonds(stalks.complex):
+        composites = [
+            field.matmul(get_map(s, r), get_map(r, t))
+            if down
+            else field.matmul(get_map(r, t), get_map(s, r))
+            for r in (ra, rb)
+        ]
+        if not np.array_equal(*composites):
+            a, b = (t, s) if down else (s, t)
             out.append(
-                f"diamond {s.id!r} -> {t.id!r} does not commute"
+                f"diamond {a.id!r} -> {b.id!r} does not commute"
                 f" (via {ra.id!r} vs {rb.id!r})"
             )
     return out
+
+
+def validate_sheaf(sheaf):
+    get_map = lambda f, t: sheaf.restriction(f.id, t.id)
+    return store_problems(sheaf, get_map)[0] or diamond_problems(sheaf, get_map)
 
 
 def validate_cosheaf(cosheaf):
-    field = cosheaf.complex.field
-    problems = stray_ids(cosheaf._stray, cosheaf.complex, "stalk")
-    problems += _check_assignment(
-        cosheaf.complex,
-        lambda f, t: cosheaf.extension(t.id, f.id),
-        lambda f, t: (cosheaf.stalk(f.id), cosheaf.stalk(t.id)),
-        "extension",
-    )
-    problems += stray_keys(cosheaf)
-    if problems:
-        return problems
-    e = cosheaf.extension
-    out = []
-    for s, ra, rb, t in diamonds(cosheaf.complex):
-        left = field.matmul(e(ra.id, s.id), e(t.id, ra.id))
-        right = field.matmul(e(rb.id, s.id), e(t.id, rb.id))
-        if not np.array_equal(left, right):
-            out.append(
-                f"diamond {t.id!r} -> {s.id!r} does not commute"
-                f" (via {ra.id!r} vs {rb.id!r})"
-            )
-    return out
+    get_map = lambda f, t: cosheaf.extension(t.id, f.id)
+    return store_problems(cosheaf, get_map)[0] or diamond_problems(cosheaf, get_map)
 
 
 def validate_morphism(phi):
@@ -257,36 +264,38 @@ def validate_morphism(phi):
 
 def checked_graded_maps(stalks):
     """Each incidence's HomogeneousMatrix keyed (face id, coface id), and
-    the problems: maps missing or needing a negative t-power, then
-    stored keys that name no incidence, then non-commuting diamonds."""
-    field = stalks.complex.field
+    the problems: the store checks of validate_sheaf (validate_cosheaf
+    when the maps run down) on the scalar parts, then the well-shaped
+    maps with an entry that would need a negative t-power, in incidence
+    order; only without those, non-commuting diamonds."""
     down = stalks._down
-    problems = []
+
+    def scalar(f, t):
+        # the stored scalar part, or the zero map the store may omit
+        a, b = (t, f) if down else (f, t)
+        return _CellularStalks._map(stalks, a.id, b.id)
+
+    problems, found = store_problems(stalks, scalar)
     maps = {}
-
-    def arrow(face, coface):
-        a, b = (coface, face) if down else (face, coface)
-        return a.id, b.id
-
     for f, t in codim1_pairs(stalks.complex):
-        source, target = arrow(f, t)
-        try:
-            maps[(f.id, t.id)] = stalks._map(source, target)
-        except (KeyError, ValueError) as err:
-            problems.append(f"{source!r} -> {target!r}: {err}")
-    problems += stray_keys(stalks)
-    if problems:
-        return maps, problems
-    for s, ra, rb, t in diamonds(stalks.complex):
-        composites = []
-        for r in (ra, rb):
-            near = maps[(s.id, r.id)].scalar.dense()
-            far = maps[(r.id, t.id)].scalar.dense()
-            composites.append(field.matmul(near, far) if down else field.matmul(far, near))
-        if not np.array_equal(*composites):
-            source, target = arrow(s, t)
-            problems.append(f"diamond {source!r} -> {target!r} does not commute")
-    return maps, problems
+        if (f.id, t.id) not in found:
+            continue
+        source, target = (t, f) if down else (f, t)
+        m = found[(f.id, t.id)]
+        rows, cols = stalks.degrees[target.id], stalks.degrees[source.id]
+        bad = [
+            (i, j)
+            for i in range(m.shape[0])
+            for j in range(m.shape[1])
+            if m[i, j] and cols[j] < rows[i]
+        ]
+        if bad:
+            problems.append(
+                f"{source.id!r} -> {target.id!r}: entry {bad[0]} would need a negative t-power"
+            )
+        else:
+            maps[(f.id, t.id)] = stalks._map(source.id, target.id)
+    return maps, problems or diamond_problems(stalks, scalar)
 
 
 def _offsets(complex_, size, k):

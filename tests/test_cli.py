@@ -25,6 +25,7 @@ from persheaf import (
     SheafMorphism,
     Simplex,
     constant,
+    graded,
     sheaves,
 )
 from persheaf import persistence
@@ -625,19 +626,27 @@ def test_broken_invariant_exits_4(capsys, monkeypatch):
 
 @pytest.fixture
 def validations(monkeypatch):
-    """(function name, id of its argument) for every validate_sheaf and
-    validate_diagram call, wherever the package looks the name up."""
+    """(function name, id of its argument) for every validate_sheaf,
+    validate_diagram and validate_graded_sheaf call, wherever the
+    package looks the function up, under any of its names."""
     calls = []
-    for name in ("validate_sheaf", "validate_diagram"):
-        original = getattr(sheaves, name)
+    for owner, name in (
+        (sheaves, "validate_sheaf"),
+        (sheaves, "validate_diagram"),
+        (graded, "validate_graded_sheaf"),
+    ):
+        original = getattr(owner, name)
 
         def counted(obj, _name=name, _original=original):
             calls.append((_name, id(obj)))
             return _original(obj)
 
         for module in list(sys.modules.values()):
-            if module.__name__.startswith("persheaf") and vars(module).get(name) is original:
-                monkeypatch.setattr(module, name, counted)
+            if not module.__name__.startswith("persheaf"):
+                continue
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
     return calls
 
 
@@ -662,8 +671,12 @@ def test_each_invocation_validates_once(capsys, tmp_path, validations, construct
         validations.clear()
         constructions.clear()
         assert run(capsys, argv)[0] == 0
-        assert [name for name, _ in validations].count(top) == 1, argv
+        names = [name for name, _ in validations]
+        assert names.count(top) == 1, argv
         assert len(set(validations)) == len(validations), argv
+        if argv[0] in ("persist-t", "persist-a"):
+            # the graded engine trusts the input the CLI validated
+            assert "validate_graded_sheaf" not in names, argv
         if argv[0] == "cohomology":
             # every degree reads one cochain complex
             assert constructions == ["CochainComplex"]

@@ -200,7 +200,7 @@ def broken_sheaves(rng, x):
 @pytest.mark.parametrize("p", PRIMES)
 def test_problem_lists_of_broken_inputs(p):
     rng, xs = complexes(p, 8)
-    seen, co_seen, graded_seen = set(), set(), set()
+    seen, co_seen, graded_seen, graded_co_seen = set(), set(), set(), set()
     for x in xs:
         for sheaf in broken_sheaves(rng, x):
             got = validate_sheaf(sheaf)
@@ -221,14 +221,62 @@ def test_problem_lists_of_broken_inputs(p):
                 graded = GradedSheaf(x, degrees, sheaf._maps.as_dict())
                 got = validate_graded_sheaf(graded)
                 assert got == ref.checked_graded_maps(graded)[1]
-                graded_seen.update(m.split(": ")[-1].split(" ")[0] for m in got)
+                graded_seen.update(word for m in got for word in m.split(" "))
                 graded = GradedCosheaf(x, degrees, ext)
                 got = validate_graded_cosheaf(graded)
                 assert got == ref.checked_graded_maps(graded)[1]
-                co_seen.update(word for m in got for word in m.split(" "))
+                graded_co_seen.update(word for m in got for word in m.split(" "))
     assert {"diamond", "missing", "restriction", "'nowhere'", "stalk"} <= seen
-    assert {"diamond", "missing", "extension", "'nowhere'", '"no'} <= co_seen
-    assert {"diamond", '"no', "scalar", "entry", "'nowhere'"} <= graded_seen
+    assert {"diamond", "missing", "extension", "'nowhere'"} <= co_seen
+    every_kind = {"diamond", "missing", "shape", "t-power", "'nowhere'"}
+    assert every_kind <= graded_seen
+    assert every_kind <= graded_co_seen
+
+
+def problem_kind(problem):
+    if problem.startswith("diamond"):
+        return "diamond"
+    return "t-power" if problem.endswith("t-power") else "store"
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_graded_assembly_refuses_what_the_validator_reports(p):
+    # the assembly checks only the store: a negative t-power is left to
+    # HomogeneousMatrix and a broken diamond to the complex's dd = 0
+    rng, xs = complexes(p, 8)
+    outcomes = set()
+    for x in xs:
+        for sheaf in broken_sheaves(rng, x):
+            restr = sheaf._maps.as_dict()
+            ext = {(t, f): m.T for (f, t), m in restr.items()}
+            stalks = {**sheaf.stalk_dim, **dict.fromkeys(sheaf._stray, 1)}
+            for kind, maps in ((GradedSheaf, restr), (GradedCosheaf, ext)):
+                for ordered in (True, False):
+                    # ordered degrees never rise along a map, so only
+                    # the store and the diamonds can fail; random ones
+                    # often need a negative t-power
+                    degrees = {}
+                    for sid, n in stalks.items():
+                        dim = x.by_id[sid].dim if sid in x.by_id else 0
+                        step = dim if kind is GradedCosheaf else x.dim - dim
+                        degrees[sid] = tuple(
+                            3 * step + rng.randrange(3) if ordered
+                            else rng.randrange(3 * x.dim + 3)
+                            for _ in range(n)
+                        )
+                    graded = kind(x, degrees, maps)
+                    problems = validate_graded_sheaf(graded)
+                    try:
+                        graded_cochain_complex(graded)
+                    except ValueError:
+                        assert problems, (kind, degrees)
+                    else:
+                        assert problems == [], (kind, degrees, problems)
+                    outcomes.add(frozenset(map(problem_kind, problems)))
+    # refused for broken diamonds alone, for negative t-powers alone and
+    # for the store alone, and accepted
+    assert {frozenset({k}) for k in ("diamond", "t-power", "store")} < outcomes
+    assert frozenset() in outcomes
 
 
 @pytest.mark.parametrize("p", PRIMES)
