@@ -208,6 +208,11 @@ class FilteredComplex:
             table = self._face_tables[k] = table.reshape(len(top), k + 1)
         return table
 
+    def positions(self, ids) -> np.ndarray:
+        """The global position of the simplex each id names, or -1."""
+        at = dict(zip(self._ids, range(len(self._ids))))
+        return np.fromiter(map(at.get, ids, repeat(-1)), np.int64, len(ids))
+
     @cached_property
     def _incidences(self) -> "Incidences":
         return Incidences(self)
@@ -282,7 +287,7 @@ class Incidences:
     coface by coface, then by omitted vertex: n = start[k] + (k+1) t + i
     for entry (t, i) of face_table(k), the order of
     sheaves._codim1_pairs.  A missing face leaves a hole, face[n] = -1,
-    which locate and index skip.  The incidence sign is (-1)^omitted[n].
+    which locate skips.  The incidence sign is (-1)^omitted[n].
     """
 
     def __init__(self, complex_: FilteredComplex):
@@ -301,21 +306,12 @@ class Incidences:
     def count(self) -> int:
         return len(self.face)
 
-    @cached_property
-    def index(self) -> dict:
-        """(face id, coface id) to n, for every incidence but the holes."""
-        ids = self.complex._ids
-        pairs = zip(self.face.tolist(), self.coface.tolist())
-        return {(ids[f], ids[t]): n for n, (f, t) in enumerate(pairs) if f >= 0}
-
     def locate(self, faces, cofaces) -> np.ndarray:
-        """The incidence number of each (face id, coface id) pair, or -1."""
+        """The incidence number of each (face, coface) pair of global
+        positions, or -1; position -1 names no simplex."""
         n = len(self.complex._ids)
-        at = dict(zip(self.complex._ids, range(n)))
-        f, t = (np.fromiter(map(at.get, keys, repeat(-1)), np.int64, len(keys))
-                for keys in (faces, cofaces))
-        found = _first_match(self.face * n + self.coface, f * n + t)
-        found[(f < 0) | (t < 0)] = -1
+        found = _first_match(self.face * n + self.coface, faces * n + cofaces)
+        found[(faces < 0) | (cofaces < 0)] = -1
         return found
 
     def check_closed(self):

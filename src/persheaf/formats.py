@@ -17,7 +17,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .complexes import FilteredComplex, Simplex, _SimplexLists
+from .complexes import FilteredComplex, Simplex, _SimplexLists, _unique_rows
 from .linalg import Field, matrix
 from .persistence import Barcode
 from .sheaves import (
@@ -156,58 +156,52 @@ def _stack(values, rows: int, cols: int):
     return a.reshape(len(values), rows, cols)
 
 
-def _restrictions(entries, stalks: dict, p: int, where: str) -> _Maps:
-    """A sheaf's "restrictions" list as stacked maps, reduced mod p once.
+def _each_entry(entries, where: str):
+    """Check a "restrictions" list entry by entry: the first bad entry raises."""
+    for n, entry in enumerate(entries):
+        at = f"{where}.restrictions[{n}]"
+        _require(entry, "face", at, str)
+        _require(entry, "coface", at, str)
+        _matrix(_require(entry, "matrix", at), f"{at}.matrix")
+
+
+def _restrictions(entries, stalks: dict, complex_: FilteredComplex, where: str) -> _Maps:
+    """A sheaf's "restrictions" list as maps by simplex position, each id
+    looked up once, stacked and reduced mod p once.
 
     The entries are grouped by the shape their stalks ask for, and each
-    group is read by _stack.  A group that does not come out as one
-    stack of integers (a bad entry, or a matrix of another shape) is
-    read entry by entry.  Of all the bad entries the first in the list
-    is refused, with its own path, as in a reading one by one.  A later
-    entry for the same incidence replaces an earlier one.
+    group is read by _stack.  When a group does not come out as one
+    stack of integers (a bad entry, or a matrix of another shape), the
+    list is checked entry by entry, once, so the first bad entry raises
+    as in a reading one by one, and the group is read matrix by matrix.
+    A later entry for the same incidence replaces an earlier one.
     """
-
-    def path(n):
-        return f"{where}.restrictions[{n}]"
-
     try:
-        faces = list(map(itemgetter("face"), entries))
-        cofaces = list(map(itemgetter("coface"), entries))
-        values = list(map(itemgetter("matrix"), entries))
+        faces, cofaces, values = (
+            list(map(itemgetter(key), entries)) for key in ("face", "coface", "matrix")
+        )
         if not {*map(type, faces), *map(type, cofaces)} <= {str}:
             raise TypeError("a face or coface is not a simplex id")
     except (KeyError, TypeError):
-        # read one by one, so the first bad entry in the list raises
-        for n, entry in enumerate(entries):
-            at = path(n)
-            _require(entry, "face", at, str)
-            _require(entry, "coface", at, str)
-            _matrix(_require(entry, "matrix", at), f"{at}.matrix")
+        _each_entry(entries, where)
         raise
-    keys = dict(zip(zip(faces, cofaces), range(len(values))))
-    wanted = list(zip(
-        map(stalks.get, cofaces, repeat(0)), map(stalks.get, faces, repeat(0))
-    ))
-    ids: dict[tuple, int] = {}
-    shape_of = [ids.setdefault(shape, len(ids)) for shape in wanted]
-    shapes = list(ids)
-    parts, errors = [], []
+    ids, p = complex_._ids, complex_.field.p
+    # the stalk dimensions in the global order, then a 0 for position -1
+    sizes = np.fromiter(chain(map(stalks.get, ids, repeat(0)), [0]), np.int64, len(ids) + 1)
+    at = complex_.positions(faces + cofaces)
+    shapes, shape_of = _unique_rows(sizes[at].reshape(2, -1)[::-1].T)  # (coface, face) dims
+    parts, checked = [], False
     for g, members in _groups(shape_of):
         members = members.tolist()
-        stack = _stack([values[n] for n in members], *shapes[g])
+        stack = _stack(list(map(values.__getitem__, members)), *shapes[g].tolist())
         if stack is not None:
             parts.append((members, stack % p))
             continue
-        for n in members:
-            try:
-                m = _matrix(values[n], f"{path(n)}.matrix")
-            except ValueError as err:
-                errors.append((n, err))
-                break
-            parts.append(([n], m[None] % p))
-    if errors:
-        raise min(errors, key=lambda e: e[0])[1]
-    return _Maps(keys, _Batch.from_stacks(parts))
+        if not checked:  # a bad entry or another shape: the first bad entry raises
+            _each_entry(entries, where)
+            checked = True
+        parts += [([n], _matrix(values[n], where)[None] % p) for n in members]
+    return _Maps.named(complex_, faces, cofaces, _Batch.from_stacks(parts), at)
 
 
 def complex_from_data(data: dict, where: str = "complex") -> FilteredComplex:
@@ -294,9 +288,7 @@ def sheaf_from_data(
         raise ValueError(
             f"{where}.stalks[{sid!r}]: expected a dimension from 0 to 2^63 - 1, got {dim}"
         )
-    restrictions = _restrictions(
-        restriction_data, stalk_data, complex_.field.p, where
-    )
+    restrictions = _restrictions(restriction_data, stalk_data, complex_, where)
     return CellularSheaf(complex_, stalk_data, restrictions)
 
 
@@ -350,19 +342,25 @@ def barcode_from_data(data) -> Barcode:
     return Barcode((a, b) for a, b in data)
 
 
-def parse_complex(path: str) -> FilteredComplex:
+def _load(path: str):
+    """The JSON in a file; nesting too deep to decode is a ValueError."""
     with open(path, encoding="utf-8") as fh:
-        return complex_from_data(json.load(fh))
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON is nested too deeply to read") from None
+
+
+def parse_complex(path: str) -> FilteredComplex:
+    return complex_from_data(_load(path))
 
 
 def parse_sheaf(path: str, complex_: FilteredComplex | None = None) -> CellularSheaf:
-    with open(path, encoding="utf-8") as fh:
-        return sheaf_from_data(json.load(fh), complex_)
+    return sheaf_from_data(_load(path), complex_)
 
 
 def parse_diagram(path: str, complex_: FilteredComplex | None = None) -> SheafDiagram:
-    with open(path, encoding="utf-8") as fh:
-        return diagram_from_data(json.load(fh), complex_)
+    return diagram_from_data(_load(path), complex_)
 
 
 def _coordinate(text: str, line: int, column: int) -> float:

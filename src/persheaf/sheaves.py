@@ -6,19 +6,20 @@ extensions running the other way.  Maps touching a zero-dimensional
 stalk never need to be stored; the accessors fill in the unique zero
 matrix of the right shape.
 
-Stored maps are held stacked by shape (_Maps), and one walker reads
-them for every check and every assembly: _Gathered lines them up with
-the complex's numbered incidences (FilteredComplex.incidences), so the
-presence and shape checks are array comparisons, the diamonds are
-index arithmetic on the face tables, and each (co)boundary is
-gathered into sparse columns with one signed scatter per shape group
-(_signed_maps).  The cochain complexes of cohomology.py share it, and
-so do the graded sheaves of graded.py, cellular ones whose stalk
-generators carry degrees.  The same scatter lays out the
-components of a morphism block-diagonally (_block_diagonal) and every
-restriction of a sheaf as one operator (_restriction_operator), whose
-blocks _incidence_maps reads back as stored maps; the diagram
-conversion of graded.py works on those.
+Stored maps are held stacked by shape, each with the global positions
+of its two simplices (_Maps), so every id is looked up once.  One
+walker reads them for every check and every assembly: _Gathered
+matches the position pairs with the complex's numbered incidences
+(FilteredComplex.incidences), so the presence and shape checks are
+array comparisons, the diamonds are index arithmetic on the face
+tables, and each (co)boundary is gathered into sparse columns with one
+signed scatter per shape group (_signed_maps).  The cochain complexes
+of cohomology.py share it, and so do the graded sheaves of graded.py,
+cellular ones whose stalk generators carry degrees.  The same scatter
+lays out the components of a morphism block-diagonally
+(_block_diagonal) and every restriction of a sheaf as one operator
+(_restriction_operator), whose blocks _incidence_maps reads back as
+stored maps; the diagram conversion of graded.py works on those.
 """
 
 from __future__ import annotations
@@ -74,12 +75,7 @@ class _Batch:
     @classmethod
     def of(cls, matrices) -> "_Batch":
         """Stack a list of matrices by shape, shapes in first-seen order."""
-        members: dict[tuple, list] = {}
-        for n, m in enumerate(matrices):
-            members.setdefault(m.shape, []).append(n)
-        return cls.from_stacks(
-            [(ns, np.stack([matrices[n] for n in ns])) for ns in members.values()]
-        )
+        return cls.from_stacks([([n], m[None]) for n, m in enumerate(matrices)])
 
     @classmethod
     def from_stacks(cls, parts) -> "_Batch":
@@ -132,82 +128,91 @@ def _groups(ids):
 
 
 class _Maps:
-    """Stored maps keyed by incidence: the matrix of key is batch[keys[key]].
+    """Stored maps by simplex position: batch[n] runs from the simplex at
+    global position source[n] to the one at target[n].
 
-    Built from a dict by reducing each matrix mod p and stacking the
-    results by shape, or handed over already stacked and reduced (by
-    the parser, constant and dualize), so no matrix is copied alone.
+    An id that names no simplex has position -1, and only for those n
+    is the stored id pair kept, in strays.  keys, the (source id, target
+    id) view, is built on first use: a later n replaces an earlier one
+    of the same key, which keeps its first place.  The matrices are held
+    stacked by shape and reduced mod p (_Batch); a dict's are copied once.
     """
 
-    def __init__(self, keys: dict, batch: _Batch):
-        self.keys = keys
-        self.batch = batch
+    def __init__(self, ids, source, target, batch: _Batch, strays=None):
+        self.ids, self.source, self.target, self.batch = ids, source, target, batch
+        self.strays = strays or {}
 
     @classmethod
-    def of(cls, maps, p: int) -> "_Maps":
-        if isinstance(maps, _Maps):
-            return maps
-        keys, mats = {}, []
-        for (a, b), m in maps.items():
-            keys[(a, b)] = len(mats)
-            mats.append(matrix(m, p))
-        return cls(keys, _Batch.of(mats))
+    def named(cls, complex_, sources, targets, batch: _Batch, at=None) -> "_Maps":
+        """batch[n] stored from the id sources[n] to the id targets[n]; at,
+        if given, is complex_.positions(sources + targets)."""
+        at = complex_.positions(sources + targets) if at is None else at
+        source, target = at[: len(sources)], at[len(sources) :]
+        stray = np.flatnonzero((source < 0) | (target < 0)).tolist()
+        strays = {n: (sources[n], targets[n]) for n in stray}
+        return cls(complex_._ids, source, target, batch, strays)
 
-    def get(self, key):
-        n = self.keys.get(key)
-        return None if n is None else self.batch[n]
+    @classmethod
+    def of(cls, maps: dict, complex_: FilteredComplex) -> "_Maps":
+        batch = _Batch.of([matrix(m, complex_.field.p) for m in maps.values()])
+        return cls.named(complex_, [a for a, _ in maps], [b for _, b in maps], batch)
+
+    def key_list(self, ns: np.ndarray) -> list:
+        """The (source id, target id) of each stored map n in ns."""
+        ids, strays = self.ids, self.strays
+        pairs = zip(ns.tolist(), self.source[ns].tolist(), self.target[ns].tolist())
+        return [strays[n] if n in strays else (ids[a], ids[b]) for n, a, b in pairs]
+
+    @cached_property
+    def keys(self) -> dict:
+        return {key: n for n, key in enumerate(self.key_list(np.arange(len(self.source))))}
 
     def as_dict(self) -> dict:
         return {key: self.batch[n] for key, n in self.keys.items()}
 
     def transposed(self) -> "_Maps":
-        """Every key reversed and every matrix transposed."""
+        """Every map reversed and every matrix transposed."""
         b = self.batch
         stacks = [s.transpose(0, 2, 1).copy() for s in b.stacks]
-        keys = {(y, x): n for (x, y), n in self.keys.items()}
-        return _Maps(keys, _Batch(stacks, b.group, b.slot))
+        strays = {n: (y, x) for n, (x, y) in self.strays.items()}
+        return _Maps(self.ids, self.target, self.source, _Batch(stacks, b.group, b.slot), strays)
 
 
 class _Gathered:
     """A store's maps lined up with the complex's numbered incidences.
 
-    batch[n] is the map of incidence n as stored, or, when none is
-    stored, the zero matrix of the shape the stalks ask for.  want and
-    have hold each incidence's wanted and stored (rows, cols), have -1
-    when nothing is stored.  missing marks incidences between two
+    batch[n] is the map stored for incidence n, the later of two, or,
+    when none is, the zero matrix of the shape the stalks ask for.  want
+    and have hold each incidence's wanted and stored (rows, cols), have
+    -1 when nothing is stored.  missing marks incidences between two
     nonzero stalks with no stored map, wrong those whose stored map has
     another shape, and unmatched lists the stored keys that name no
-    incidence, in key order.  down says the maps run from coface to
-    face and are keyed (coface id, face id).  The holes of a complex
-    that is not closed are neither missing nor wrong.
+    incidence, each once, in key order.  down says the maps run from
+    coface to face.  The holes of a complex that is not closed are
+    neither missing nor wrong.
     """
 
     def __init__(self, complex_: FilteredComplex, maps: _Maps, sizes, down: bool):
         inc = self.incidences = complex_.incidences()
         self.down = down
-        sources, targets = zip(*maps.keys) if maps.keys else ((), ())
-        found = inc.locate(*((targets, sources) if down else (sources, targets)))
-        stored = np.fromiter(maps.keys.values(), dtype=np.int64, count=len(found))
+        found = inc.locate(*((maps.target, maps.source) if down else (maps.source, maps.target)))
         hit = found >= 0
-        self.unmatched = [] if hit.all() else [
-            key for key, f in zip(maps.keys, found.tolist()) if f < 0
-        ]
+        self.unmatched = list(dict.fromkeys(maps.key_list(np.flatnonzero(~hit))))
         where = np.full(inc.count, -1, dtype=np.int64)
-        where[found[hit]] = stored[hit]
+        np.maximum.at(where, found[hit], np.flatnonzero(hit))  # the later map wins
         holes = inc.face < 0
         f_size = np.where(holes, 0, sizes[inc.face])
         t_size = sizes[inc.coface]
         self.want = np.stack([f_size, t_size] if down else [t_size, f_size], axis=1)
         present = where >= 0
+        stored = maps.batch.take(where[present])
         self.have = np.full((inc.count, 2), -1, dtype=np.int64)
-        self.have[present] = maps.batch.take(where[present]).shapes()
+        self.have[present] = stored.shapes()
         nonzero = (self.want > 0).all(axis=1)
         self.missing = ~present & ~holes & nonzero
         self.wrong = present & (self.have != self.want).any(axis=1)
-        group = np.empty(inc.count, dtype=np.int64)
-        slot = np.zeros(inc.count, dtype=np.int64)
-        group[present] = maps.batch.group[where[present]]
-        slot[present] = maps.batch.slot[where[present]]
+        group, slot = np.zeros((2, inc.count), dtype=np.int64)
+        group[present], slot[present] = stored.group, stored.slot
         # each absent map reads slot 0 of one zero stack of its shape
         shapes, inverse = _unique_rows(self.want[~present])
         group[~present] = len(maps.batch.stacks) + inverse
@@ -264,7 +269,7 @@ class _CellularStalks:
             raise ValueError("stalk dimensions must be nonnegative")
         # ids that name no simplex, reported by validate_sheaf
         self._stray = [sid for sid in stalk_dim if sid not in self.stalk_dim]
-        self._maps = _Maps.of(maps, complex_.field.p)
+        self._maps = maps if isinstance(maps, _Maps) else _Maps.of(maps, complex_)
 
     @cached_property
     def _sizes(self) -> np.ndarray:
@@ -280,9 +285,9 @@ class _CellularStalks:
 
     def _map(self, source_id: str, target_id: str) -> np.ndarray:
         """The stored map source -> target, or the zero map it may omit."""
-        stored = self._maps.get((source_id, target_id))
-        if stored is not None:
-            return stored
+        n = self._maps.keys.get((source_id, target_id))
+        if n is not None:
+            return self._maps.batch[n]
         if self.stalk(source_id) == 0 or self.stalk(target_id) == 0:
             return zeros(self.stalk(target_id), self.stalk(source_id))
         raise KeyError(f"no {self._kind} stored for {source_id!r} -> {target_id!r}")
@@ -451,8 +456,8 @@ def _restriction_operator(sheaf: CellularSheaf) -> Columns:
 
 def _incidence_maps(op: Columns, sheaf: CellularSheaf) -> _Maps:
     """The blocks of op, a square operator laid out as
-    _restriction_operator(sheaf), as stored maps keyed (face id, coface
-    id) and stacked as sheaf's restrictions are.
+    _restriction_operator(sheaf), as stored maps, one per incidence of
+    sheaf's closed complex, stacked as sheaf's restrictions are.
 
     Every entry of op must lie in the block of an incidence.  No dense
     matrix over all simplices is formed.
@@ -474,7 +479,7 @@ def _incidence_maps(op: Columns, sheaf: CellularSheaf) -> _Maps:
             rows[members] - start[inc.coface[hit]],
             cols[members] - start[inc.face[hit]],
         ] = op.data[members]
-    return _Maps(inc.index, _Batch(stacks, batch.group, batch.slot))
+    return _Maps(inc.complex._ids, inc.face, inc.coface, _Batch(stacks, batch.group, batch.slot))
 
 
 def _store_problems(stalks: _CellularStalks) -> list:
@@ -652,7 +657,7 @@ def constant(complex_: FilteredComplex, d: int) -> CellularSheaf:
     inc.check_closed()
     stack = np.repeat(identity(d)[None], inc.count, axis=0)
     every = np.arange(inc.count)
-    maps = _Maps(inc.index, _Batch([stack], np.zeros_like(every), every))
+    maps = _Maps(complex_._ids, inc.face, inc.coface, _Batch([stack], np.zeros_like(every), every))
     return CellularSheaf(complex_, stalks, maps)
 
 

@@ -1,5 +1,7 @@
 """Hand-built fixtures shared across test modules."""
 
+import importlib.util
+import os
 from itertools import combinations
 
 import numpy as np
@@ -19,6 +21,34 @@ from persheaf import (
 from perincidence import codim1_pairs
 
 F2 = Field(2)
+
+# sizes of the first instance of two bench workloads, copied from perfbench/run.py
+_BENCH = {
+    "backward-rips": (
+        "backward", 40, [0.1, 0.2, 0.3],
+        {"1,0": 22, "1,1": 60, "1,2": 84, "2,0": 4, "2,1": 65, "2,2": 231}, (),
+    ),
+    "forward-diagram": (
+        "forward", 14, [0.25, 0.35, 0.45],
+        {"1,0": 14, "1,1": 11, "1,2": 12, "2,0": 4, "2,1": 12, "2,2": 24},
+        (5, 4, [126, 438, 535]),
+    ),
+}
+
+
+def bench_input(workload, workdir, seed=7):
+    """Write the first instance of a bench workload's inputs to workdir.
+
+    backward-rips writes complex.json and sheaf.json, forward-diagram
+    complex.json and diagram.json.  perfbench/gen.py imports nothing of
+    the package, so it is loaded by path.
+    """
+    path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "gen.py")
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    kind, points, thresholds, target, extra = _BENCH[workload]
+    getattr(gen, kind)(str(workdir), seed * 1000, points, thresholds, target, 0.01, *extra)
 
 
 def square_filtration():

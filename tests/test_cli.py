@@ -4,7 +4,6 @@ Everything goes through main(argv) in process so exit codes and both
 output streams stay visible to the assertions.
 """
 
-import importlib.util
 import itertools
 import json
 import os
@@ -41,7 +40,7 @@ from persheaf.linalg import Columns
 
 import densekernel
 import perincidence as ref
-from builders import closure, edge_diagram
+from builders import bench_input, closure, edge_diagram
 from genrandom import random_complex
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -650,7 +649,24 @@ def validations(monkeypatch):
     return calls
 
 
-def test_each_invocation_validates_once(capsys, tmp_path, validations, constructions):
+@pytest.fixture
+def locations(monkeypatch):
+    """One entry per FilteredComplex.positions call: stored ids made
+    into simplex positions."""
+    calls = []
+    original = FilteredComplex.positions
+
+    def counted(self, ids):
+        calls.append(id(self))
+        return original(self, ids)
+
+    monkeypatch.setattr(FilteredComplex, "positions", counted)
+    return calls
+
+
+def test_each_invocation_validates_once(
+    capsys, tmp_path, validations, constructions, locations
+):
     with open(fx("edge_diagram.json"), encoding="utf-8") as fh:
         embedded = json.load(fh)["complex"]
     cpath = tmp_path / "complex.json"
@@ -670,6 +686,7 @@ def test_each_invocation_validates_once(capsys, tmp_path, validations, construct
     for argv, top in runs:
         validations.clear()
         constructions.clear()
+        locations.clear()
         assert run(capsys, argv)[0] == 0
         names = [name for name, _ in validations]
         assert names.count(top) == 1, argv
@@ -677,6 +694,9 @@ def test_each_invocation_validates_once(capsys, tmp_path, validations, construct
         if argv[0] in ("persist-t", "persist-a"):
             # the graded engine trusts the input the CLI validated
             assert "validate_graded_sheaf" not in names, argv
+        if argv[0] == "persist-t":
+            # the sheaf's ids, read once, serve the filtration cosheaf too
+            assert len(locations) == 1
         if argv[0] == "cohomology":
             # every degree reads one cochain complex
             assert constructions == ["CochainComplex"]
@@ -977,6 +997,43 @@ def test_bad_matrix_late_in_a_diagram(capsys, tmp_path, bad, message):
     assert err == f"error: diagram.steps[1][{ids[-2]!r}]: {message}\n"
 
 
+DEEP = "[" * 100000 + "]" * 100000
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "triangle_sheaf.json"],
+        ["cohomology", "triangle.json", "triangle_sheaf.json"],
+        ["persist-t", "square.json", "square_sheaf.json"],
+        ["persist-a", "edge_diagram.json"],
+        ["bipersist", "edge_complex.json", "edge_diagram.json"],
+    ],
+    ids=lambda argv: argv[0],
+)
+@pytest.mark.parametrize("nested", ["whole", "unused-key"])
+def test_deeply_nested_json_is_invalid_input(capsys, tmp_path, argv, nested):
+    command, names = argv[0], argv[1:]
+    with open(fx("edge_diagram.json"), encoding="utf-8") as fh:
+        embedded = json.load(fh)["complex"]
+    (tmp_path / "edge_complex.json").write_text(json.dumps(embedded))
+    for deep in names:
+        paths = []
+        for name in names:
+            source = tmp_path / name if name == "edge_complex.json" else fx(name)
+            with open(source, encoding="utf-8") as fh:
+                text = fh.read()
+            if name == deep:
+                # past the recursion limit, as the whole file or under a key nothing reads
+                text = DEEP if nested == "whole" else text.rstrip()[:-1] + f', "notes": {DEEP}}}'
+            path = tmp_path / f"in-{name}"
+            path.write_text(text)
+            paths.append(str(path))
+        code, out, err = run(capsys, [command, *paths])
+        assert (code, out) == (2, ""), (command, deep)
+        assert err == f"error: {tmp_path / f'in-{deep}'}: JSON is nested too deeply to read\n"
+
+
 def test_python_dash_m(tmp_path):
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     env = dict(os.environ, PYTHONPATH=src)
@@ -1180,18 +1237,9 @@ def test_package_names_load_on_first_use():
 
 @pytest.fixture(scope="module")
 def backward_rips(tmp_path_factory):
-    """(complex data, sheaf path) of the first backward-rips bench input at seed 7.
-
-    perfbench/gen.py imports nothing of the package, so it is loaded by
-    path; the workload's sizes are copied from perfbench/run.py.
-    """
-    path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "gen.py")
-    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
-    target = {"1,0": 22, "1,1": 60, "1,2": 84, "2,0": 4, "2,1": 65, "2,2": 231}
+    """(complex data, sheaf path) of the first backward-rips bench input at seed 7."""
     workdir = tmp_path_factory.mktemp("backward-rips")
-    gen.backward(str(workdir), 7 * 1000, 40, [0.1, 0.2, 0.3], target, 0.01)
+    bench_input("backward-rips", workdir)
     with open(workdir / "complex.json", encoding="utf-8") as fh:
         return json.load(fh), str(workdir / "sheaf.json")
 

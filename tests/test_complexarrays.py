@@ -215,7 +215,8 @@ def test_stored_keys_with_unknown_ids_name_no_incidence():
     inc = x.incidences()
     pairs = [(f.id, t.id) for f, t in ref.codim1_pairs(x)]
     faces, cofaces = zip(*pairs, ("0.2", "nowhere"), ("nowhere", "0.1.2"), ("0", "0.1.2"))
-    assert inc.locate(faces, cofaces).tolist() == list(range(len(pairs))) + [-1, -1, -1]
+    located = inc.locate(x.positions(faces), x.positions(cofaces))
+    assert located.tolist() == list(range(len(pairs))) + [-1, -1, -1]
 
 
 def test_omitted_stalks_are_zero():

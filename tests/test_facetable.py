@@ -90,8 +90,11 @@ def test_face_tables_list_the_faces(p):
                 assert [faces[i] for i in row] == ref.faces(x, t)
         assert list(_codim1_pairs(x)) == list(ref.codim1_pairs(x))
         inc = x.incidences()
-        assert list(inc.index) == [(f.id, t.id) for f, t in ref.codim1_pairs(x)]
-        assert list(inc.index.values()) == list(range(inc.count))
+        ids = x._ids
+        numbered = zip(inc.face.tolist(), inc.coface.tolist())
+        assert [(ids[f], ids[t]) for f, t in numbered] == [
+            (f.id, t.id) for f, t in ref.codim1_pairs(x)
+        ]
 
 
 def test_face_table_of_a_complex_with_holes():

@@ -1,12 +1,14 @@
 """Round trips and rendering for the on-disk formats."""
 
+import gc
 import json
 import os
 import random
+import sys
 
 import pytest
 
-from builders import edge_diagram, square_filtration
+from builders import bench_input, edge_diagram, square_filtration
 from genrandom import random_complex, random_sheaf
 from persheaf import Barcode, Field, validate_diagram, validate_sheaf
 from persheaf.sheaves import _codim1_pairs
@@ -96,6 +98,49 @@ def test_diagram_round_trip():
     for pa, pb in zip(diagram.steps, back.steps):
         for s in diagram.complex.simplices:
             assert pa.component(s.id).tolist() == pb.component(s.id).tolist()
+
+
+def _entry_refcounts(sheaf_data, owned):
+    """sys.getrefcount of each restriction entry's face, coface and matrix.
+
+    A one-character id is an interpreter-wide singleton, the very object
+    of the complex's own id, so only the other objects are counted.
+    """
+    out = []
+    for entry in sheaf_data["restrictions"]:
+        for key in ("face", "coface", "matrix"):
+            if id(entry[key]) not in owned:
+                out.append(sys.getrefcount(entry[key]))
+    return out
+
+
+def test_parsed_sheaf_keeps_no_decoded_json(tmp_path):
+    bench_input("backward-rips", tmp_path)
+    x = parse_complex(str(tmp_path / "complex.json"))
+    with open(tmp_path / "sheaf.json", encoding="utf-8") as fh:
+        data = json.load(fh)
+    owned = {id(sid) for sid in x._ids}
+    before = _entry_refcounts(data, owned)
+    assert len(before) > 2 * len(data["restrictions"])
+    sheaf = sheaf_from_data(data, x)
+    gc.collect()
+    assert _entry_refcounts(data, owned) == before
+    assert validate_sheaf(sheaf) == []
+
+
+def test_parsed_diagram_keeps_no_decoded_json(tmp_path):
+    bench_input("forward-diagram", tmp_path)
+    x = parse_complex(str(tmp_path / "complex.json"))
+    with open(tmp_path / "diagram.json", encoding="utf-8") as fh:
+        data = json.load(fh)
+    owned = {id(sid) for sid in x._ids}
+    before = [_entry_refcounts(s, owned) for s in data["snapshots"]]
+    for counts, snapshot in zip(before, data["snapshots"]):
+        assert len(counts) > 2 * len(snapshot["restrictions"])
+    diagram = diagram_from_data(data, x)
+    gc.collect()
+    assert [_entry_refcounts(s, owned) for s in data["snapshots"]] == before
+    assert validate_diagram(diagram) == []
 
 
 def test_barcode_round_trip():
