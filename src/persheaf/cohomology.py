@@ -52,7 +52,6 @@ from .sheaves import (
     pullback,
     _block_diagonal,
     _check_diagram,
-    _signed_maps,
     validate_sheaf,
 )
 
@@ -90,8 +89,8 @@ class _Stacked:
         stalks is a sheaf, or a cosheaf (stalks._down) whose stored maps
         run from degree k to degree k + _shift.  validate runs the full
         validation; without it only missing or mis-shaped maps are a
-        ValueError.  Each map is filled with one signed scatter per
-        shape group of the gathered maps.
+        ValueError, and so is a missing face.  The maps are the
+        stalks' signed (co)boundaries, assembled once per (co)sheaf.
         """
         gathered = stalks._gathered
         if validate:
@@ -113,10 +112,10 @@ class _Stacked:
             self._offsets[k] = dict(zip(complex_._ids[b[k] : b[k + 1]], ends))
         self._counts = {k: len(ends) - 1 for k, ends in self._ends.items()}
         self._echelons: dict[int, Echelon] = {}
+        gathered.incidences.check_closed()
         up = self._shift > 0
-        maps = _signed_maps(gathered, stalks._sizes, not up)
         self._maps: dict[int, Columns] = {
-            q - 1 if up else q: d for q, d in enumerate(maps, start=1)
+            q - 1 if up else q: d for q, d in enumerate(stalks._differentials, start=1)
         }
 
     def dim(self, k: int) -> int:

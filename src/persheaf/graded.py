@@ -39,14 +39,12 @@ from .sheaves import (
     CellularCosheaf,
     CellularSheaf,
     SheafDiagram,
-    _block_diagonal,
     _check_diagram,
     _codim1_pairs,
     _diamond_problems,
     _groups,
     _incidence_maps,
     _restriction_operator,
-    _signed_maps,
     _starts,
     _store_problems,
 )
@@ -324,9 +322,8 @@ def _power_problems(stalks: _Graded) -> list:
     flat = np.array([d for ds in stalks.degrees.values() for d in ds], dtype=np.int64)
     first = _starts(stalks._sizes)
     batch = gathered.batch
-    groups = np.where(gathered.faulty | (inc.face < 0), -1, batch.group)
     found = {}
-    for g, members in _groups(groups):
+    for g, members in _groups(batch.group):
         stack = batch.stacks[g]
         r, c = stack.shape[1:]
         if r == 0 or c == 0:
@@ -379,9 +376,9 @@ def graded_cochain_complex(stalks: _Graded) -> GradedComplex:
         )
         for k in range(x.dim + 1)
     ]
+    stalks._gathered.incidences.check_closed()
     homs = []
-    scalars = _signed_maps(stalks._gathered, stalks._sizes, stalks._down)
-    for k, scalar in enumerate(scalars):
+    for k, scalar in enumerate(stalks._differentials):
         lo, hi = spaces[k], spaces[k + 1]
         rows, cols = (lo, hi) if stalks._down else (hi, lo)
         homs.append(HomogeneousMatrix(field, scalar, rows.degrees, cols.degrees))
@@ -411,7 +408,7 @@ def diagram_to_graded_sheaf(diagram: SheafDiagram) -> GradedSheaf:
     basis = field.sparse(zeros(int(diagram.snapshots[0]._sizes.sum()), 0))
     for i, sheaf in enumerate(diagram.snapshots):
         if i:
-            basis = _mulcols(_block_diagonal(diagram.steps[i - 1]), basis, p)
+            basis = _mulcols(diagram.steps[i - 1]._matrix, basis, p)
         found = field._column_echelon(basis)
         for j in found.zero:
             failed.setdefault(int(owner[j]), i - 1)

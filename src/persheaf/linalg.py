@@ -22,24 +22,14 @@ in degree order; rank, kernel_basis, image_basis and solve reach it
 through one conversion, Field.sparse, and the diagram conversion hands
 it Columns directly, through Field._solve, the sparse core of solve.
 
-_mulmod is the one dense product: the stacked diamond and naturality
-checks of sheaves.py (_commuting) call it, and so does Field.matmul,
-which nothing in the package calls (perfbench/tracer.py wraps it), so
-the int64 overflow bound lives there; no class, class map, rank table
-or graded map goes through it.  While inner * (p-1)^2 < 2^63 a
-product is one int64 matmul and one reduction.  Past that bound
-(every inner size from 2 up at p = 2^31-1) the right operand is split
-into 16-bit limbs, b = hi * 2^16 + lo, and a @ b = ((a @ hi mod p) *
-2^16 + a @ lo) mod p, with the inner dimension cut into chunks short
-enough that no partial sum reaches 2^63, after the delayed-reduction
-products of Dumas, Giorgi and Pernet ("Dense linear algebra over
-word-size prime fields: the FFLAS and FFPACK packages", ACM TOMS
-2008).  _mulcols is the one sparse product, Columns by Columns: every
-term is reduced mod p before one segmented sum, so it needs no limbs.
-The induced maps, the rank table, the commutativity check of a grid,
-the diagram conversion and the graded engine's check that consecutive
-maps compose to zero all multiply with it.  No product needs
-Python integers or floating point.
+_mulcols is the one product, Columns by Columns: every term is reduced
+mod p before one segmented sum, so it is exact in int64 for every
+p < 2^31 with no limb split.  The induced maps, the rank table, the
+commutativity check of a grid, the diagram conversion, the graded
+engine's check that consecutive maps compose to zero, and the diamond
+and naturality checks of sheaves.py all multiply with it, and
+Field.matmul is its dense face.  No product needs Python integers or
+floating point.
 """
 
 from __future__ import annotations
@@ -82,31 +72,6 @@ def _is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-_LIMB = 16
-
-
-def _mulmod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """a @ b mod p for int64 operands in [0, p), p < 2^31, exactly.
-
-    Takes what np.matmul takes: two matrices, or two stacks of them.
-    Past the direct bound, b is split into limbs hi < 2^15 and
-    lo < 2^16, and each chunk of at most 2^16 inner indices keeps both
-    partial sums below 2^16 * 2^31 * 2^16 = 2^63.
-    """
-    inner = a.shape[-1]
-    if inner * (p - 1) ** 2 < 2 ** 63:
-        return np.matmul(a, b) % p
-    hi, lo = b >> _LIMB, b & ((1 << _LIMB) - 1)
-    out = 0
-    for start in range(0, inner, 1 << _LIMB):
-        cut = slice(start, start + (1 << _LIMB))
-        high = np.matmul(a[..., cut], hi[..., cut, :]) % p
-        low = np.matmul(a[..., cut], lo[..., cut, :]) % p
-        # high << 16 < 2^47, so this sum stays far below 2^63
-        out = (out + (high << _LIMB) + low) % p
-    return out
 
 
 def matrix(rows, p: int | None = None) -> np.ndarray:
@@ -328,17 +293,9 @@ class Field:
         return np.asarray(m, dtype=np.int64) % self.p
 
     def matmul(self, a, b) -> np.ndarray:
-        """a @ b mod p, exact in int64 for every p < 2^31.
-
-        One int64 product while inner * (p-1)^2 < 2^63; past that, the
-        16-bit limb split of _mulmod, two int64 products per chunk of
-        at most 2^16 inner indices.
-        """
-        a = self.normalize(a)
-        b = self.normalize(b)
-        if a.shape[1] != b.shape[0]:
-            raise ValueError(f"cannot multiply shapes {a.shape} and {b.shape}")
-        return _mulmod(a, b, self.p)
+        """a @ b mod p of two dense matrices, exact for every p < 2^31:
+        the dense face of the one product, _mulcols."""
+        return _mulcols(self.sparse(a), self.sparse(b), self.p).dense()
 
     def sparse(self, m) -> Columns:
         """A dense matrix as Columns, reduced mod p; Columns pass through."""

@@ -4,10 +4,10 @@ A module of length m is a chain of F_p spaces joined by forward maps;
 a copersistence module runs the maps backward.  The maps are held as
 linalg.Columns.  Decomposition is by the rank formula: bar
 multiplicities are an inclusion-exclusion over ranks of composite
-maps, which are sparse products (linalg._mulcols, not the dense
-_mulmod) ranked by the one column reduction.  The diagram is
-implicitly continued to the right by identity maps, so a class alive
-at the last index belongs to an unbounded bar, written (a, None).
+maps, which are sparse products (linalg._mulcols) ranked by the one
+column reduction.  The diagram is implicitly continued to the right by
+identity maps, so a class alive at the last index belongs to an
+unbounded bar, written (a, None).
 """
 
 from __future__ import annotations

@@ -11,15 +11,19 @@ of its two simplices (_Maps), so every id is looked up once.  One
 walker reads them for every check and every assembly: _Gathered
 matches the position pairs with the complex's numbered incidences
 (FilteredComplex.incidences), so the presence and shape checks are
-array comparisons, the diamonds are index arithmetic on the face
-tables, and each (co)boundary is gathered into sparse columns with one
-signed scatter per shape group (_signed_maps).  The cochain complexes
-of cohomology.py share it, and so do the graded sheaves of graded.py,
-cellular ones whose stalk generators carry degrees.  The same scatter
-lays out the components of a morphism block-diagonally
-(_block_diagonal) and every restriction of a sheaf as one operator
-(_restriction_operator), whose blocks _incidence_maps reads back as
-stored maps; the diagram conversion of graded.py works on those.
+array comparisons, and each (co)boundary is gathered into sparse
+columns with one signed scatter per shape group (_signed_maps), once
+per (co)sheaf.  The cochain complexes of cohomology.py read those, and
+so do the graded sheaves of graded.py, cellular ones whose stalk
+generators carry degrees.  The same scatter lays out the components of
+a morphism block-diagonally (_block_diagonal) and every restriction of
+a sheaf as one operator (_restriction_operator), whose blocks
+_incidence_maps reads back as stored maps; the diagram conversion of
+graded.py works on those.  The diamond and naturality checks are
+sparse products (linalg._mulcols) of these operators: a diamond
+commutes exactly when its block of the product of two consecutive
+(co)boundaries is zero, and a naturality square when its block of
+Phi R - R Phi is.
 """
 
 from __future__ import annotations
@@ -29,8 +33,8 @@ from itertools import repeat
 
 import numpy as np
 
-from .complexes import FilteredComplex, SimplicialMap, _first_match, _unique_rows
-from .linalg import Columns, _mulmod, identity, matrix, zeros
+from .complexes import FilteredComplex, SimplicialMap, _first_match
+from .linalg import Columns, _hstack, _mulcols, identity, matrix, zeros
 
 __all__ = [
     "CellularSheaf",
@@ -181,15 +185,15 @@ class _Maps:
 class _Gathered:
     """A store's maps lined up with the complex's numbered incidences.
 
-    batch[n] is the map stored for incidence n, the later of two, or,
-    when none is, the zero matrix of the shape the stalks ask for.  want
-    and have hold each incidence's wanted and stored (rows, cols), have
-    -1 when nothing is stored.  missing marks incidences between two
-    nonzero stalks with no stored map, wrong those whose stored map has
-    another shape, and unmatched lists the stored keys that name no
-    incidence, each once, in key order.  down says the maps run from
-    coface to face.  The holes of a complex that is not closed are
-    neither missing nor wrong.
+    batch[n] is the map stored for incidence n, the later of two, when
+    it has the shape the stalks ask for; any other incidence has group
+    -1, which _groups, and so _scatter, skips.  want and have hold each
+    incidence's wanted and stored (rows, cols), have -1 when nothing is
+    stored.  missing marks incidences between two nonzero stalks with no
+    stored map, wrong those whose stored map has another shape, and
+    unmatched lists the stored keys that name no incidence, each once,
+    in key order.  down says the maps run from coface to face.  The
+    holes of a complex that is not closed are neither missing nor wrong.
     """
 
     def __init__(self, complex_: FilteredComplex, maps: _Maps, sizes, down: bool):
@@ -211,13 +215,10 @@ class _Gathered:
         nonzero = (self.want > 0).all(axis=1)
         self.missing = ~present & ~holes & nonzero
         self.wrong = present & (self.have != self.want).any(axis=1)
-        group, slot = np.zeros((2, inc.count), dtype=np.int64)
-        group[present], slot[present] = stored.group, stored.slot
-        # each absent map reads slot 0 of one zero stack of its shape
-        shapes, inverse = _unique_rows(self.want[~present])
-        group[~present] = len(maps.batch.stacks) + inverse
-        zero = [np.zeros((1, r, c), dtype=np.int64) for r, c in shapes.tolist()]
-        self.batch = _Batch(maps.batch.stacks + zero, group, slot)
+        group, slot = np.full((2, inc.count), -1, dtype=np.int64)
+        ok = present & ~self.wrong
+        group[ok], slot[ok] = stored.group[ok[present]], stored.slot[ok[present]]
+        self.batch = _Batch(maps.batch.stacks, group, slot)
 
     @property
     def faulty(self) -> np.ndarray:
@@ -280,6 +281,12 @@ class _CellularStalks:
     def _gathered(self) -> _Gathered:
         return _Gathered(self.complex, self._maps, self._sizes, self._down)
 
+    @cached_property
+    def _differentials(self) -> list:
+        """The signed (co)boundaries of the gathered maps (_signed_maps),
+        assembled once for every check and every engine."""
+        return _signed_maps(self)
+
     def stalk(self, sid: str) -> int:
         return self.stalk_dim[sid]
 
@@ -303,6 +310,14 @@ class CellularSheaf(_CellularStalks):
     def restriction(self, face_id: str, coface_id: str) -> np.ndarray:
         return self._map(face_id, coface_id)
 
+    @cached_property
+    def _operator(self) -> Columns:
+        """The well-shaped restrictions in one square matrix, unsigned:
+        rows and columns both stack the stalks in the global order, and
+        block (coface, face) is the restriction from face to coface."""
+        inc, start, size = self._gathered.incidences, _starts(self._sizes), int(self._sizes.sum())
+        return _scatter((size, size), self._gathered.batch, start[inc.coface], start[inc.face])
+
 
 class CellularCosheaf(_CellularStalks):
     _kind = "extension"
@@ -313,68 +328,6 @@ class CellularCosheaf(_CellularStalks):
 
     def extension(self, coface_id: str, face_id: str) -> np.ndarray:
         return self._map(coface_id, face_id)
-
-
-def _commuting(p: int, a: _Batch, b: _Batch, c: _Batch, d: _Batch) -> np.ndarray:
-    """Whether a[n] @ b[n] == c[n] @ d[n] mod p, for each n.
-
-    The four batches have one length, entries reduced mod p, and both
-    composites of each n one shape.  The squares are grouped by the
-    stacks their four matrices come from, and each group is gathered
-    and multiplied with one stacked product per side (linalg._mulmod,
-    exact in int64 for every p).
-    """
-    ok = np.ones(len(a), dtype=bool)
-    if not len(a):
-        return ok
-    combos, inverse = _unique_rows(np.stack([m.group for m in (a, b, c, d)], axis=1))
-    combos = combos.tolist()
-    for c_id, members in _groups(inverse):
-        sa, sb, sc, sd = (
-            m.stacks[g][m.slot[members]] for m, g in zip((a, b, c, d), combos[c_id])
-        )
-        if sa.shape[1] == 0 or sb.shape[2] == 0:
-            continue
-        differ = (_mulmod(sa, sb, p) != _mulmod(sc, sd, p)).any(axis=(1, 2))
-        ok[members[differ]] = False
-    return ok
-
-
-def _bad_diamonds(complex_: FilteredComplex, batch: _Batch, down: bool) -> list:
-    """(s, rho_a, rho_b, t) of each diamond whose two composites differ.
-
-    batch holds one map per incidence, numbered as in
-    complex_.incidences().  A diamond is a k-simplex t, k >= 2, with
-    two of its vertices i < j: rho_a = F_k[t, i] omits i, rho_b =
-    F_k[t, j] omits j, and s = F_{k-1}[rho_a, j-1] = F_{k-1}[rho_b, i]
-    omits both, where F_k is face_table(k).  The square compares the
-    two routes from s to t (from t to s when down).  Diamonds come in
-    the order of t, then of (i, j); one with a missing simplex is
-    skipped.
-    """
-    inc = complex_.incidences()
-    p = complex_.field.p
-    bad = []
-    for k in range(2, complex_.dim + 1):
-        top, below = complex_.face_table(k), complex_.face_table(k - 1)
-        i, j = np.triu_indices(k + 1, 1)
-        ra, rb = top[:, i], top[:, j]
-        s = np.full(ra.shape, -1, dtype=np.int64)
-        has = ra >= 0
-        s[has] = below[ra[has], np.broadcast_to(j - 1, ra.shape)[has]]
-        t = np.arange(len(top))[:, None]
-        n_ta = inc.start[k] + (k + 1) * t + i
-        n_tb = inc.start[k] + (k + 1) * t + j
-        n_as = inc.start[k - 1] + k * ra + (j - 1)
-        n_bs = inc.start[k - 1] + k * rb + i
-        square = (n_as, n_ta, n_bs, n_tb) if down else (n_ta, n_as, n_tb, n_bs)
-        rows = np.flatnonzero(((ra >= 0) & (rb >= 0) & (s >= 0)).ravel())
-        ok = _commuting(p, *(batch.take(m.ravel()[rows]) for m in square))
-        cof, mid, low = (complex_.simplices_of_dim(q) for q in (k, k - 1, k - 2))
-        for flat in rows[~ok].tolist():
-            tt, q = divmod(flat, len(i))
-            bad.append((low[s[tt, q]], mid[ra[tt, q]], mid[rb[tt, q]], cof[tt]))
-    return bad
 
 
 def _starts(sizes) -> np.ndarray:
@@ -409,17 +362,18 @@ def _scatter(shape, batch: _Batch, row_off, col_off, negate=None, p=0) -> Column
     return Columns.from_entries(shape, rows, cols, vals)
 
 
-def _signed_maps(gathered: _Gathered, sizes, down: bool) -> list:
-    """The signed (co)boundaries of gathered maps over stalks of sizes.
+def _signed_maps(stalks: _CellularStalks) -> list:
+    """The signed (co)boundaries of the gathered maps of stalks.
 
     maps[q - 1] runs from dimension q - 1 to q, or from q to q - 1 when
-    down, as Columns.  The block of an incidence sits at its stalks'
-    offsets, in the global order, and is its map times (-1)^i, i the
-    omitted vertex (_scatter).  Maps are already reduced mod p.  A
-    missing face is a ValueError.
+    the maps run down, as Columns.  The block of an incidence sits at
+    its stalks' offsets, in the global order, and is its map times
+    (-1)^i, i the omitted vertex (_scatter).  Maps are already reduced
+    mod p.  A hole of a complex that is not closed has a face of size
+    0, so its block is empty.
     """
+    gathered, sizes, down = stalks._gathered, stalks._sizes, stalks._down
     inc = gathered.incidences
-    inc.check_closed()
     x = inc.complex
     p = x.field.p
     b = x._bounds
@@ -437,37 +391,37 @@ def _signed_maps(gathered: _Gathered, sizes, down: bool) -> list:
     return maps
 
 
-def _restriction_operator(sheaf: CellularSheaf) -> Columns:
-    """Every restriction of a sheaf in one square matrix, unsigned.
+def _entry_blocks(m: Columns, row_sizes, col_sizes):
+    """(row block, column block) of each stored entry of m, whose rows
+    and columns stack blocks of the given sizes."""
+    cols = np.repeat(np.arange(m.shape[1]), np.diff(m.indptr))
+    row_block = np.repeat(np.arange(len(row_sizes)), row_sizes)
+    col_block = np.repeat(np.arange(len(col_sizes)), col_sizes)
+    return row_block[m.indices], col_block[cols]
 
-    Rows and columns both stack the stalks in the global order, and
-    block (coface, face) is the restriction from face to coface.  A
-    missing face, restriction or shape is a ValueError.
-    """
-    inc = sheaf._gathered.incidences
-    inc.check_closed()
+
+def _restriction_operator(sheaf: CellularSheaf) -> Columns:
+    """Every restriction of a sheaf in one square matrix (its _operator);
+    a missing face, restriction or shape is a ValueError."""
+    sheaf._gathered.incidences.check_closed()
     problems = sheaf._gathered.shape_problems(sheaf._kind)
     if problems:
         raise ValueError("invalid sheaf: " + "; ".join(problems))
-    start = _starts(sheaf._sizes)
-    n = int(sheaf._sizes.sum())
-    return _scatter((n, n), sheaf._gathered.batch, start[inc.coface], start[inc.face])
+    return sheaf._operator
 
 
 def _incidence_maps(op: Columns, sheaf: CellularSheaf) -> _Maps:
     """The blocks of op, a square operator laid out as
-    _restriction_operator(sheaf), as stored maps, one per incidence of
-    sheaf's closed complex, stacked as sheaf's restrictions are.
+    _restriction_operator(sheaf), as stored maps, one per incidence
+    whose restriction sheaf stores, stacked as sheaf's restrictions are.
 
     Every entry of op must lie in the block of an incidence.  No dense
     matrix over all simplices is formed.
     """
     inc, batch, sizes = sheaf._gathered.incidences, sheaf._gathered.batch, sheaf._sizes
-    n = len(sizes)
-    owner = np.repeat(np.arange(n), sizes)  # the simplex of each row and column
     rows = op.indices
     cols = np.repeat(np.arange(op.shape[1]), np.diff(op.indptr))
-    at = _first_match(inc.face * n + inc.coface, owner[cols] * n + owner[rows])
+    at = inc.locate(*_entry_blocks(op, sizes, sizes)[::-1])
     if (at < 0).any():
         raise AssertionError("an entry lies outside every incidence block")
     start = _starts(sizes)
@@ -479,7 +433,9 @@ def _incidence_maps(op: Columns, sheaf: CellularSheaf) -> _Maps:
             rows[members] - start[inc.coface[hit]],
             cols[members] - start[inc.face[hit]],
         ] = op.data[members]
-    return _Maps(inc.complex._ids, inc.face, inc.coface, _Batch(stacks, batch.group, batch.slot))
+    n = np.flatnonzero(batch.group >= 0)
+    maps = _Batch(stacks, batch.group[n], batch.slot[n])
+    return _Maps(inc.complex._ids, inc.face[n], inc.coface[n], maps)
 
 
 def _store_problems(stalks: _CellularStalks) -> list:
@@ -493,14 +449,46 @@ def _store_problems(stalks: _CellularStalks) -> list:
 
 def _diamond_problems(stalks: _CellularStalks) -> list:
     """The diamonds whose two composites differ, named with the two
-    simplices between their ends."""
-    down = stalks._down
+    simplices between their ends; the stored maps must be well shaped.
+
+    A diamond is a k-simplex t, k >= 2, with two of its vertices i < j:
+    rho_a = F_k[t, i] omits i, rho_b = F_k[t, j] omits j, and s =
+    F_{k-1}[rho_a, j-1] = F_{k-1}[rho_b, i] omits both, F_k being
+    face_table(k).  Its two routes carry opposite incidence signs, and
+    no other route joins s and t, so it commutes exactly when block
+    (t, s) of the product of the signed maps between them is zero.
+    Diamonds come in the order of t, then of (i, j); one with a missing
+    simplex is skipped.
+    """
+    x, down = stalks.complex, stalks._down
+    p, b, sizes = x.field.p, x._bounds, stalks._sizes
     problems = []
-    for s, ra, rb, t in _bad_diamonds(stalks.complex, stalks._gathered.batch, down):
-        a, b = (t, s) if down else (s, t)
-        problems.append(
-            f"diamond {a.id!r} -> {b.id!r} does not commute (via {ra.id!r} vs {rb.id!r})"
-        )
+    for k in range(2, x.dim + 1):
+        lower, upper = stalks._differentials[k - 2 : k]
+        square = _mulcols(lower, upper, p) if down else _mulcols(upper, lower, p)
+        if not square.data.size:
+            continue
+        top_sizes, low_sizes = sizes[b[k] : b[k + 1]], sizes[b[k - 2] : b[k - 1]]
+        if down:
+            s_at, t_at = _entry_blocks(square, low_sizes, top_sizes)
+        else:
+            t_at, s_at = _entry_blocks(square, top_sizes, low_sizes)
+        top, below = x.face_table(k), x.face_table(k - 1)
+        i, j = np.triu_indices(k + 1, 1)
+        ra, rb = top[:, i], top[:, j]
+        # a nonzero square has (k-1)-simplices, so below has a row -1 reads
+        s = np.where(ra >= 0, below[ra, j - 1], -1)
+        rows = np.flatnonzero(((ra >= 0) & (rb >= 0) & (s >= 0)).ravel())
+        t_of, q_of = np.divmod(rows, len(i))
+        n = len(low_sizes)
+        bad = _first_match(t_at * n + s_at, t_of * n + s.ravel()[rows]) >= 0
+        cof, mid, low = (x.simplices_of_dim(q) for q in (k, k - 1, k - 2))
+        for t, q in zip(t_of[bad].tolist(), q_of[bad].tolist()):
+            a, z = (cof[t], low[s[t, q]]) if down else (low[s[t, q]], cof[t])
+            problems.append(
+                f"diamond {a.id!r} -> {z.id!r} does not commute"
+                f" (via {mid[ra[t, q]].id!r} vs {mid[rb[t, q]].id!r})"
+            )
     return problems
 
 
@@ -542,6 +530,27 @@ class SheafMorphism:
             return stored
         return zeros(self.target.stalk(sid), self.source.stalk(sid))
 
+    @cached_property
+    def _matrix(self) -> Columns:
+        """The whole morphism as one block-diagonal matrix (_block_diagonal)."""
+        return _block_diagonal(self)
+
+
+def _components(phi: SheafMorphism, lo: int, hi: int):
+    """The components at the simplices lo..hi-1 of the global order, as a
+    _Batch, with the target's and the source's stalk sizes there, and
+    one message per component of the wrong shape, in that order."""
+    ids = phi.complex._ids
+    rows, cols = phi.target._sizes[lo:hi], phi.source._sizes[lo:hi]
+    comps = _Batch.of([phi.component(sid) for sid in ids[lo:hi]])
+    bad = np.flatnonzero((comps.shapes() != np.stack([rows, cols], axis=1)).any(axis=1))
+    problems = [
+        f"component at {ids[lo + n]!r} has shape {comps[n].shape},"
+        f" expected {(int(rows[n]), int(cols[n]))}"
+        for n in bad.tolist()
+    ]
+    return comps, rows, cols, problems
+
 
 def _block_diagonal(phi: SheafMorphism, dim: int | None = None) -> Columns:
     """phi as one matrix from the source's stalks, stacked in the global
@@ -552,31 +561,33 @@ def _block_diagonal(phi: SheafMorphism, dim: int | None = None) -> Columns:
     lo, hi = (0, len(x._ids)) if dim is None else (
         x._bounds[dim : dim + 2] if dim in x._rows else (0, 0)
     )
-    rows, cols = phi.target._sizes[lo:hi], phi.source._sizes[lo:hi]
-    comps = _Batch.of([phi.component(sid) for sid in x._ids[lo:hi]])
-    bad = np.flatnonzero((comps.shapes() != np.stack([rows, cols], axis=1)).any(axis=1))
-    if bad.size:
-        n = int(bad[0])
-        raise ValueError(
-            f"component at {x._ids[lo + n]!r} has shape {comps[n].shape},"
-            f" expected {(int(rows[n]), int(cols[n]))}"
-        )
+    comps, rows, cols, problems = _components(phi, lo, hi)
+    if problems:
+        raise ValueError(problems[0])
     shape = (int(rows.sum()), int(cols.sum()))
     return _scatter(shape, comps, _starts(rows), _starts(cols))
 
 
+def _minus(a: Columns, b: Columns, p: int) -> Columns:
+    """a - b mod p: [a | b] times the identity stacked on its negative."""
+    n = a.shape[1]
+    rows = np.arange(n)[:, None] + np.array([0, n])
+    signs = Columns((2 * n, n), 2 * np.arange(n + 1), rows.ravel(), np.tile([1, p - 1], n))
+    return _mulcols(_hstack(a, b), signs, p)
+
+
 def validate_morphism(phi: SheafMorphism) -> list:
     """Component shape errors, components stored under an id that names
-    no simplex, and naturality failures across incidences."""
+    no simplex, and naturality failures across incidences.
+
+    With Phi the block-diagonal phi and R each sheaf's restriction
+    operator, block (t, f) of Phi R_source - R_target Phi is the
+    naturality square of incidence (f, t).  An incidence whose
+    restriction is missing or mis-shaped in either sheaf is left to
+    that sheaf's validation.
+    """
     x = phi.complex
-    problems = []
-    for s in x.simplices:
-        want = (phi.target.stalk(s.id), phi.source.stalk(s.id))
-        if phi.component(s.id).shape != want:
-            problems.append(
-                f"component at {s.id!r} has shape {phi.component(s.id).shape},"
-                f" expected {want}"
-            )
+    problems = _components(phi, 0, len(x._ids))[3]
     problems += [
         f"component stored under {sid!r}, which names no simplex"
         for sid in phi._component
@@ -584,25 +595,18 @@ def validate_morphism(phi: SheafMorphism) -> list:
     ]
     if problems:
         return problems
-    # one square per incidence, comp(t) @ source(f, t) against
-    # target(f, t) @ comp(f); an incidence whose restriction is missing
-    # or mis-shaped in either sheaf is left to that sheaf's validation
-    p = x.field.p
-    comps = _Batch.of([phi.component(s.id) % p for s in x.simplices])
-    source, target = phi.source._gathered, phi.target._gathered
-    inc = source.incidences
-    n = np.flatnonzero((inc.face >= 0) & ~source.faulty & ~target.faulty)
-    ok = _commuting(
-        p,
-        comps.take(inc.coface[n]),
-        source.batch.take(n),
-        target.batch.take(n),
-        comps.take(inc.face[n]),
-    )
+    p, m = x.field.p, phi._matrix
+    source, target = phi.source, phi.target
+    square = _minus(_mulcols(m, source._operator, p), _mulcols(target._operator, m, p), p)
+    t, f = _entry_blocks(square, target._sizes, source._sizes)
+    inc = source._gathered.incidences
+    fails = np.zeros(inc.count, dtype=bool)
+    fails[inc.locate(f, t)] = True
+    fails &= ~source._gathered.faulty & ~target._gathered.faulty
     sims = x.simplices
     return [
-        f"naturality fails across {sims[inc.face[m]].id!r} -> {sims[inc.coface[m]].id!r}"
-        for m in n[~ok].tolist()
+        f"naturality fails across {sims[inc.face[n]].id!r} -> {sims[inc.coface[n]].id!r}"
+        for n in np.flatnonzero(fails).tolist()
     ]
 
 

@@ -13,6 +13,18 @@ one tracked column reduction.  Both pivot on the columns independent of
 those before them and set every other unknown to 0, so they return the
 same solution, entry for entry, and None on the same systems.
 
+_mulmod is the dense product over F_p that the package dropped for its
+one sparse product (linalg._mulcols), kept as the reference the test
+walkers and generators multiply with, so none of them checks the
+product with itself.  While inner * (p-1)^2 < 2^63 a product is one
+int64 matmul and one reduction.  Past that bound (every inner size
+from 2 up at p = 2^31-1) the right operand is split into 16-bit limbs,
+b = hi * 2^16 + lo, and a @ b = ((a @ hi mod p) * 2^16 + a @ lo) mod p,
+with the inner dimension cut into chunks short enough that no partial
+sum reaches 2^63, after the delayed-reduction products of Dumas,
+Giorgi and Pernet ("Dense linear algebra over word-size prime fields:
+the FFLAS and FFPACK packages", ACM TOMS 2008).
+
 coords and composite_ranks are the dense class arithmetic that the
 sparse QuotientBasis.coords and persistence._composite_ranks replaced:
 a back-substitution that updates every vector at once with row
@@ -129,6 +141,31 @@ def is_invertible(p, m):
     m = np.asarray(m)
     n = m.shape[0]
     return m.shape[1] == n and solve(p, m, np.eye(n, dtype=np.int64)) is not None
+
+
+_LIMB = 16
+
+
+def _mulmod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b mod p for int64 operands in [0, p), p < 2^31, exactly.
+
+    Takes what np.matmul takes: two matrices, or two stacks of them.
+    Past the direct bound, b is split into limbs hi < 2^15 and
+    lo < 2^16, and each chunk of at most 2^16 inner indices keeps both
+    partial sums below 2^16 * 2^31 * 2^16 = 2^63.
+    """
+    inner = a.shape[-1]
+    if inner * (p - 1) ** 2 < 2 ** 63:
+        return np.matmul(a, b) % p
+    hi, lo = b >> _LIMB, b & ((1 << _LIMB) - 1)
+    out = 0
+    for start in range(0, inner, 1 << _LIMB):
+        cut = slice(start, start + (1 << _LIMB))
+        high = np.matmul(a[..., cut], hi[..., cut, :]) % p
+        low = np.matmul(a[..., cut], lo[..., cut, :]) % p
+        # high << 16 < 2^47, so this sum stays far below 2^63
+        out = (out + (high << _LIMB) + low) % p
+    return out
 
 
 def matmul(p, a, b):

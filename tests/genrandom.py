@@ -11,6 +11,7 @@ component injective.
 import numpy as np
 
 import densekernel
+from densekernel import _mulmod
 from perincidence import faces
 from persheaf import (
     Barcode,
@@ -113,6 +114,7 @@ def _summand_sheaf(complex_, summands):
 
 def _conjugate(sheaf, g):
     field = sheaf.complex.field
+    p = field.p
     ginv = {sid: _inverse(field, m) for sid, m in g.items()}
     restriction = {}
     for t in sheaf.complex.simplices:
@@ -122,9 +124,7 @@ def _conjugate(sheaf, g):
             if sheaf.stalk(f.id) == 0 or sheaf.stalk(t.id) == 0:
                 continue
             r = sheaf.restriction(f.id, t.id)
-            restriction[(f.id, t.id)] = field.matmul(
-                g[t.id], field.matmul(r, ginv[f.id])
-            )
+            restriction[(f.id, t.id)] = _mulmod(g[t.id], _mulmod(r, ginv[f.id], p), p)
     return CellularSheaf(sheaf.complex, dict(sheaf.stalk_dim), restriction)
 
 
@@ -218,9 +218,10 @@ def random_monomorphic_diagram(
         for s in complex_.simplices:
             if plain[i].stalk(s.id) == 0 or plain[i + 1].stalk(s.id) == 0:
                 continue
-            comp[s.id] = field.matmul(
+            comp[s.id] = _mulmod(
                 g[i + 1][s.id],
-                field.matmul(component(i, s), _inverse(field, g[i][s.id])),
+                _mulmod(component(i, s), _inverse(field, g[i][s.id]), field.p),
+                field.p,
             )
         steps.append(SheafMorphism(snapshots[i], snapshots[i + 1], comp))
     return SheafDiagram(snapshots, steps)
@@ -253,13 +254,13 @@ def random_interval_module(rng, field, m=None, forward=True):
     g = [random_invertible(rng, field, d) for d in dims]
     if forward:
         conj = [
-            field.matmul(g[i + 1], field.matmul(maps[i], _inverse(field, g[i])))
+            _mulmod(g[i + 1], _mulmod(maps[i], _inverse(field, g[i]), field.p), field.p)
             for i in range(m - 1)
         ]
         module = PersistenceModule(field, dims, conj)
     else:
         conj = [
-            field.matmul(g[i], field.matmul(maps[i], _inverse(field, g[i + 1])))
+            _mulmod(g[i], _mulmod(maps[i], _inverse(field, g[i + 1]), field.p), field.p)
             for i in range(m - 1)
         ]
         module = CopersistenceModule(field, dims, conj)

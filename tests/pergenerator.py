@@ -15,6 +15,7 @@ import numpy as np
 from persheaf import GradedSheaf, NotFreeError, zeros
 
 import densekernel
+from densekernel import _mulmod
 from perincidence import codim1_pairs
 
 
@@ -39,7 +40,7 @@ def diagram_to_graded_sheaf(diagram):
                 comp = diagram.steps[i - 1].component(sid)
                 if field.rank(comp) < comp.shape[1]:
                     raise NotFreeError(f"diagram not free at {sid}, step {i - 1}")
-                imgs = field.matmul(comp, imgs)
+                imgs = _mulmod(comp, imgs, field.p)
             d = diagram.snapshots[i].stalk(sid)
             if field.rank(imgs) != imgs.shape[1]:
                 raise AssertionError(f"pushed generators collapsed at {sid}")
@@ -63,7 +64,7 @@ def diagram_to_graded_sheaf(diagram):
         scalar = zeros(len(tdeg), len(fdeg))
         for g, a in enumerate(fdeg):
             r_a = diagram.snapshots[a].restriction(f.id, t.id)
-            vec = field.matmul(r_a, level_bases[f.id][a][:, g : g + 1])
+            vec = _mulmod(r_a, level_bases[f.id][a][:, g : g + 1], field.p)
             sol = densekernel.solve(field.p, level_bases[t.id][a], vec)
             if sol is None:
                 raise AssertionError(f"level basis at {t.id!r} is not a basis")

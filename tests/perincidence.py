@@ -13,6 +13,7 @@ a plain list of simplices, with vertex-tuple dicts.
 
 import numpy as np
 
+from densekernel import _mulmod
 from persheaf import zeros
 from persheaf.sheaves import _CellularStalks
 
@@ -118,6 +119,18 @@ def codim1_pairs(complex_):
             yield f, t
 
 
+def present_pairs(complex_):
+    """codim1_pairs without the incidences whose face is missing, as in
+    a complex that is not closed."""
+    for t in complex_.simplices:
+        if t.dim == 0:
+            continue
+        for i in range(len(t.vertices)):
+            f = complex_.by_vertices.get(t.vertices[:i] + t.vertices[i + 1:])
+            if f is not None:
+                yield f, t
+
+
 def diamonds(complex_):
     """Codimension-2 pairs with their two intermediate simplices."""
     for t in complex_.simplices:
@@ -205,19 +218,19 @@ def store_problems(stalks, get_map):
 
 
 def diamond_problems(stalks, get_map):
-    """Diamonds whose two composites differ, one Field.matmul pair each.
+    """Diamonds whose two composites differ, one dense product pair each.
 
     get_map is read as in store_problems: face to coface, or coface to
     face when the maps run down.
     """
-    field = stalks.complex.field
+    p = stalks.complex.field.p
     down = stalks._down
     out = []
     for s, ra, rb, t in diamonds(stalks.complex):
         composites = [
-            field.matmul(get_map(s, r), get_map(r, t))
+            _mulmod(get_map(s, r), get_map(r, t), p)
             if down
-            else field.matmul(get_map(r, t), get_map(s, r))
+            else _mulmod(get_map(r, t), get_map(s, r), p)
             for r in (ra, rb)
         ]
         if not np.array_equal(*composites):
@@ -240,9 +253,9 @@ def validate_cosheaf(cosheaf):
 
 
 def validate_morphism(phi):
-    """Component shapes and stray ids, then two Field.matmul calls per
-    incidence."""
-    field = phi.complex.field
+    """Component shapes and stray ids, then two dense products per
+    incidence whose face is present: a hole is skipped."""
+    p = phi.complex.field.p
     problems = []
     for s in phi.complex.simplices:
         want = (phi.target.stalk(s.id), phi.source.stalk(s.id))
@@ -254,9 +267,9 @@ def validate_morphism(phi):
     problems += stray_ids(phi._component, phi.complex, "component")
     if problems:
         return problems
-    for f, t in codim1_pairs(phi.complex):
-        left = field.matmul(phi.component(t.id), phi.source.restriction(f.id, t.id))
-        right = field.matmul(phi.target.restriction(f.id, t.id), phi.component(f.id))
+    for f, t in present_pairs(phi.complex):
+        left = _mulmod(phi.component(t.id), phi.source.restriction(f.id, t.id), p)
+        right = _mulmod(phi.target.restriction(f.id, t.id), phi.component(f.id), p)
         if not np.array_equal(left, right):
             problems.append(f"naturality fails across {f.id!r} -> {t.id!r}")
     return problems

@@ -8,6 +8,7 @@ complex, and the maps between steps are induced by the step inclusions
 tests compare the two.
 """
 
+from densekernel import _mulmod
 from persheaf import (
     CellularSheaf,
     CochainComplex,
@@ -91,7 +92,7 @@ def _inclusion(sub, sup, k):
 
 
 def _included(field, sub, sup, k, basis):
-    return field.sparse(field.matmul(_inclusion(sub, sup, k), basis.cycles.dense()))
+    return field.sparse(_mulmod(_inclusion(sub, sup, k), basis.cycles.dense(), field.p))
 
 
 def label_diagram(lf, n):

@@ -664,16 +664,35 @@ def locations(monkeypatch):
     return calls
 
 
-def test_each_invocation_validates_once(
-    capsys, tmp_path, validations, constructions, locations
-):
-    with open(fx("edge_diagram.json"), encoding="utf-8") as fh:
-        embedded = json.load(fh)["complex"]
-    cpath = tmp_path / "complex.json"
-    cpath.write_text(serialize_json(embedded))
-    runs = [
+@pytest.fixture
+def assemblies(monkeypatch):
+    """The (co)sheaf of every sheaves._signed_maps call, held so that no
+    two of them share an id."""
+    calls = []
+    original = sheaves._signed_maps
+
+    def counted(stalks):
+        calls.append(stalks)
+        return original(stalks)
+
+    monkeypatch.setattr(sheaves, "_signed_maps", counted)
+    return calls
+
+
+def _subcommand_runs(tmp_path):
+    """(argv, top-level validator) of one fixture run per subcommand."""
+    paths = {}
+    for name in ("edge_diagram", "two_simplex_sheaf"):
+        with open(fx(f"{name}.json"), encoding="utf-8") as fh:
+            embedded = json.load(fh)["complex"]
+        paths[name] = tmp_path / f"{name}_complex.json"
+        paths[name].write_text(serialize_json(embedded))
+    cpath, filled = paths["edge_diagram"], paths["two_simplex_sheaf"]
+    return [
         (["cohomology", fx("triangle.json"), fx("triangle_sheaf.json")], "validate_sheaf"),
         (["persist-t", fx("square.json"), fx("square_sheaf.json")], "validate_sheaf"),
+        # a filled triangle has a diamond, so its check reads the coboundaries too
+        (["persist-t", str(filled), fx("two_simplex_sheaf.json")], "validate_sheaf"),
         (["persist-a", fx("edge_diagram.json")], "validate_diagram"),
         (["bipersist", str(cpath), fx("edge_diagram.json")], "validate_diagram"),
         (
@@ -683,14 +702,23 @@ def test_each_invocation_validates_once(
         ),
         (["unicolored", fx("points.csv"), "--thresholds", "0.5,1.5,2.5"], "validate_sheaf"),
     ]
-    for argv, top in runs:
+
+
+def test_each_invocation_validates_once(
+    capsys, tmp_path, validations, constructions, locations, assemblies
+):
+    for argv, top in _subcommand_runs(tmp_path):
         validations.clear()
         constructions.clear()
         locations.clear()
+        assemblies.clear()
         assert run(capsys, argv)[0] == 0
         names = [name for name, _ in validations]
         assert names.count(top) == 1, argv
         assert len(set(validations)) == len(validations), argv
+        # each (co)sheaf's (co)boundaries serve its diamonds and every engine
+        assert assemblies, argv
+        assert len({id(stalks) for stalks in assemblies}) == len(assemblies), argv
         if argv[0] in ("persist-t", "persist-a"):
             # the graded engine trusts the input the CLI validated
             assert "validate_graded_sheaf" not in names, argv
@@ -1190,6 +1218,19 @@ def test_cli_import_loads_no_scipy():
     code = (
         "import sys, persheaf.cli; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    assert _fresh_python(code) == (0, "[]\n", "")
+
+
+def test_no_subcommand_loads_numpy_ma(tmp_path):
+    runs = [argv for argv, _ in _subcommand_runs(tmp_path)]
+    code = (
+        "import contextlib, io, sys\n"
+        "from persheaf.cli import main\n"
+        f"for argv in {runs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0, argv\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))\n"
     )
     assert _fresh_python(code) == (0, "[]\n", "")
 

@@ -29,7 +29,7 @@ from persheaf import (
 from persheaf.cohomology import _quotient
 
 from builders import dense_map
-from densekernel import sparse_echelon
+from densekernel import _mulmod, sparse_echelon
 from genrandom import random_complex, random_sheaf
 from oracles import betti, rref_rank, sections_dim
 from perincidence import faces, incidence_sign
@@ -92,7 +92,7 @@ def test_delta_squares_to_zero():
         x = random_complex(rng, Field(rng.choice([2, 5])))
         cc = CochainComplex(random_sheaf(rng, x))
         for k in range(x.dim + 1):
-            prod = cc.field.matmul(dense_map(cc, k + 1), dense_map(cc, k))
+            prod = _mulmod(dense_map(cc, k + 1), dense_map(cc, k), cc.field.p)
             assert not prod.any()
 
 
@@ -140,7 +140,7 @@ def test_representatives_are_cocycles():
     cc = CochainComplex(random_sheaf(rng, x))
     for k in range(x.dim + 1):
         basis = cohomology_basis(cc.stalks, k, cc)
-        image = cc.field.matmul(dense_map(cc, k), basis.cycles.dense())
+        image = _mulmod(dense_map(cc, k), basis.cycles.dense(), 2)
         assert not image.any()
         if basis.dim:
             got = basis.coords(basis.cycles).dense()
@@ -178,7 +178,7 @@ def test_induced_maps_compose_contravariantly():
         a = induced_by_simplicial_map(f01, source_basis=mid, target_basis=low)
         b = induced_by_simplicial_map(f12, source_basis=top, target_basis=mid)
         c = induced_by_simplicial_map(f02, source_basis=top, target_basis=low)
-        assert np.array_equal(F2.matmul(a.dense(), b.dense()), c.dense())
+        assert np.array_equal(_mulmod(a.dense(), b.dense(), 2), c.dense())
 
 
 def test_plain_homology_of_the_circle():
@@ -338,7 +338,7 @@ def test_back_substituted_coords_match_express(p):
         reps, killed = basis.cycles.dense(), basis.killed.dense()
         a = rng.integers(0, p, size=(basis.dim, 3), dtype=np.int64)
         b = rng.integers(0, p, size=(killed.shape[1], 3), dtype=np.int64)
-        vectors = (field.matmul(reps, a) + field.matmul(killed, b)) % p
+        vectors = (_mulmod(reps, a, p) + _mulmod(killed, b, p)) % p
         got = basis.coords(field.sparse(vectors)).dense()
         want = field.express(vectors, reps, modulo=killed)[0]
         assert np.array_equal(got, want) and np.array_equal(got, a)

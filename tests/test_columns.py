@@ -7,7 +7,7 @@ entry: pivots, zero columns, reduced columns and tracked ops, with and
 without clearing, on random matrices and on the coboundaries of random
 sheaves, at the smallest primes and the largest allowed one.  The
 sparse product linalg._mulcols must agree with the dense one,
-linalg._mulmod, in the same way.
+densekernel._mulmod, in the same way.
 """
 
 import random
@@ -16,9 +16,10 @@ import numpy as np
 import pytest
 
 from persheaf import CochainComplex, Field, constant, zeros
-from persheaf.linalg import Columns, _mulcols, _mulmod
+from persheaf.linalg import Columns, _mulcols
 
 import densekernel
+from densekernel import _mulmod
 from builders import dense_map
 from genrandom import random_complex, random_sheaf
 from oracles import coboundary, rref_rank

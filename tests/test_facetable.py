@@ -38,7 +38,7 @@ from persheaf import (
     validate_morphism,
     validate_sheaf,
 )
-from persheaf.sheaves import _bad_diamonds, _codim1_pairs
+from persheaf.sheaves import _codim1_pairs, _diamond_problems
 from persheaf.typet import _check_input, filtration_cosheaf
 
 PRIMES = [2, 3, 2**31 - 1]
@@ -137,7 +137,14 @@ def test_every_diamond_in_order(p):
             if (restr[(d[1].id, d[3].id)] * restr[(d[0].id, d[1].id)]
                 - restr[(d[2].id, d[3].id)] * restr[(d[0].id, d[2].id)]) % p
         ]
-        assert _bad_diamonds(x, sheaf._gathered.batch, False) == want
+        # 1 x 1 maps commute, so the dual's diamonds fail where the sheaf's do
+        for stalks in (sheaf, dualize(sheaf)):
+            assert _diamond_problems(stalks) == [
+                f"diamond {a.id!r} -> {b.id!r} does not commute"
+                f" (via {ra.id!r} vs {rb.id!r})"
+                for s, ra, rb, t in want
+                for a, b in [(t, s) if stalks._down else (s, t)]
+            ]
         listed += len(want)
     if p > 3:
         assert listed > len(list(ref.diamonds(xs[-1])))
@@ -319,6 +326,58 @@ def test_naturality_skips_maps_the_sheaves_lack():
     phi = SheafMorphism(lacking, whole, {s.id: np.eye(1, dtype=np.int64) for s in x.simplices})
     assert validate_sheaf(lacking) == ["missing restriction for '0' -> '0.1'"]
     assert validate_morphism(phi) == []
+
+
+HOLES = {
+    "vertex": {"2"},
+    "edge": {"1.3"},
+    "triangle": {"0.2.4"},
+    "two-edges": {"0.1", "2.3"},
+}
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_holed_validation_matches_per_incidence_loops(p):
+    # the full 4-simplex with simplices dropped, its faces left as
+    # holes: identity restrictions with a few random ones commute on
+    # some diamonds and not on others, and so do identity components
+    # with a few random ones across the incidences
+    rng = random.Random(31 + p % 1000)
+    x = full_simplex(Field(p), 5, 4)
+    failures = 0
+    for name, dropped in HOLES.items():
+        holed = FilteredComplex(x.field, [s for s in x.simplices if s.id not in dropped])
+        stalks = {s.id: rng.choice([1, 2, 2]) for s in holed.simplices}
+
+        def rand(rows, cols):
+            return np.array(
+                [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)], dtype=np.int64
+            ).reshape(rows, cols)
+
+        def eye(rows, cols):
+            return np.eye(rows, cols, dtype=np.int64)
+
+        restr = {
+            (f.id, t.id): (rand if rng.random() < 0.2 else eye)(stalks[t.id], stalks[f.id])
+            for f, t in ref.present_pairs(holed)
+        }
+        assert len(restr) < len(list(ref.codim1_pairs(x)))
+        sheaf = CellularSheaf(holed, stalks, restr)
+        co = dualize(sheaf)
+        want = ref.diamond_problems(sheaf, lambda f, t: sheaf.restriction(f.id, t.id))
+        assert validate_sheaf(sheaf) == want, name
+        co_want = ref.diamond_problems(co, lambda f, t: co.extension(t.id, f.id))
+        assert validate_cosheaf(co) == co_want, name
+        comps = {
+            s.id: (rand if rng.random() < 0.2 else eye)(stalks[s.id], stalks[s.id])
+            for s in holed.simplices
+        }
+        phi = SheafMorphism(sheaf, sheaf, comps)
+        natural = ref.validate_morphism(phi)
+        assert validate_morphism(phi) == natural, name
+        assert all(m.startswith("naturality fails") for m in natural)
+        failures += len(want) + len(co_want) + len(natural)
+    assert failures > 0
 
 
 def test_validation_and_assembly_read_no_restriction_one_by_one(monkeypatch):

@@ -6,9 +6,10 @@ from hypothesis import given, strategies as st
 
 import persheaf
 from persheaf import Field, identity, matrix, zeros
-from persheaf.linalg import _is_prime, _mulmod
+from persheaf.linalg import _is_prime
 
 import densekernel
+from densekernel import _mulmod
 from oracles import rref_rank
 
 PRIMES = [2, 5]
@@ -65,7 +66,7 @@ def test_kernel_and_image(p, data):
     img = f.image_basis(m)
     assert ker.shape[1] == m.shape[1] - f.rank(m)
     assert img.shape[1] == f.rank(m)
-    assert not f.matmul(m, ker).any()
+    assert not _mulmod(m, ker, p).any()
     assert f.rank(ker) == ker.shape[1]
     # image columns really are combinations of columns of m
     assert f.rank(np.hstack([m, img])) == f.rank(m)
@@ -80,10 +81,10 @@ def test_solve_recovers_consistent_systems(p, data):
         st.lists(st.integers(0, p - 1), min_size=a.shape[1], max_size=a.shape[1])
     )
     x = np.array(x, dtype=np.int64)
-    b = f.matmul(a, x.reshape(-1, 1))
+    b = _mulmod(a, x.reshape(-1, 1), p)
     got = f.solve(a, b)
     assert got is not None
-    assert np.array_equal(f.matmul(a, got), b)
+    assert np.array_equal(_mulmod(a, got, p), b)
 
 
 def test_solve_reports_inconsistency():
@@ -98,7 +99,7 @@ def test_invertibility(p, data):
     f = Field(p)
     if m.shape[0] == m.shape[1] == f.rank(m):
         inv = f.solve(m, identity(m.shape[0]))
-        assert np.array_equal(f.matmul(m, inv), identity(m.shape[0]))
+        assert np.array_equal(_mulmod(m, inv, p), identity(m.shape[0]))
 
 
 def _random_system(rng, p):
@@ -167,10 +168,10 @@ def test_solve_at_the_largest_prime():
         a = rng.integers(0, p, size=(rows, cols), dtype=np.int64)
         a[:, -1] = (a[:, 0] + 3 * a[:, 1]) % p
         x = rng.integers(0, p, size=(cols, 2), dtype=np.int64)
-        b = f.matmul(a, x)
+        b = _mulmod(a, x, p)
         got = f.solve(a, b)
         assert got is not None
-        assert np.array_equal(f.matmul(a, got), b)
+        assert np.array_equal(_mulmod(a, got, p), b)
 
 
 def trial_division_is_prime(n):

@@ -29,6 +29,7 @@ from persheaf import (
     validate_sheaf,
 )
 
+from densekernel import _mulmod
 from perincidence import diamonds
 
 from genrandom import random_complex, random_sheaf
@@ -156,7 +157,7 @@ def full_simplex(field, n, top):
 
 
 def diamond_messages_one_by_one(field, complex_, composite, arrow):
-    """The per-diamond check: one Field.matmul pair and one comparison each."""
+    """The per-diamond check: one dense product pair and one comparison each."""
     out = []
     for s, ra, rb, t in diamonds(complex_):
         if not np.array_equal(composite(s, ra, t), composite(s, rb, t)):
@@ -190,8 +191,8 @@ def test_batched_diamond_check_matches_per_diamond_loop():
         sheaf = CellularSheaf(x, sheaf.stalk_dim, restr)
         want = diamond_messages_one_by_one(
             field, x,
-            lambda s, r, t: field.matmul(
-                sheaf.restriction(r.id, t.id), sheaf.restriction(s.id, r.id)
+            lambda s, r, t: _mulmod(
+                sheaf.restriction(r.id, t.id), sheaf.restriction(s.id, r.id), p
             ),
             lambda s, t: (s, t),
         )
@@ -200,7 +201,7 @@ def test_batched_diamond_check_matches_per_diamond_loop():
         co = dualize(sheaf)
         want = diamond_messages_one_by_one(
             field, x,
-            lambda s, r, t: field.matmul(co.extension(r.id, s.id), co.extension(t.id, r.id)),
+            lambda s, r, t: _mulmod(co.extension(r.id, s.id), co.extension(t.id, r.id), p),
             lambda s, t: (t, s),
         )
         assert validate_cosheaf(co) == want
