@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from .cohomology import CochainComplex, _induced, _step_map, cohomology_basis
 from .linalg import _mulcols
-from .sheaves import SheafDiagram, _block_diagonal, _check_diagram
+from .sheaves import SheafDiagram, _check_diagram
 
 __all__ = ["BiGrid", "grid", "grid_by_degree", "check_commutative"]
 
@@ -77,9 +77,9 @@ def grid_by_degree(diagram: SheafDiagram, degrees) -> dict:
     """The H^k grid of a valid diagram for every k in degrees.
 
     One cochain complex per snapshot is assembled and viewed at every
-    step.  Per degree, each diagram step's cochain map is built once
-    over the whole complex, and row u uses its leading block; the maps
-    down a column drop trailing rows.
+    step.  Each diagram step's cochain maps are blocks of its one
+    matrix, and row u uses their leading parts; the maps down a column
+    drop trailing rows.
     """
     x = diagram.complex
     mt = x.steps
@@ -89,11 +89,10 @@ def grid_by_degree(diagram: SheafDiagram, degrees) -> dict:
     out = {}
     for k in degrees:
         bases = [[cohomology_basis(cc.stalks, k, cc) for cc in row] for row in rows]
-        chain_maps = [_block_diagonal(phi, k) for phi in diagram.steps]
         hmaps = [
             [
-                _induced(m, bases[u][j], bases[u][j + 1])
-                for j, m in enumerate(chain_maps)
+                _induced(phi, bases[u][j], bases[u][j + 1])
+                for j, phi in enumerate(diagram.steps)
             ]
             for u in range(mt)
         ]

@@ -46,7 +46,7 @@ from .graded import NotFreeError, diagram_graded_barcode_by_degree
 from .labeled import LabeledFiltration, label_diagram, unicolored_pipeline
 from .linalg import Field, _is_prime
 from .persistence import barcodes_equal
-from .sheaves import _check_diagram, validate_diagram, validate_sheaf
+from .sheaves import validate_diagram, validate_sheaf
 from .typet import type_t_direct_by_degree, type_t_graded_by_degree
 
 __all__ = ["main", "entry"]
@@ -346,7 +346,9 @@ def _emit_pointwise(args, lf, barcodes) -> int:
 def _cmd_labeled(args) -> int:
     lf = _labeled_input(args)
     diagram = label_diagram(lf, args.hom_n)
-    _check_diagram(diagram)
+    problems = validate_diagram(diagram)  # built here, so a problem is a bug
+    if problems:
+        raise AssertionError("label diagram: " + "; ".join(problems))
     found = persistent_cohomology_by_degree(
         diagram, _degrees(args, lf.label_complex.dim)
     )

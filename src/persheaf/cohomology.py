@@ -50,7 +50,6 @@ from .sheaves import (
     constant,
     dualize,
     pullback,
-    _block_diagonal,
     _check_diagram,
     validate_sheaf,
 )
@@ -75,7 +74,8 @@ class _Stacked:
 
     _maps[k] runs from degree k to degree k + _shift, as Columns.  Each
     simplex owns one contiguous block; _ends[k][n] is the total size of
-    the blocks of the first n k-simplices.  _counts[k] is the number of
+    the blocks of the first n k-simplices, and _starts[k] that of the
+    blocks of all simplices below dimension k.  _counts[k] is the number of
     k-simplices the spaces cover: all of them, or the leading ones in a
     step view.  _echelons[k] is the reduction of _maps[k], once known,
     without its ops.
@@ -107,6 +107,7 @@ class _Stacked:
         self._offsets: dict[int, dict[str, int]] = {}
         self._ends: dict[int, list] = {}
         b = complex_._bounds
+        self._starts = np.concatenate([[0], np.cumsum(stalks._sizes)])[b].tolist()
         for k in range(complex_.dim + 1):
             ends = self._ends[k] = [0, *np.cumsum(stalks._sizes[b[k] : b[k + 1]]).tolist()]
             self._offsets[k] = dict(zip(complex_._ids[b[k] : b[k + 1]], ends))
@@ -121,6 +122,11 @@ class _Stacked:
     def dim(self, k: int) -> int:
         n = self._counts.get(k)
         return 0 if n is None else self._ends[k][n]
+
+    def start(self, k: int) -> int:
+        """Where degree k starts in the stalks of every dimension stacked
+        in the global order, the order of SheafMorphism._matrix."""
+        return self._starts[min(max(k, 0), len(self._starts) - 1)]
 
     def offset(self, k: int, sid: str) -> int:
         return self._offsets[k][sid]
@@ -178,7 +184,7 @@ class _Stacked:
             for k, n in self._counts.items()
         }
         view._maps = {
-            k: d.leading(view.dim(k + self._shift), view.dim(k))
+            k: d.block(0, 0, view.dim(k + self._shift), view.dim(k))
             for k, d in self._maps.items()
         }
         view._echelons = {}
@@ -327,17 +333,17 @@ def simplicial_homology_basis(complex_: FilteredComplex, n: int) -> QuotientBasi
     return cosheaf_homology_basis(None, n, simplicial_chain_complex(complex_))
 
 
-def _induced(m: Columns, source_basis: QuotientBasis, target_basis: QuotientBasis) -> Columns:
-    """Matrix of a cochain map's leading block between two bases.
+def _induced(phi: SheafMorphism, source_basis: QuotientBasis, target_basis: QuotientBasis) -> Columns:
+    """Matrix of H^k(phi) between two bases of degree k.
 
-    m is the degree-k cochain map of a morphism over the whole complex
-    (sheaves._block_diagonal); on step views of the complexes it
-    restricts to its leading block.
+    The degree-k cochain map is the block of phi's one matrix
+    (SheafMorphism._matrix) where both spaces' degree k starts; on step
+    views of the complexes it is the leading part of that block.
     """
     k = source_basis.degree
-    block = m.leading(target_basis.space.dim(k), source_basis.space.dim(k))
-    p = source_basis.space.field.p
-    return target_basis.coords(_mulcols(block, source_basis.cycles, p))
+    src, tgt = source_basis.space, target_basis.space
+    block = phi._matrix.block(tgt.start(k), src.start(k), tgt.dim(k), src.dim(k))
+    return target_basis.coords(_mulcols(block, source_basis.cycles, src.field.p))
 
 
 def induced_by_sheaf_morphism(
@@ -358,7 +364,7 @@ def induced_by_sheaf_morphism(
         target_basis = cohomology_basis(phi.target, k)
     if source_basis.degree != target_basis.degree:
         raise ValueError("bases live in different degrees")
-    return _induced(_block_diagonal(phi, source_basis.degree), source_basis, target_basis)
+    return _induced(phi, source_basis, target_basis)
 
 
 def _step_map(source_basis: QuotientBasis, target_basis: QuotientBasis) -> Columns:
@@ -367,15 +373,11 @@ def _step_map(source_basis: QuotientBasis, target_basis: QuotientBasis) -> Colum
     The spaces of a smaller step are the leading rows of a larger
     one's, so a cocycle of a larger step restricts by dropping its
     trailing rows and a cycle of a smaller step is included by widening
-    its row count; no inclusion matrix is formed.
+    its row count (Columns.block); no inclusion matrix is formed.
     """
     reps = source_basis.cycles
     rows = target_basis.space.dim(source_basis.degree)
-    if rows > reps.shape[0]:
-        reps = Columns((rows, reps.shape[1]), reps.indptr, reps.indices, reps.data)
-    else:
-        reps = reps.leading(rows, reps.shape[1])
-    return target_basis.coords(reps)
+    return target_basis.coords(reps.block(0, 0, rows, reps.shape[1]))
 
 
 def induced_by_simplicial_map(
@@ -418,29 +420,16 @@ def induced_by_simplicial_map(
     return target_basis.coords(_mulcols(m, source_basis.cycles, p))
 
 
-def _include(sub, sup, k: int, vectors: Columns) -> Columns:
-    """Degree-k vectors of sub rewritten in sup, matching blocks by simplex id.
-
-    sub's simplices must all lie in sup with equal stalks; the result
-    re-indexes the rows, and is zero on the rows of the other simplices.
-    """
-    rows = []
+def chain_inclusion_matrix(sub, sup, k: int) -> np.ndarray:
+    """Identity blocks placing sub's degree-k space inside sup's by simplex id."""
+    m = zeros(sup.dim(k), sub.dim(k))
     for s in sub.simplices(k):
         d = sub.block_dim(s.id)
         if sup.block_dim(s.id) != d:
             raise ValueError(f"block size differs at {s.id!r}")
-        ro = sup.offset(k, s.id)
-        rows.extend(range(ro, ro + d))
-    rows = np.array(rows, dtype=np.int64)
-    cols = np.repeat(np.arange(vectors.shape[1]), np.diff(vectors.indptr))
-    shape = (sup.dim(k), vectors.shape[1])
-    return Columns.from_entries(shape, rows[vectors.indices], cols, vectors.data)
-
-
-def chain_inclusion_matrix(sub, sup, k: int) -> np.ndarray:
-    """Identity blocks placing sub's degree-k space inside sup's by simplex id."""
-    n = sub.dim(k)
-    return _include(sub, sup, k, Columns.units(n, np.arange(n))).dense()
+        at = np.arange(d)
+        m[sup.offset(k, s.id) + at, sub.offset(k, s.id) + at] = 1
+    return m
 
 
 def persistent_cohomology_by_degree(diagram: SheafDiagram, degrees) -> dict:

@@ -8,21 +8,25 @@ cohomology separates features living inside single classes from
 features needing several.  The two-label pipeline instead pulls a
 fixed rank-one-into-rank-two sheaf back onto the complex and tracks
 its sections over the filtration.
+
+Every part is a subcomplex of the one filtration, and each of its
+steps is a prefix of every dimension.  So a part is a set of columns of
+the filtration's one chain complex, reduced once, left to right, for
+every step (Edelsbrunner, Letscher and Zomorodian 2002); a step drops
+only the cycles its own boundaries clear (Chen and Kerber's twist).
+The cycles keep the whole complex's rows, so restrictions and step
+maps are coordinates in the larger part's or the next step's basis.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from .cohomology import (
-    _include,
-    _step_map,
-    cosheaf_homology_basis,
-    persistent_cohomology,
-    simplicial_chain_complex,
-)
-from .complexes import FilteredComplex, SimplicialMap, _SimplexLists, preimage_subcomplex
-from .linalg import matrix
+import numpy as np
+
+from .cohomology import QuotientBasis, persistent_cohomology, simplicial_chain_complex
+from .complexes import FilteredComplex, SimplicialMap, _SimplexLists
+from .linalg import Columns, matrix
 from .persistence import Barcode
 from .sheaves import CellularSheaf, SheafDiagram, SheafMorphism, _codim1_pairs, pullback
 from .typet import _check_input, type_t_direct_by_degree
@@ -57,9 +61,9 @@ class LabeledFiltration:
     """A filtered complex with one label per vertex.
 
     Carries the induced simplicial map onto the full simplex over the
-    occurring labels, and caches the labeled parts: for a label subset
-    tau, preimage(tau) is the subcomplex of simplices all of whose
-    vertices carry labels in tau, filtered like the ambient complex.
+    occurring labels.  The labeled part of a label subset tau, the
+    simplices all of whose vertices carry labels in tau, is a
+    subcomplex of the filtration (preimage_subcomplex of map).
     """
 
     def __init__(self, filtration: FilteredComplex, labels: dict):
@@ -78,60 +82,69 @@ class LabeledFiltration:
             self.label_complex,
             {v: index[self.labels[v]] for v in filtration.vertices},
         )
-        self._preimages: dict[str, FilteredComplex] = {}
-
-    def preimage(self, tau) -> FilteredComplex:
-        tid = tau if isinstance(tau, str) else tau.id
-        got = self._preimages.get(tid)
-        if got is None:
-            got = preimage_subcomplex(self.map, tid)
-            self._preimages[tid] = got
-        return got
 
 
-def _homology_bases(chains: dict, n: int) -> dict:
-    """H_n bases of the chain complexes, keyed like them by label simplex."""
-    return {
-        tid: cosheaf_homology_basis(None, n, ch) for tid, ch in chains.items()
-    }
+def _part_bases(chains, columns, n: int) -> list:
+    """H_n of one labeled part at every step, as bases in chains.
 
-
-def _sheaf_from_layer(label_complex, chains, bases, n) -> CellularSheaf:
-    """The label sheaf of one step: stalks H_n of the parts, restrictions
-    the inclusions of each part's cycles into the larger parts."""
-    stalks = {tid: b.dim for tid, b in bases.items()}
-    restrictions = {}
-    for f, t in _codim1_pairs(label_complex):
-        if stalks[f.id] == 0 or stalks[t.id] == 0:
-            continue
-        cycles = _include(chains[f.id], chains[t.id], n, bases[f.id].cycles)
-        restrictions[(f.id, t.id)] = bases[t.id].coords(cycles).dense()
-    return CellularSheaf(label_complex, stalks, restrictions)
+    columns[k] holds the filtration positions of the part's k-simplices.
+    A step's columns are a prefix, so one tracked, uncleared reduction
+    of the part's ∂_n and one of its ∂_{n+1} hold every step's: an
+    emptied ∂_n column is a class at step i unless a ∂_{n+1} column of
+    step i owns it as a pivot.  The ops rows, part columns, move to the
+    columns' positions, which ascend with them.
+    """
+    x, field = chains.complex, chains.field
+    out = field._column_echelon(chains._map(n).take(columns[n]), track=True)
+    into = field._column_echelon(chains._map(n + 1).take(columns[n + 1]))
+    ops = out.ops
+    ops = Columns((chains.dim(n), ops.shape[1]), ops.indptr, columns[n][ops.indices], ops.data)
+    zero = np.array(out.zero, dtype=np.int64)
+    at = columns[n][zero].tolist()
+    owner = np.fromiter((into.pivots.get(r, len(columns[n + 1])) for r in at), np.int64, len(at))
+    owners = np.fromiter(into.pivots.values(), np.int64, len(into.pivots))  # ascending
+    bases = []
+    for i in range(x.steps):
+        cols, ups = (np.searchsorted(columns[k], x.prefix_length(k, i)) for k in (n, n + 1))
+        cycles = ops.take(zero[(zero < cols) & (owner >= ups)])
+        killed = into.reduced.take(np.arange(np.searchsorted(owners, ups)))
+        bases.append(QuotientBasis(chains, n, cycles, killed))
+    return bases
 
 
 def label_diagram(lf: LabeledFiltration, n: int) -> SheafDiagram:
     """One label sheaf per filtration step, joined by inclusion-induced maps.
 
-    Each labeled part's chain complex is assembled once and viewed at
-    every step (ChainComplex.step); a cycle of step i is a cycle of
-    step i+1 padded with zero rows.
-    """
-    l = lf.label_complex
-    m = lf.filtration.steps
-    full = {t.id: simplicial_chain_complex(lf.preimage(t.id)) for t in l.simplices}
-    bases, snapshots = [], []
-    for i in range(m):
-        chains = {tid: ch.step(i) for tid, ch in full.items()}
-        bases.append(_homology_bases(chains, n))
-        snapshots.append(_sheaf_from_layer(l, chains, bases[i], n))
+    A part is the filtration's columns whose vertices carry its labels."""
+    x, l = lf.filtration, lf.label_complex
+    chains = simplicial_chain_complex(x)
+    label = np.array([lf.map.vertex_map[v] for v in x.vertices], dtype=np.int64)
+    none = np.zeros((0, 1), dtype=np.int64)
+    bases = {}
+    for t in l.simplices:
+        inside = np.zeros(len(lf.names), dtype=bool)
+        inside[list(t.vertices)] = True
+        columns = {
+            k: np.flatnonzero(inside[label[x._rows.get(k, none)]].all(axis=1))
+            for k in (n, n + 1)
+        }
+        bases[t.id] = _part_bases(chains, columns, n)
+    snapshots = []
+    for i in range(x.steps):
+        stalks = {tid: b[i].dim for tid, b in bases.items()}
+        restrictions = {
+            (f.id, t.id): bases[t.id][i].coords(bases[f.id][i].cycles).dense()
+            for f, t in _codim1_pairs(l)
+            if stalks[f.id] and stalks[t.id]
+        }
+        snapshots.append(CellularSheaf(l, stalks, restrictions))
     steps = []
-    for i in range(m - 1):
-        comp = {}
-        for tid in full:
-            a, b = bases[i][tid], bases[i + 1][tid]
-            if a.dim == 0 or b.dim == 0:
-                continue
-            comp[tid] = _step_map(a, b).dense()
+    for i in range(x.steps - 1):
+        comp = {
+            tid: b[i + 1].coords(b[i].cycles).dense()
+            for tid, b in bases.items()
+            if b[i].dim and b[i + 1].dim
+        }
         steps.append(SheafMorphism(snapshots[i], snapshots[i + 1], comp))
     return SheafDiagram(snapshots, steps)
 

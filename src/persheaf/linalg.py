@@ -176,17 +176,17 @@ class Columns:
         cols = np.repeat(np.arange(self.shape[1]), np.diff(self.indptr))
         return Columns.from_entries(self.shape[::-1], cols, self.indices, self.data)
 
-    def leading(self, rows: int, cols: int) -> "Columns":
-        """The leading rows x cols block: a prefix of the columns,
-        without the entries past row rows."""
-        end = self.indptr[cols]
-        keep = self.indices[:end] < rows
+    def block(self, r0: int, c0: int, rows: int, cols: int) -> "Columns":
+        """The rows x cols block at (r0, c0): columns c0 .. c0 + cols - 1,
+        with the entries of rows r0 .. r0 + rows - 1 moved up by r0.
+        Rows past the last stay zero, so a block may widen."""
+        lo, hi = self.indptr[c0], self.indptr[c0 + cols]
+        at = self.indices[lo:hi]
+        keep = (at >= r0) & (at < r0 + rows)
         kept = np.concatenate([[0], np.cumsum(keep)])
         return Columns(
-            (rows, cols),
-            kept[self.indptr[: cols + 1]],
-            self.indices[:end][keep],
-            self.data[:end][keep],
+            (rows, cols), kept[self.indptr[c0 : c0 + cols + 1] - lo], at[keep] - r0,
+            self.data[lo:hi][keep],
         )
 
 
@@ -399,7 +399,7 @@ class Field:
         e = self._column_echelon(_hstack(a, b), track=True)
         if any(j >= n for j in e.pivots.values()):
             return None
-        x = e.ops.take(np.arange(n, n + m)).leading(n, m)
+        x = e.ops.take(np.arange(n, n + m)).block(0, 0, n, m)
         x.data = self.p - x.data
         return x
 

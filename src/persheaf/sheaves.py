@@ -536,32 +536,28 @@ class SheafMorphism:
         return _block_diagonal(self)
 
 
-def _components(phi: SheafMorphism, lo: int, hi: int):
-    """The components at the simplices lo..hi-1 of the global order, as a
-    _Batch, with the target's and the source's stalk sizes there, and
-    one message per component of the wrong shape, in that order."""
+def _components(phi: SheafMorphism):
+    """The components in the global order, as a _Batch, with the
+    target's and the source's stalk sizes, and one message per
+    component of the wrong shape, in that order."""
     ids = phi.complex._ids
-    rows, cols = phi.target._sizes[lo:hi], phi.source._sizes[lo:hi]
-    comps = _Batch.of([phi.component(sid) for sid in ids[lo:hi]])
+    rows, cols = phi.target._sizes, phi.source._sizes
+    comps = _Batch.of([phi.component(sid) for sid in ids])
     bad = np.flatnonzero((comps.shapes() != np.stack([rows, cols], axis=1)).any(axis=1))
     problems = [
-        f"component at {ids[lo + n]!r} has shape {comps[n].shape},"
+        f"component at {ids[n]!r} has shape {comps[n].shape},"
         f" expected {(int(rows[n]), int(cols[n]))}"
         for n in bad.tolist()
     ]
     return comps, rows, cols, problems
 
 
-def _block_diagonal(phi: SheafMorphism, dim: int | None = None) -> Columns:
+def _block_diagonal(phi: SheafMorphism) -> Columns:
     """phi as one matrix from the source's stalks, stacked in the global
-    order, to the target's: its components on the diagonal.  With dim,
-    only the stalks of the dim-simplices, which makes the degree-dim
-    cochain map.  A component of the wrong shape is a ValueError."""
-    x = phi.complex
-    lo, hi = (0, len(x._ids)) if dim is None else (
-        x._bounds[dim : dim + 2] if dim in x._rows else (0, 0)
-    )
-    comps, rows, cols, problems = _components(phi, lo, hi)
+    order, to the target's: its components on the diagonal.  Degree k's
+    cochain map is the block where both stacks reach the k-simplices.
+    A component of the wrong shape is a ValueError."""
+    comps, rows, cols, problems = _components(phi)
     if problems:
         raise ValueError(problems[0])
     shape = (int(rows.sum()), int(cols.sum()))
@@ -587,7 +583,7 @@ def validate_morphism(phi: SheafMorphism) -> list:
     that sheaf's validation.
     """
     x = phi.complex
-    problems = _components(phi, 0, len(x._ids))[3]
+    problems = _components(phi)[3]
     problems += [
         f"component stored under {sid!r}, which names no simplex"
         for sid in phi._component

@@ -18,6 +18,7 @@ from persheaf import (
     cosheaf_homology_basis,
     induced_by_sheaf_morphism,
     induced_by_simplicial_map,
+    preimage_subcomplex,
     pullback,
     simplicial_chain_complex,
     zeros,
@@ -103,7 +104,7 @@ def label_diagram(lf, n):
     chains, bases, snapshots = [], [], []
     for i in range(m):
         ch = {
-            t.id: simplicial_chain_complex(lf.preimage(t.id).subcomplex(i))
+            t.id: simplicial_chain_complex(preimage_subcomplex(lf.map, t.id).subcomplex(i))
             for t in l.simplices
         }
         bs = {tid: cosheaf_homology_basis(None, n, c) for tid, c in ch.items()}

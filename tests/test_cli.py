@@ -25,6 +25,7 @@ from persheaf import (
     Simplex,
     constant,
     graded,
+    label_diagram,
     sheaves,
 )
 from persheaf import persistence
@@ -623,6 +624,27 @@ def test_broken_invariant_exits_4(capsys, monkeypatch):
     assert err == "internal error: pivot (0, 0) would need a negative t-power\n"
 
 
+def test_bad_label_diagram_exits_4(capsys, monkeypatch):
+    """labeled builds its label diagram itself, so a diagram that fails
+    validation is a broken invariant, not invalid input."""
+    def broken(lf, n):
+        d = label_diagram(lf, n)
+        phi = d.steps[-1]
+        comp = {t.id: phi.component(t.id) for t in lf.label_complex.simplices}
+        comp["blue"] = 0 * comp["blue"]
+        bad = SheafMorphism(phi.source, phi.target, comp)
+        return SheafDiagram(d.snapshots, [*d.steps[:-1], bad])
+
+    monkeypatch.setattr("persheaf.cli.label_diagram", broken)
+    argv = ["labeled", fx("points.csv"), "--thresholds", "0.5,1.5,2.5",
+            "--max-dim", "2", "--hom-n", "0"]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (4, "")
+    assert err == (
+        "internal error: label diagram: step 1: naturality fails across 'blue' -> 'blue.red'\n"
+    )
+
+
 @pytest.fixture
 def validations(monkeypatch):
     """(function name, id of its argument) for every validate_sheaf,
@@ -803,13 +825,13 @@ def test_bipersist_assembles_one_complex_per_snapshot(capsys, edge_complex, cons
     assert constructions == ["CochainComplex"] * 5
 
 
-def test_labeled_assembles_one_chain_complex_per_label_part(capsys, constructions):
+def test_labeled_assembles_one_chain_complex_per_filtration(capsys, constructions):
     argv = ["labeled", fx("points.csv"), "--thresholds", "0.5,1.5,2.5",
             "--max-dim", "2", "--hom-n", "0"]
     assert run(capsys, argv)[0] == 0
-    # two labels, so three label parts; the cochain complexes are the
-    # label sheaves' own, one per step
-    assert constructions == ["ChainComplex"] * 3 + ["CochainComplex"] * 3
+    # the three label parts are columns of the filtration's one chain
+    # complex; the cochain complexes are the label sheaves' own, one per step
+    assert constructions == ["ChainComplex"] + ["CochainComplex"] * 3
 
 
 def test_unicolored_pulls_back_and_assembles_once(capsys, constructions):

@@ -132,12 +132,18 @@ def test_columns_round_trip_and_slice(p):
         cols = field.sparse(m)
         assert cols.shape == m.shape and cols.indptr[-1] == np.count_nonzero(m)
         assert np.array_equal(cols.dense(), m)
-        r = int(rng.integers(0, m.shape[0] + 1))
-        c = int(rng.integers(0, m.shape[1] + 1))
-        lead = cols.leading(r, c)
-        assert lead.shape == (r, c)
-        assert np.array_equal(lead.dense(), m[:r, :c])
-        assert np.array_equal(lead.indptr, Columns.from_dense(m[:r, :c]).indptr)
+        r0 = int(rng.integers(0, m.shape[0] + 1))
+        c0 = int(rng.integers(0, m.shape[1] + 1))
+        # rows may run past the last, which stay zero
+        r = int(rng.integers(0, m.shape[0] - r0 + 3))
+        c = int(rng.integers(0, m.shape[1] - c0 + 1))
+        want = np.zeros((r, c), dtype=np.int64)
+        inside = min(r, m.shape[0] - r0)
+        want[:inside] = m[r0 : r0 + inside, c0 : c0 + c]
+        got = cols.block(r0, c0, r, c)
+        assert got.shape == (r, c)
+        assert np.array_equal(got.dense(), want)
+        assert got == Columns.from_dense(want)
         picked = rng.permutation(m.shape[1])[: int(rng.integers(0, m.shape[1] + 1))]
         assert np.array_equal(cols.take(picked).dense(), m[:, picked])
 

@@ -24,6 +24,7 @@ from persheaf import (
     label_diagram,
     mixed_feature_barcodes,
     persistent_cohomology,
+    preimage_subcomplex,
     pullback,
     two_label_sheaf,
     type_t_direct,
@@ -82,12 +83,12 @@ def test_unlabeled_vertices_rejected():
 def test_induced_map_and_preimages():
     lf = four_point_matching()
     assert lf.names == ("blue", "red")
-    assert {s.id for s in lf.preimage("blue").simplices} == {"0", "1", "0.1"}
-    assert {s.id for s in lf.preimage("red").simplices} == {"2", "3", "2.3"}
-    whole = lf.preimage("blue.red")
+    blue = preimage_subcomplex(lf.map, "blue")
+    assert {s.id for s in blue.simplices} == {"0", "1", "0.1"}
+    red = preimage_subcomplex(lf.map, "red")
+    assert {s.id for s in red.simplices} == {"2", "3", "2.3"}
+    whole = preimage_subcomplex(lf.map, "blue.red")
     assert len(whole.simplices) == len(lf.filtration.simplices)
-    # preimages are cached, repeated lookups return the same object
-    assert lf.preimage("blue") is lf.preimage("blue")
 
 
 def test_component_sheaf_stalk_dims_over_filtration():
@@ -130,7 +131,7 @@ def test_monochrome_stalks_match_component_counts():
     lf = two_region_filtration()
     d = label_diagram(lf, 0)
     for name in lf.names:
-        part = lf.preimage(name)
+        part = preimage_subcomplex(lf.map, name)
         for i, snapshot in enumerate(d.snapshots):
             sub = part.subcomplex(i)
             vertices = [s.vertices[0] for s in sub.simplices_of_dim(0)]
@@ -286,3 +287,25 @@ def test_label_sheaves_on_random_complexes(seed):
             assert mod.dims[i] == sum(
                 1 for a, b in bars.bars if a <= i and (b is None or i <= b)
             )
+
+
+@pytest.mark.parametrize("steps", [1, 3, 6])
+def test_label_diagram_reduces_each_part_once_for_every_step(monkeypatch, steps):
+    """Each label part's two boundaries are reduced once, whatever the
+    step count; every step reads its bases off those reductions."""
+    rng = random.Random(7200 + steps)
+    x = random_complex(rng, F2, max_simplices=20, max_steps=steps, min_steps=steps)
+    lf = LabeledFiltration(x, {v: rng.choice(["blue", "green", "red"]) for v in x.vertices})
+    reduced = []
+    original = Field._column_echelon
+
+    def counted(self, m, *args, **kwargs):
+        reduced.append(m)  # kept alive, so ids stay distinct
+        return original(self, m, *args, **kwargs)
+
+    monkeypatch.setattr(Field, "_column_echelon", counted)
+    for n in range(x.dim + 2):
+        reduced.clear()
+        label_diagram(lf, n)
+        assert len(reduced) == 2 * len(lf.label_complex.simplices)
+        assert len({id(m) for m in reduced}) == len(reduced)

@@ -15,10 +15,13 @@ from persheaf import (
     ChainComplex,
     CochainComplex,
     Field,
+    FilteredComplex,
     LabeledFiltration,
+    Simplex,
     dualize,
     grid_by_degree,
     label_diagram,
+    preimage_subcomplex,
     pullback,
     simplicial_chain_complex,
     type_t_direct_by_degree,
@@ -111,7 +114,7 @@ def test_label_part_steps_match_subcomplexes(p):
     for rng, x in random_cases(p, 8, 73):
         lf = LabeledFiltration(x, random_labels(rng, x, ["a", "b", "c"]))
         for t in lf.label_complex.simplices:
-            part = lf.preimage(t.id)
+            part = preimage_subcomplex(lf.map, t.id)
             full = simplicial_chain_complex(part)
             for i in range(x.steps):
                 ref = simplicial_chain_complex(part.subcomplex(i))
@@ -145,19 +148,45 @@ def test_grid_maps_match_the_per_step_route(p):
                     assert same_columns(got, want)
 
 
+def late_labels(rng, x, names):
+    """x with every simplex on some of its vertices entering at the last
+    step, and labels giving those vertices a name of their own, so the
+    parts carrying that name are empty at every earlier step."""
+    late = set(rng.sample(x.vertices, rng.randint(1, len(x.vertices) - 1)))
+    last = x.steps - 1
+    y = FilteredComplex(x.field, [
+        Simplex(s.id, s.vertices, last if late.intersection(s.vertices) else s.entry)
+        for s in x.simplices
+    ], x.steps)
+    return y, {v: "late" if v in late else rng.choice(names) for v in y.vertices}
+
+
 @pytest.mark.parametrize("p", PRIMES)
 def test_label_diagram_matches_the_per_step_route(p):
+    """With 3 labels, with 4 (15 parts when each occurs), and with one
+    label that enters at the last step; in every degree up to one past
+    the top."""
+    parts = set()
     for rng, x in random_cases(p, 8, 76):
-        lf = LabeledFiltration(x, random_labels(rng, x, ["a", "b", "c"]))
-        for n in range(x.dim + 1):
-            got, want = label_diagram(lf, n), perstep.label_diagram(lf, n)
+        lfs = [LabeledFiltration(x, random_labels(rng, x, ["a", "b", "c"]))]
+        names = ["a", "b", "c", "d"]
+        vertices = rng.sample(x.vertices, len(x.vertices))  # the first get each name
+        lfs.append(LabeledFiltration(x, {
+            v: names[j] if j < len(names) else rng.choice(names) for j, v in enumerate(vertices)
+        }))
+        lfs.append(LabeledFiltration(*late_labels(rng, x, ["a", "b"])))
+        for lf in lfs:
+            parts.add(len(lf.label_complex.simplices))
             ids = [t.id for t in lf.label_complex.simplices]
-            for a, b in zip(got.snapshots, want.snapshots):
-                assert a.stalk_dim == b.stalk_dim
-                got_maps, want_maps = a._maps.as_dict(), b._maps.as_dict()
-                assert got_maps.keys() == want_maps.keys()
-                for key, m in got_maps.items():
-                    assert same_array(m, want_maps[key])
-            for a, b in zip(got.steps, want.steps):
-                for sid in ids:
-                    assert same_array(a.component(sid), b.component(sid))
+            for n in range(x.dim + 2):
+                got, want = label_diagram(lf, n), perstep.label_diagram(lf, n)
+                for a, b in zip(got.snapshots, want.snapshots):
+                    assert a.stalk_dim == b.stalk_dim
+                    got_maps, want_maps = a._maps.as_dict(), b._maps.as_dict()
+                    assert got_maps.keys() == want_maps.keys()
+                    for key, m in got_maps.items():
+                        assert same_array(m, want_maps[key])
+                for a, b in zip(got.steps, want.steps):
+                    for sid in ids:
+                        assert same_array(a.component(sid), b.component(sid))
+    assert 15 in parts
