@@ -31,7 +31,7 @@ _EXPORTS = {
         "chain_inclusion_matrix", "cohomology_basis", "cosheaf_homology_basis",
         "induced_by_sheaf_morphism", "induced_by_simplicial_map",
         "persistent_cohomology", "persistent_cohomology_by_degree",
-        "simplicial_chain_complex", "simplicial_homology_basis",
+        "simplicial_chain_complex",
     ),
     "persistence": (
         "Barcode", "CopersistenceModule", "PersistenceModule", "barcodes_equal",

@@ -3,8 +3,8 @@
 Taking every snapshot of a diagram over every filtration step gives a
 grid of cohomology spaces with maps in two directions: along the
 diagram, and from each complex down to the previous (smaller) one.
-Each snapshot's cochain complex is assembled once and read at every
-step through its leading blocks (CochainComplex.step).
+Each snapshot's cochain complex is assembled once, and each of its
+coboundaries is reduced once for every step (cohomology._step_bases).
 Rows are stored with the topological axis reversed, u = steps - 1 - i,
 so that both stored directions point from smaller index to larger and
 every square can be checked for commutativity the same way.
@@ -12,7 +12,7 @@ every square can be checked for commutativity the same way.
 
 from __future__ import annotations
 
-from .cohomology import CochainComplex, _induced, _step_map, cohomology_basis
+from .cohomology import CochainComplex, _induced, _restrict, _step_bases
 from .linalg import _mulcols
 from .sheaves import SheafDiagram, _check_diagram
 
@@ -76,28 +76,25 @@ class BiGrid:
 def grid_by_degree(diagram: SheafDiagram, degrees) -> dict:
     """The H^k grid of a valid diagram for every k in degrees.
 
-    One cochain complex per snapshot is assembled and viewed at every
-    step.  Each diagram step's cochain maps are blocks of its one
-    matrix, and row u uses their leading parts; the maps down a column
+    One cochain complex per snapshot is assembled, and each of its
+    coboundaries is reduced once for every step.  Row u uses the leading
+    parts of each diagram step's cochain maps; the maps down a column
     drop trailing rows.
     """
     x = diagram.complex
     mt = x.steps
     ma = len(diagram.snapshots)
-    full = [CochainComplex(snap, validate=False) for snap in diagram.snapshots]
-    rows = [[cc.step(mt - 1 - u) for cc in full] for u in range(mt)]
+    degrees = list(degrees)
+    steps = [_step_bases(CochainComplex(s, validate=False), degrees) for s in diagram.snapshots]
     out = {}
     for k in degrees:
-        bases = [[cohomology_basis(cc.stalks, k, cc) for cc in row] for row in rows]
+        bases = [[s[k][mt - 1 - u] for s in steps] for u in range(mt)]
         hmaps = [
-            [
-                _induced(phi, bases[u][j], bases[u][j + 1])
-                for j, phi in enumerate(diagram.steps)
-            ]
-            for u in range(mt)
+            [_induced(phi, row[j], row[j + 1]) for j, phi in enumerate(diagram.steps)]
+            for row in bases
         ]
         vmaps = [
-            [_step_map(bases[u][j], bases[u + 1][j]) for j in range(ma)]
+            [_restrict(bases[u][j], bases[u + 1][j]) for j in range(ma)]
             for u in range(mt - 1)
         ]
         dims = [[b.dim for b in row] for row in bases]

@@ -10,8 +10,8 @@ broken internal invariant, reported in one line on stderr).
 
 persist-t, persist-a, bipersist, labeled and unicolored validate their
 input once, build what every degree shares once, and then do only the
-per-degree work; a filtration's complex is assembled once and read at
-every step through its leading blocks.
+per-degree work; a filtration's complex is assembled once, and each of
+its maps is reduced once for every step.
 
 Importing this module pins OpenBLAS to one thread, unless the caller
 has set OPENBLAS_NUM_THREADS: nothing here runs BLAS, and its thread

@@ -2,40 +2,34 @@
 
 C^k stacks the stalks of all k-simplices in the global order; the
 coboundary block from a face to a coface is the restriction matrix
-times the orientation sign.  Chain complexes do the same with cosheaf
-extensions, transposed in direction.  Both are filled from the
-sheaf's maps gathered along the face tables, one signed scatter per
-shape group (sheaves._signed_maps).  The maps are stored as sparse
-columns (linalg.Columns).  Bases of the resulting subquotients keep
-their representative cycles as Columns too (unit columns at a top
-degree), so no dense C^k x H^k matrix is formed: an induced map is
-the sparse product (linalg._mulcols) of the cochain map, itself
-Columns, with the representatives, rewritten in coordinates, and it
-is Columns as well.  Only the label sheaves of labeled.py store a
-class map densely, as a restriction or a morphism component.
+times the orientation sign, and chain complexes do the same with
+cosheaf extensions.  Both are filled by one signed scatter per shape
+group (sheaves._signed_maps) and stored as sparse columns
+(linalg.Columns).  Representatives and induced maps are Columns too,
+so no dense C^k x H^k matrix is formed: an induced map is the sparse
+product (linalg._mulcols) of the cochain map with the
+representatives, rewritten in coordinates.
 
 H^k = ker(delta^k)/im(delta^(k-1)) costs one column reduction of
-delta^k.  It clears (skips) the columns that are pivot rows of
-delta^(k-1), whose pivots and reduced pivot columns each complex keeps
-once found, so the degrees taken in rising order reduce every
-coboundary once.  Homology runs the same way down from the top
-boundary.  The tracked ops of a reduction are kept only as the
-representatives.
+delta^k, which clears (skips) the pivot rows of delta^(k-1).  Each
+complex keeps its reductions, so rising degrees reduce every
+coboundary once; homology runs the same way down from the top.
 
 Coordinates need no solve.  In the basis of ker(delta^k) made of the
 representatives and the reduced pivot columns of delta^(k-1), no two
-vectors share a lowest nonzero row, so QuotientBasis.coords is a
-back-substitution by lowest row, one column at a time, each as a
-{row: value} dict.
+vectors share a lead, so QuotientBasis.coords is a back-substitution
+by lead, one column at a time, each as a {row: value} dict.
 
 A filtration is assembled once.  Its step-i subcomplex is a prefix of
-every dimension in the global order, so step(i) is a view whose maps
-are leading blocks of the full ones, and the maps between steps keep
-or drop trailing rows instead of multiplying by inclusion matrices.
+every dimension, so step i's coboundaries are leading blocks of the
+full ones.  _step_bases reads every step's H^k off one reduction of
+each, and a class restricts to a smaller step by dropping rows
+(_restrict), with no inclusion matrix.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from functools import cached_property
 
 import numpy as np
@@ -60,7 +54,6 @@ __all__ = [
     "QuotientBasis",
     "cohomology_basis",
     "cosheaf_homology_basis",
-    "simplicial_homology_basis",
     "induced_by_sheaf_morphism",
     "induced_by_simplicial_map",
     "chain_inclusion_matrix",
@@ -75,10 +68,8 @@ class _Stacked:
     _maps[k] runs from degree k to degree k + _shift, as Columns.  Each
     simplex owns one contiguous block; _ends[k][n] is the total size of
     the blocks of the first n k-simplices, and _starts[k] that of the
-    blocks of all simplices below dimension k.  _counts[k] is the number of
-    k-simplices the spaces cover: all of them, or the leading ones in a
-    step view.  _echelons[k] is the reduction of _maps[k], once known,
-    without its ops.
+    blocks of all simplices below dimension k.  _echelons[k] is the
+    reduction of _maps[k], once known, without its ops.
     """
 
     _shift = 0
@@ -111,7 +102,6 @@ class _Stacked:
         for k in range(complex_.dim + 1):
             ends = self._ends[k] = [0, *np.cumsum(stalks._sizes[b[k] : b[k + 1]]).tolist()]
             self._offsets[k] = dict(zip(complex_._ids[b[k] : b[k + 1]], ends))
-        self._counts = {k: len(ends) - 1 for k, ends in self._ends.items()}
         self._echelons: dict[int, Echelon] = {}
         gathered.incidences.check_closed()
         up = self._shift > 0
@@ -119,9 +109,12 @@ class _Stacked:
             q - 1 if up else q: d for q, d in enumerate(stalks._differentials, start=1)
         }
 
-    def dim(self, k: int) -> int:
-        n = self._counts.get(k)
-        return 0 if n is None else self._ends[k][n]
+    def dim(self, k: int, step: int | None = None) -> int:
+        """The size of degree k, or of its leading part over a filtration step."""
+        ends = self._ends.get(k)
+        if ends is None:
+            return 0
+        return ends[-1 if step is None else self.complex.prefix_length(k, step)]
 
     def start(self, k: int) -> int:
         """Where degree k starts in the stalks of every dimension stacked
@@ -133,16 +126,6 @@ class _Stacked:
 
     def block_dim(self, sid: str) -> int:
         return self.stalks.stalk(sid)
-
-    def simplices(self, k: int) -> tuple:
-        """The k-simplices whose stalks this space stacks, in order."""
-        return self.complex.simplices_of_dim(k)[: self._counts.get(k, 0)]
-
-    def generators(self, k: int) -> list:
-        out = []
-        for s in self.simplices(k):
-            out.extend((s.id, i) for i in range(self.block_dim(s.id)))
-        return out
 
     def _map(self, k: int) -> Columns:
         got = self._maps.get(k)
@@ -167,29 +150,6 @@ class _Stacked:
             self._echelons[k] = got
         return got
 
-    def step(self, i: int):
-        """This complex over the step-i subcomplex, as a view.
-
-        Each dimension is ordered by entry, so the step-i simplices lead
-        it and keep their offsets, and every map of the step is the
-        leading block of this complex's map: its leading columns,
-        without the rows past the step.  The view has this complex's
-        class, field, stalks and complex object, and reduces with its
-        own cache.
-        """
-        view = object.__new__(type(self))
-        view.__dict__.update(self.__dict__)
-        view._counts = {
-            k: min(n, self.complex.prefix_length(k, i))
-            for k, n in self._counts.items()
-        }
-        view._maps = {
-            k: d.block(0, 0, view.dim(k + self._shift), view.dim(k))
-            for k, d in self._maps.items()
-        }
-        view._echelons = {}
-        return view
-
 
 class CochainComplex(_Stacked):
     """Stacked sheaf stalks with signed restriction coboundaries."""
@@ -211,6 +171,8 @@ def _subquotient(space, k: int) -> QuotientBasis:
     so one tracked reduction of outgoing clears it.  The ops columns of
     the other zero columns are cycles independent modulo im(incoming).
     outgoing's reduction is kept for the next degree, without its ops.
+    It pivots on lowest rows: earliest-row pivots (_step_bases) fill in
+    more, and read off them the persist-a pointwise bases took longer.
     """
     incoming = space._echelon(k - space._shift)
     found = space.field._column_echelon(
@@ -218,6 +180,76 @@ def _subquotient(space, k: int) -> QuotientBasis:
     )
     space._echelons[k] = found._replace(ops=None)
     return QuotientBasis(space, k, found.ops.take(found.zero), incoming.reduced)
+
+
+def _flip(m: Columns) -> Columns:
+    """m with its rows in reverse order, each column's still ascending."""
+    cols = np.repeat(np.arange(m.shape[1]), np.diff(m.indptr))
+    return Columns.from_entries(m.shape, m.shape[0] - 1 - m.indices, cols, m.data)
+
+
+def _step_bases(cochains: CochainComplex, degrees) -> dict:
+    """H^k of cochains at every filtration step, as {k: [QuotientBasis]}.
+
+    Step i's delta^k is the leading block of the whole one, so a
+    left-to-right reduction pivoting on earliest rows (the rows
+    reversed around Field._column_echelon) cuts to every step's: the
+    reduced columns of step i that keep a step-i row are independent
+    there, and the others are cocycles at step i.  Reduction only moves
+    a column's earliest row later, and a coface never enters before its
+    face, so a pivot never enters before its owner: delta^(k-1)'s
+    reduced columns with a step-i pivot, cut to step i, are
+    coboundaries there and span them.  Those are step i's killed
+    vectors; its cycles are the ops columns of its uncleared columns
+    whose reduced column has no step-i row.
+
+    The reduction of delta^k skips (clears) delta^(k-1)'s pivot rows.
+    Unlike with lowest-row pivots (Chen and Kerber 2011), a cleared
+    column need not reduce to zero here, and the owners differ.  What
+    holds instead: the killed vectors are triangular on the cleared
+    rows, so the cocycles that vanish there complement the
+    coboundaries at every step, and the reduction of the other columns
+    finds them.  No cycle has an entry at a cleared row.
+
+    Each delta^j from degree 0 up to the greatest wanted degree is
+    reduced once, cleared by the one before, whatever the order of
+    degrees.  Below degree 0 and past the top every space is zero:
+    those degrees reduce nothing.  The dual route, H_k of the dual
+    cosheaf as in labeled, reduces the uncleared boundary: slower.
+    """
+    steps, field, wanted = range(cochains.complex.steps), cochains.field, set(degrees)
+    top = max([k for k in wanted if k <= cochains.complex.dim], default=-1)
+    out = {}
+    killed, leads = Columns.units(0, []), np.zeros(0, dtype=np.int64)
+    for k in range(top + 1):
+        m = cochains._map(k)
+        found = field._column_echelon(_flip(m), track=k in wanted, clear=set(leads.tolist()))
+        owners = np.fromiter(found.pivots.values(), np.int64, len(found.pivots))
+        pivots = m.shape[0] - 1 - np.fromiter(found.pivots, np.int64, len(found.pivots))
+        if k in wanted:
+            # each uncleared column's earliest reduced row, past every row if none
+            first = np.full(m.shape[1], -1, dtype=np.int64)
+            first[found.zero], first[owners] = m.shape[0], pivots
+            kept = np.flatnonzero(first >= 0)
+            out[k] = []
+            for c, r in ((cochains.dim(k, i), cochains.dim(k + 1, i)) for i in steps):
+                cycles = found.ops.take(kept[(kept < c) & (first[kept] >= r)])
+                out[k].append(QuotientBasis(
+                    cochains, k, cycles.block(0, 0, c, cycles.shape[1]),
+                    killed_first=killed.block(0, 0, c, int(np.searchsorted(leads, c))),
+                ))
+        # pivots are distinct; the default kind's first call costs peak RSS
+        order = np.argsort(pivots, kind="stable")
+        killed, leads = _flip(found.reduced).take(order), pivots[order]
+    for k in wanted - out.keys():
+        out[k] = [QuotientBasis(cochains, k, Columns.units(0, [])) for _ in steps]
+    return out
+
+
+def _restrict(basis: QuotientBasis, onto: QuotientBasis) -> Columns:
+    """Matrix of the restriction from basis's step to onto's, an earlier
+    step of the same complex: a class drops the rows past onto's step."""
+    return onto.coords(basis.cycles.block(0, 0, onto.cycles.shape[0], basis.dim))
 
 
 def _quotient(field, cycles: np.ndarray, killed: np.ndarray) -> np.ndarray:
@@ -236,49 +268,59 @@ def _quotient(field, cycles: np.ndarray, killed: np.ndarray) -> np.ndarray:
 class QuotientBasis:
     """Representatives of a subquotient span(cycles)/span(killed) of C^k.
 
-    cycles and killed are Columns, together a basis of the cycles in
-    which no two columns share a lowest nonzero row: each cycle's is
-    its own column of the tracked reduction, each killed vector's a
-    pivot row of the map into degree k.  The cycles are the
-    representatives; at a top degree they are unit columns.  coords()
-    rewrites ambient columns as classes in this basis; asking for the
-    coordinates of something outside the subspace is an error, not a
-    projection.
+    cycles, killed and killed_first are Columns, together a basis of
+    the cycles; the cycles are the representatives, and killed and
+    killed_first (each none if not given) span what is killed.  Each vector leads by
+    its lowest nonzero row, except that a vector of killed_first leads
+    by its earliest, where no cycle has an entry; no two share a lead.
+    coords() rewrites ambient columns as classes in this basis; asking
+    for the coordinates of something outside it is an error.
     """
 
-    def __init__(self, space, degree: int, cycles: Columns, killed: Columns):
+    def __init__(self, space, degree, cycles: Columns, killed=None, killed_first=None):
+        none = Columns.units(cycles.shape[0], [])
         self.space = space
         self.degree = degree
         self.cycles = cycles
-        self.killed = killed
+        self.killed = none if killed is None else killed
+        self.killed_first = none if killed_first is None else killed_first
 
     @property
     def dim(self) -> int:
         return self.cycles.shape[1]
 
     @cached_property
-    def _by_low(self) -> dict:
-        """low -> (column as {row: value}, inverse of its value at low,
-        slot) for each basis column, keyed by its lowest nonzero row;
-        slot is the column's coordinate, or -1 for a killed vector."""
+    def _leads(self) -> tuple:
+        """(by_low, by_first): lead -> (column as {row: value}, inverse of
+        its value there, coordinate or -1 if killed); by_first holds
+        killed_first, by earliest row."""
         p = self.space.field.p
-        out = {}
-        for basis, is_cycle in ((self.cycles, True), (self.killed, False)):
+        by_low, by_first = {}, {}
+        for basis, leads, is_cycle in (
+            (self.cycles, by_low, True),
+            (self.killed, by_low, False),
+            (self.killed_first, by_first, False),
+        ):
             rows, values = basis.indices.tolist(), basis.data.tolist()
             ptr = basis.indptr.tolist()
             for t in range(basis.shape[1]):
                 a, b = ptr[t], ptr[t + 1]
-                col = dict(zip(rows[a:b], values[a:b]))
-                out[rows[b - 1]] = (col, pow(values[b - 1], -1, p), t if is_cycle else -1)
-        return out
+                at = a if leads is by_first else b - 1
+                leads[rows[at]] = (
+                    dict(zip(rows[a:b], values[a:b])),
+                    pow(values[at], -1, p),
+                    t if is_cycle else -1,
+                )
+        return by_low, by_first
 
     def coords(self, vectors: Columns) -> Columns:
         """Coordinates of the classes of vectors' columns, by back-substitution.
 
-        The lowest nonzero row of what is left of a column names the one
-        basis column that can clear it; a low that no basis column owns
-        lies outside the cycles.  Each column is worked on as a
-        {row: value} dict, so the cost is its own fill-in.
+        The vectors of killed_first clear their leads first, in rising
+        order.  Then the lowest nonzero row of what is left names
+        the one basis column that can clear it; a low that none owns
+        lies outside the cycles.  Each column is a {row: value} dict, so
+        the cost is its own fill-in.
         """
         p = self.space.field.p
         if vectors.shape[0] != self.cycles.shape[0]:
@@ -286,12 +328,21 @@ class QuotientBasis:
                 f"expected {self.cycles.shape[0]} rows in degree {self.degree}, "
                 f"got {vectors.shape[0]}"
             )
-        by_low = self._by_low
+        by_low, by_first = self._leads
         rows, values = vectors.indices.tolist(), vectors.data.tolist()
         ptr = vectors.indptr.tolist()
         out = []
         for j in range(vectors.shape[1]):
             col = dict(zip(rows[ptr[j] : ptr[j + 1]], values[ptr[j] : ptr[j + 1]]))
+            todo = sorted(-r for r in col if r in by_first)  # the earliest lead last
+            while todo:
+                r = -todo.pop()
+                if r in col:
+                    basis, inverse, _ = by_first[r]
+                    _addmul(col, basis, p - col[r] * inverse % p, p)
+                    for q in basis:
+                        if q in col and q in by_first:
+                            insort(todo, -q)
             found = {}
             while col:
                 low = max(col)
@@ -329,20 +380,17 @@ def simplicial_chain_complex(complex_: FilteredComplex) -> ChainComplex:
     return ChainComplex(dualize(constant(complex_, 1)), validate=False)
 
 
-def simplicial_homology_basis(complex_: FilteredComplex, n: int) -> QuotientBasis:
-    return cosheaf_homology_basis(None, n, simplicial_chain_complex(complex_))
-
-
 def _induced(phi: SheafMorphism, source_basis: QuotientBasis, target_basis: QuotientBasis) -> Columns:
     """Matrix of H^k(phi) between two bases of degree k.
 
     The degree-k cochain map is the block of phi's one matrix
-    (SheafMorphism._matrix) where both spaces' degree k starts; on step
-    views of the complexes it is the leading part of that block.
+    (SheafMorphism._matrix) where both spaces' degree k starts, as high
+    and wide as the representatives: at a step, its leading part.
     """
     k = source_basis.degree
     src, tgt = source_basis.space, target_basis.space
-    block = phi._matrix.block(tgt.start(k), src.start(k), tgt.dim(k), src.dim(k))
+    rows, cols = target_basis.cycles.shape[0], source_basis.cycles.shape[0]
+    block = phi._matrix.block(tgt.start(k), src.start(k), rows, cols)
     return target_basis.coords(_mulcols(block, source_basis.cycles, src.field.p))
 
 
@@ -365,19 +413,6 @@ def induced_by_sheaf_morphism(
     if source_basis.degree != target_basis.degree:
         raise ValueError("bases live in different degrees")
     return _induced(phi, source_basis, target_basis)
-
-
-def _step_map(source_basis: QuotientBasis, target_basis: QuotientBasis) -> Columns:
-    """Matrix of the map between two step views of one complex.
-
-    The spaces of a smaller step are the leading rows of a larger
-    one's, so a cocycle of a larger step restricts by dropping its
-    trailing rows and a cycle of a smaller step is included by widening
-    its row count (Columns.block); no inclusion matrix is formed.
-    """
-    reps = source_basis.cycles
-    rows = target_basis.space.dim(source_basis.degree)
-    return target_basis.coords(reps.block(0, 0, rows, reps.shape[1]))
 
 
 def induced_by_simplicial_map(
@@ -423,7 +458,7 @@ def induced_by_simplicial_map(
 def chain_inclusion_matrix(sub, sup, k: int) -> np.ndarray:
     """Identity blocks placing sub's degree-k space inside sup's by simplex id."""
     m = zeros(sup.dim(k), sub.dim(k))
-    for s in sub.simplices(k):
+    for s in sub.complex.simplices_of_dim(k):
         d = sub.block_dim(s.id)
         if sup.block_dim(s.id) != d:
             raise ValueError(f"block size differs at {s.id!r}")

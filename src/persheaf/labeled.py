@@ -92,7 +92,9 @@ def _part_bases(chains, columns, n: int) -> list:
     of the part's ∂_n and one of its ∂_{n+1} hold every step's: an
     emptied ∂_n column is a class at step i unless a ∂_{n+1} column of
     step i owns it as a pivot.  The ops rows, part columns, move to the
-    columns' positions, which ascend with them.
+    columns' positions, which ascend with them.  Unlike
+    cohomology._step_bases it pivots on lowest rows and does not clear:
+    a step-i pivot owned by a later column is still a class at step i.
     """
     x, field = chains.complex, chains.field
     out = field._column_echelon(chains._map(n).take(columns[n]), track=True)

@@ -311,11 +311,14 @@ class Field:
         column added until it finds a fresh low or empties out.  ops is
         None unless track; it is unipotent when clear is empty.
 
-        clear holds columns the caller knows reduce to zero, such as the
-        pivot rows of the previous map in a complex (the "twist" of
-        Chen and Kerber).  They are zeroed in the result and in ops
-        without any work, and own no pivot; every other column, and the
-        pivots, come out as they would without clear.
+        clear holds columns to skip: they are zeroed in the result and in
+        ops without any work, and own no pivot.  The caller clears only
+        columns in the span of the others, so the pivot rows come out as
+        they would without clear.  With lowest-row pivots, a pivot row of
+        the previous map in a complex reduces to zero (the "twist" of
+        Chen and Kerber), so clearing those leaves every other column as
+        it was too; with the rows reversed (cohomology._step_bases) the
+        owners and zero columns may differ.
 
         Each column is worked on as a {row: value} dict, so an addition
         costs the entries of the column added, not the height of m.

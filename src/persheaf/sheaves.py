@@ -535,21 +535,21 @@ class SheafMorphism:
         """The whole morphism as one block-diagonal matrix (_block_diagonal)."""
         return _block_diagonal(self)
 
-
-def _components(phi: SheafMorphism):
-    """The components in the global order, as a _Batch, with the
-    target's and the source's stalk sizes, and one message per
-    component of the wrong shape, in that order."""
-    ids = phi.complex._ids
-    rows, cols = phi.target._sizes, phi.source._sizes
-    comps = _Batch.of([phi.component(sid) for sid in ids])
-    bad = np.flatnonzero((comps.shapes() != np.stack([rows, cols], axis=1)).any(axis=1))
-    problems = [
-        f"component at {ids[n]!r} has shape {comps[n].shape},"
-        f" expected {(int(rows[n]), int(cols[n]))}"
-        for n in bad.tolist()
-    ]
-    return comps, rows, cols, problems
+    @cached_property
+    def _components(self) -> tuple:
+        """The components in the global order as one _Batch, the target's
+        and the source's stalk sizes, and a message per mis-shaped
+        component: built once for validate_morphism and _block_diagonal."""
+        ids = self.complex._ids
+        rows, cols = self.target._sizes, self.source._sizes
+        comps = _Batch.of([self.component(sid) for sid in ids])
+        bad = np.flatnonzero((comps.shapes() != np.stack([rows, cols], axis=1)).any(axis=1))
+        problems = [
+            f"component at {ids[n]!r} has shape {comps[n].shape},"
+            f" expected {(int(rows[n]), int(cols[n]))}"
+            for n in bad.tolist()
+        ]
+        return comps, rows, cols, problems
 
 
 def _block_diagonal(phi: SheafMorphism) -> Columns:
@@ -557,7 +557,7 @@ def _block_diagonal(phi: SheafMorphism) -> Columns:
     order, to the target's: its components on the diagonal.  Degree k's
     cochain map is the block where both stacks reach the k-simplices.
     A component of the wrong shape is a ValueError."""
-    comps, rows, cols, problems = _components(phi)
+    comps, rows, cols, problems = phi._components
     if problems:
         raise ValueError(problems[0])
     shape = (int(rows.sum()), int(cols.sum()))
@@ -583,8 +583,7 @@ def validate_morphism(phi: SheafMorphism) -> list:
     that sheaf's validation.
     """
     x = phi.complex
-    problems = _components(phi)[3]
-    problems += [
+    problems = phi._components[3] + [
         f"component stored under {sid!r}, which names no simplex"
         for sid in phi._component
         if sid not in x.by_id

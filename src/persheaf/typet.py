@@ -1,19 +1,19 @@
 """Copersistence of one sheaf over a growing complex.
 
-The direct route assembles the sheaf's cochain complex once, reads
-each filtration step as its leading blocks, takes H^k of every step
-and chains the restriction maps backward: a class of step i+1
-restricts to step i by dropping the rows past step i.  The fast route
-packs the whole filtration into a single cosheaf of free graded
-modules, generator degrees equal to entry indices, and reduces its
-chain complex.  A third construction pulls the sheaf back to each step
-and extends it by zero onto the full complex, turning the same data
-into a diagram of sheaf morphisms over one fixed complex.
+The direct route reads H^k of every filtration step off one reduction
+of each coboundary of the sheaf's one cochain complex
+(cohomology._step_bases); a class of step i+1 restricts to step i by
+dropping the rows past step i.  The fast route packs the whole
+filtration into a single cosheaf of free graded modules, generator
+degrees equal to entry indices, and reduces its chain complex.  A
+third construction pulls the sheaf back to each step and extends it by
+zero onto the full complex, turning the same data into a diagram of
+sheaf morphisms over one fixed complex.
 """
 
 from __future__ import annotations
 
-from .cohomology import CochainComplex, _step_map, cohomology_basis
+from .cohomology import CochainComplex, _restrict, _step_bases
 from .graded import GradedCosheaf, graded_chain_complex, graded_homology_barcode
 from .linalg import identity
 from .persistence import Barcode, CopersistenceModule, decompose_copersistence
@@ -46,17 +46,17 @@ def _check_input(sheaf: CellularSheaf):
 def type_t_direct_by_degree(sheaf: CellularSheaf, degrees) -> dict:
     """type_t_direct of a valid sheaf for every k in degrees.
 
-    One cochain complex is assembled and viewed at every step; only
-    the bases, the restriction maps and the decomposition are redone
-    per degree.  Each step is reduced on its own coboundary.
+    One cochain complex is assembled, and each coboundary is reduced
+    once for every step; only the restriction maps and the
+    decomposition are redone per degree.
     """
     x = sheaf.complex
-    full = CochainComplex(sheaf, validate=False)
-    cochains = [full.step(i) for i in range(x.steps)]
+    degrees = list(degrees)
+    steps = _step_bases(CochainComplex(sheaf, validate=False), degrees)
     out = {}
     for k in degrees:
-        bases = [cohomology_basis(sheaf, k, cc) for cc in cochains]
-        maps = [_step_map(bases[i + 1], bases[i]) for i in range(x.steps - 1)]
+        bases = steps[k]
+        maps = [_restrict(bases[i + 1], bases[i]) for i in range(x.steps - 1)]
         module = CopersistenceModule(x.field, [b.dim for b in bases], maps)
         out[k] = module, decompose_copersistence(module)
     return out

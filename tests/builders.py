@@ -158,6 +158,16 @@ def dense_map(space, k):
     return space._map(k).dense()
 
 
+def generators(space, k):
+    """(simplex id, index in its stalk) for each basis vector of degree k
+    of a CochainComplex or ChainComplex, in the stacked order."""
+    return [
+        (s.id, i)
+        for s in space.complex.simplices_of_dim(k)
+        for i in range(space.block_dim(s.id))
+    ]
+
+
 def nested_coordinate_diagram(complex_, top_rank, snapshots):
     """Nested coordinate subsheaves of the constant sheaf of rank top_rank.
 

@@ -175,27 +175,34 @@ def matmul(p, a, b):
     )
 
 
-def coords(p, cycles, killed, vectors):
+def coords(p, cycles, killed, vectors, killed_first=None):
     """Coordinates of the classes of vectors' columns in the basis cycles,
-    modulo killed, by dense back-substitution.
+    modulo killed and killed_first, by dense back-substitution.
 
-    cycles and killed are dense, and no two of their columns share a
-    lowest nonzero row.  Basis columns are taken lowest row first; each
-    clears its low row from every vector at once.  Whatever is left is
+    cycles, killed and killed_first (none if not given) are dense.
+    Every column leads by its lowest nonzero row, except that a column
+    of killed_first leads by its earliest, where no cycle has an entry;
+    no two columns share a lead.  The columns of killed_first are taken
+    first, earliest lead first, then the rest, lowest lead first; each
+    clears its lead row from every vector at once.  Whatever is left is
     outside the span: ValueError.
     """
-    basis = []
-    for m, is_cycle in ((cycles, True), (killed, False)):
+    if killed_first is None:
+        killed_first = np.zeros((cycles.shape[0], 0), dtype=np.int64)
+    first, basis = [], []
+    for m, at, is_cycle in ((cycles, -1, True), (killed, -1, False), (killed_first, 0, False)):
         for t in range(m.shape[1]):
             rows = np.flatnonzero(m[:, t])
             values = m[rows, t]
-            inv = pow(int(values[-1]), p - 2, p)
-            basis.append((int(rows[-1]), rows, values[:, None], inv, t if is_cycle else -1))
+            inv = pow(int(values[at]), p - 2, p)
+            entry = (int(rows[at]), rows, values[:, None], inv, t if is_cycle else -1)
+            (first if at == 0 else basis).append(entry)
+    first.sort(key=lambda entry: entry[0])
     basis.sort(key=lambda entry: -entry[0])
     v = np.remainder(np.asarray(vectors, dtype=np.int64), p)
     out = np.zeros((cycles.shape[1], v.shape[1]), dtype=np.int64)
-    for low, rows, values, inv, slot in basis:
-        row = v[low]
+    for lead, rows, values, inv, slot in first + basis:
+        row = v[lead]
         if not row.any():
             continue
         # entries stay below p < 2^31, so values * coef < 2^62

@@ -1,11 +1,13 @@
 """Per-step reference constructions for the filtration pipelines.
 
-The package assembles one complex per filtration and reads each step
-as a leading block of it.  The builders here take the literal route
-instead: every step gets its own subcomplex, pulled-back sheaf and
-complex, and the maps between steps are induced by the step inclusions
-(explicit 0/1 inclusion matrices for homology).  The differential
-tests compare the two.
+The package assembles one complex per filtration and reads every
+step off one reduction of each of its maps.  The builders here take
+the literal route instead: every step gets its own subcomplex,
+pulled-back sheaf and complex, and the maps between steps are induced
+by the step inclusions (explicit 0/1 inclusion matrices for homology).
+The differential tests compare the two: label diagrams entry for
+entry, and the backward modules and grids up to the change of basis
+between the two routes' representatives.
 """
 
 from densekernel import _mulmod
@@ -33,7 +35,7 @@ def pullback_chain(sheaf):
 
 
 def type_t_maps(sheaf, k):
-    """(dims, maps) of the backward H^k module, one complex per step."""
+    """(bases, maps) of the backward H^k module, one complex per step."""
     x = sheaf.complex
     bases = [
         cohomology_basis(pb, k, CochainComplex(pb)) for pb in pullback_chain(sheaf)
@@ -44,11 +46,12 @@ def type_t_maps(sheaf, k):
         )
         for i in range(x.steps - 1)
     ]
-    return [b.dim for b in bases], maps
+    return bases, maps
 
 
 def grid_maps(diagram, k):
-    """(dims, hmaps, vmaps) of the H^k grid, one complex per grid position."""
+    """(bases, hmaps, vmaps) of the H^k grid, one complex per grid position;
+    row u is step steps - 1 - u."""
     x = diagram.complex
     mt = x.steps
     bases, hmaps = [], []
@@ -81,7 +84,7 @@ def grid_maps(diagram, k):
         ]
         for u in range(mt - 1)
     ]
-    return [[b.dim for b in row] for row in bases], hmaps, vmaps
+    return bases, hmaps, vmaps
 
 
 def _inclusion(sub, sup, k):

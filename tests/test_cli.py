@@ -42,7 +42,7 @@ from persheaf.linalg import Columns
 import densekernel
 import perincidence as ref
 from builders import bench_input, closure, edge_diagram
-from genrandom import random_complex
+from genrandom import random_complex, random_monomorphic_diagram
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -752,23 +752,19 @@ def test_each_invocation_validates_once(
             assert constructions == ["CochainComplex"]
 
 
-@pytest.mark.parametrize("k", [None, 1])
-def test_persist_t_reduces_each_coboundary_once(capsys, tmp_path, monkeypatch, k):
-    x = random_complex(random.Random(6), Field(3), 30, min_steps=3)
-    assert x.dim == 2
-    sheaf = constant(x, 2)
-    cpath, spath = tmp_path / "complex.json", tmp_path / "sheaf.json"
-    cpath.write_text(serialize_json(complex_to_data(x)))
-    spath.write_text(serialize_json(sheaf_to_data(sheaf, embed_complex=False)))
+@pytest.fixture
+def reductions(monkeypatch):
+    """Every matrix Field._column_echelon reduces, held so that no two
+    share an id.  The rank formula's own reductions go to the dense
+    reference instead."""
     reduced = []
     original = Field._column_echelon
 
     def counted(self, m, *args, **kwargs):
-        reduced.append(m)  # kept alive, so ids stay distinct
+        reduced.append(m)
         return original(self, m, *args, **kwargs)
 
     monkeypatch.setattr(Field, "_column_echelon", counted)
-    # the rank formula's own reductions go to the dense reference instead
     monkeypatch.setattr(
         persistence,
         "_composite_ranks",
@@ -776,16 +772,106 @@ def test_persist_t_reduces_each_coboundary_once(capsys, tmp_path, monkeypatch, k
             module.field.p, module.dims, [m.dense() for m in module.maps]
         ),
     )
-    argv = ["persist-t", str(cpath), str(spath), "--engine", "direct"]
-    argv += [] if k is None else ["--k", str(k)]
-    assert run(capsys, argv)[0] == 0
-    # every degree reduces delta^0 .. delta^2 at each step; H^1 alone
-    # needs delta^0's pivots and delta^1
-    per_step = x.dim + 1 if k is None else 2
-    assert len(reduced) == x.steps * per_step
+    return reduced
+
+
+def assert_each_reduced_once(reduced, count):
+    assert len(reduced) == count
     assert len({id(m) for m in reduced}) == len(reduced)
     # the stored sparse columns are reduced as they are, never densified
     assert all(isinstance(m, Columns) for m in reduced)
+
+
+def filled_filtration():
+    x = random_complex(random.Random(6), Field(3), 30, min_steps=3)
+    assert x.dim == 2 and x.steps >= 3
+    return x
+
+
+@pytest.mark.parametrize("k", [None, 1, 3])
+def test_persist_t_reduces_each_coboundary_once(capsys, tmp_path, reductions, k):
+    x = filled_filtration()
+    sheaf = constant(x, 2)
+    cpath, spath = tmp_path / "complex.json", tmp_path / "sheaf.json"
+    cpath.write_text(serialize_json(complex_to_data(x)))
+    spath.write_text(serialize_json(sheaf_to_data(sheaf, embed_complex=False)))
+    argv = ["persist-t", str(cpath), str(spath), "--engine", "direct"]
+    argv += [] if k is None else ["--k", str(k)]
+    assert run(capsys, argv)[0] == 0
+    # every degree reduces delta^0 .. delta^2 once for every step; H^1
+    # alone needs delta^0's pivots and delta^1; past the top all is zero
+    assert_each_reduced_once(reductions, {None: x.dim + 1, 1: 2}.get(k, 0))
+
+
+@pytest.mark.parametrize("k", [None, 1])
+def test_bipersist_reduces_each_coboundary_once_per_snapshot(capsys, tmp_path, reductions, k):
+    x = filled_filtration()
+    diagram = random_monomorphic_diagram(random.Random(7), x, length=3)
+    cpath, dpath = tmp_path / "complex.json", tmp_path / "diagram.json"
+    cpath.write_text(serialize_json(complex_to_data(x)))
+    dpath.write_text(serialize_json(diagram_to_data(diagram, embed_complex=False)))
+    argv = ["bipersist", str(cpath), str(dpath)]
+    argv += [] if k is None else ["--k", str(k)]
+    assert run(capsys, argv)[0] == 0
+    per_snapshot = x.dim + 1 if k is None else 2
+    assert_each_reduced_once(reductions, len(diagram.snapshots) * per_snapshot)
+
+
+@pytest.mark.parametrize("k", [None, 0])
+def test_unicolored_reduces_each_coboundary_once(capsys, tmp_path, reductions, k):
+    rng = random.Random(8)
+    points = tmp_path / "points.csv"
+    points.write_text("".join(
+        f"{rng.random():.3f},{rng.random():.3f},{rng.choice(['red', 'blue'])}\n"
+        for _ in range(16)
+    ))
+    argv = ["unicolored", str(points), "--thresholds", "0.15,0.25,0.35,0.45"]
+    argv += [] if k is None else ["--k", str(k)]
+    assert run(capsys, argv)[0] == 0
+    # the graph's delta^0 and its zero delta^1, whatever the step count
+    assert_each_reduced_once(reductions, 2 if k is None else 1)
+
+
+def test_a_degree_far_past_the_top_is_empty_at_once(tmp_path):
+    """Every space past the top degree is zero, so --k 10^9 gives the
+    empty module without walking the degrees in between."""
+    runs = {argv[0]: argv for argv, _ in _subcommand_runs(tmp_path)[2:]}
+    k = ["--k", str(10**9)]
+    cases = [
+        (runs["persist-t"] + k + ["--engine", "direct"], "H^1000000000: (empty)\n"),
+        (runs["persist-t"] + k, "H^1000000000: (empty)\n"),
+        (runs["bipersist"] + k, "k=1000000000\n0 0 0 0 0\n0 0 0 0 0\n"),
+        (runs["unicolored"] + k, "H^1000000000: (empty)\n"),
+    ]
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    for argv, want in cases:
+        done = subprocess.run(
+            [sys.executable, "-m", "persheaf", *argv],
+            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, want, ""), argv
+
+
+@pytest.mark.parametrize("command", ["persist-a", "bipersist"])
+def test_each_morphism_batches_its_components_once(capsys, tmp_path, monkeypatch, command):
+    """Validation and the block-diagonal matrix read one batch."""
+    batches = []
+    original = sheaves._Batch.of.__func__
+
+    def counted(cls, matrices):
+        batches.append(sys._getframe(1).f_code.co_name)  # who asked for it
+        return original(cls, matrices)
+
+    monkeypatch.setattr(sheaves._Batch, "of", classmethod(counted))
+    cpath, = (argv[1] for argv, _ in _subcommand_runs(tmp_path) if argv[0] == "bipersist")
+    diagram = fx("edge_diagram.json")
+    argv = ["persist-a", diagram] if command == "persist-a" else ["bipersist", cpath, diagram]
+    assert run(capsys, argv)[0] == 0
+    with open(diagram, encoding="utf-8") as fh:
+        morphisms = len(json.load(fh)["steps"])
+    assert morphisms >= 2
+    assert batches.count("_components") == morphisms
 
 
 @pytest.fixture
