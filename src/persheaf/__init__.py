@@ -38,8 +38,7 @@ _EXPORTS = {
         "decompose_by_ranks", "decompose_copersistence", "reflect",
     ),
     "graded": (
-        "GradedChainComplex", "GradedComplex", "GradedCosheaf",
-        "GradedFreeModule", "GradedSheaf", "HomogeneousMatrix", "NotFreeError",
+        "GradedCosheaf", "GradedSheaf", "HomogeneousMatrix", "NotFreeError",
         "SlicedComplex", "diagram_graded_barcode",
         "diagram_graded_barcode_by_degree", "diagram_to_graded_sheaf",
         "evaluate_at", "evaluate_sheaf_at", "graded_barcode",

@@ -66,10 +66,10 @@ class _Stacked:
     """Stalks stacked in the global order, with one map out of each degree.
 
     _maps[k] runs from degree k to degree k + _shift, as Columns.  Each
-    simplex owns one contiguous block; _ends[k][n] is the total size of
-    the blocks of the first n k-simplices, and _starts[k] that of the
-    blocks of all simplices below dimension k.  _echelons[k] is the
-    reduction of _maps[k], once known, without its ops.
+    simplex owns one contiguous block; _ends[n] is the total size of the
+    blocks of the first n simplices in the global order, and _starts[k]
+    that of the blocks of all simplices below dimension k.  _echelons[k]
+    is the reduction of _maps[k], once known, without its ops.
     """
 
     _shift = 0
@@ -95,13 +95,8 @@ class _Stacked:
         self.stalks = stalks
         self.complex = complex_
         self.field = complex_.field
-        self._offsets: dict[int, dict[str, int]] = {}
-        self._ends: dict[int, list] = {}
-        b = complex_._bounds
-        self._starts = np.concatenate([[0], np.cumsum(stalks._sizes)])[b].tolist()
-        for k in range(complex_.dim + 1):
-            ends = self._ends[k] = [0, *np.cumsum(stalks._sizes[b[k] : b[k + 1]]).tolist()]
-            self._offsets[k] = dict(zip(complex_._ids[b[k] : b[k + 1]], ends))
+        self._ends = [0, *np.cumsum(stalks._sizes).tolist()]
+        self._starts = [self._ends[at] for at in complex_._bounds]
         self._echelons: dict[int, Echelon] = {}
         gathered.incidences.check_closed()
         up = self._shift > 0
@@ -111,10 +106,12 @@ class _Stacked:
 
     def dim(self, k: int, step: int | None = None) -> int:
         """The size of degree k, or of its leading part over a filtration step."""
-        ends = self._ends.get(k)
-        if ends is None:
+        if not 0 <= k <= self.complex.dim:
             return 0
-        return ends[-1 if step is None else self.complex.prefix_length(k, step)]
+        if step is None:
+            return self._starts[k + 1] - self._starts[k]
+        at = self.complex._bounds[k] + self.complex.prefix_length(k, step)
+        return self._ends[at] - self._starts[k]
 
     def start(self, k: int) -> int:
         """Where degree k starts in the stalks of every dimension stacked
@@ -122,10 +119,15 @@ class _Stacked:
         return self._starts[min(max(k, 0), len(self._starts) - 1)]
 
     def offset(self, k: int, sid: str) -> int:
-        return self._offsets[k][sid]
+        """Where the block of the k-simplex sid starts in degree k."""
+        at = self.complex._position[sid]
+        if self.complex.simplices[at].dim != k:
+            raise KeyError(f"{sid!r} is not a {k}-simplex")
+        return self._ends[at] - self._starts[k]
 
     def block_dim(self, sid: str) -> int:
-        return self.stalks.stalk(sid)
+        at = self.complex._position[sid]
+        return self._ends[at + 1] - self._ends[at]
 
     def _map(self, k: int) -> Columns:
         got = self._maps.get(k)

@@ -1,29 +1,26 @@
-"""Free graded modules over F[t] and the degree-ordered reduction to barcodes.
-
-A graded matrix stores scalar entries only, as linalg.Columns like
-every other operator; the t-power of entry (i, j) is implied by the
-generator degrees, column minus row.  Each map of a graded complex is
-column-reduced once, lowest pivot first, with rows and columns put in
-(degree, position) order on the sparse form: the standard persistence
-reduction (Zomorodian and Carlsson, "Computing persistent homology",
-2005), which serves every degree that reads the map.  Adding an earlier
-column into a later one multiplies it by a nonnegative power of t, so
-the reduction stays homogeneous; a pivot that would need a negative
-power is a broken invariant and raises AssertionError.  A pivot (i, j)
-of the map into a position gives the bar (deg i, deg j - 1) when the
-degrees differ; a generator whose column the map out of the position
-empties, and that no pivot kills, gives an open bar.
+"""Graded (co)sheaves over F[t] and the degree-ordered reduction to barcodes.
 
 A graded sheaf or cosheaf is a cellular one whose stalk generators
-carry degrees: it keeps the cellular stalk store, incidence walker and
-checks, and adds the negative-power maps, found per shape group.  Each
-graded (co)boundary is one signed scatter per shape group, kept
-sparse.  The assembly checks only the store; a negative t-power is
-refused by HomogeneousMatrix, and a diamond that does not commute by
-the sparse check that consecutive maps compose to zero, which on a
-closed complex holds exactly when every diamond commutes.  A
-stalk-wise injective diagram becomes one graded sheaf in one pass
-(diagram_to_graded_sheaf).
+carry degrees, and its (co)chain complex is the cellular
+CochainComplex or ChainComplex over the same signed (co)boundaries.
+The graded (co)sheaf wraps each of them once as a HomogeneousMatrix:
+scalar entries as linalg.Columns, the t-power of entry (i, j) implied
+by the generator degrees, column minus row.  The assembly checks only
+the store; a negative t-power is refused by HomogeneousMatrix, and a
+diamond that does not commute by the sparse check that consecutive
+maps compose to zero.  A stalk-wise injective diagram becomes one
+graded sheaf in one pass (diagram_to_graded_sheaf).
+
+Each wrapped map is column-reduced once, lowest pivot first, with rows
+and columns in (degree, position) order: the standard persistence
+reduction (Zomorodian and Carlsson, "Computing persistent homology",
+2005), which serves every degree that reads the map.  Adding an earlier
+column into a later one multiplies it by a nonnegative power of t; a
+pivot that would need a negative one is a broken invariant and raises
+AssertionError.  A pivot (i, j) of the map into a degree gives the bar
+(deg i, deg j - 1) when the degrees differ; a generator whose column
+the map out of the degree empties, and that no pivot kills, gives an
+open bar.
 """
 
 from __future__ import annotations
@@ -32,6 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .cohomology import ChainComplex, CochainComplex
 from .complexes import FilteredComplex
 from .linalg import Columns, Field, _hstack, _mulcols, matrix, zeros
 from .persistence import Barcode
@@ -51,10 +49,7 @@ from .sheaves import (
 
 __all__ = [
     "NotFreeError",
-    "GradedFreeModule",
     "HomogeneousMatrix",
-    "GradedComplex",
-    "GradedChainComplex",
     "GradedSheaf",
     "GradedCosheaf",
     "validate_graded_sheaf",
@@ -81,28 +76,6 @@ def _degree_order(degrees) -> list:
     return sorted(range(len(degrees)), key=lambda i: (degrees[i], i))
 
 
-class GradedFreeModule:
-    """A free F[t]-module described by its generator degrees."""
-
-    def __init__(self, degrees=()):
-        self.degrees = tuple(int(d) for d in degrees)
-        if any(d < 0 for d in self.degrees):
-            raise ValueError("generator degrees must be nonnegative")
-
-    @property
-    def rank(self) -> int:
-        return len(self.degrees)
-
-    def __eq__(self, other):
-        return isinstance(other, GradedFreeModule) and other.degrees == self.degrees
-
-    def __hash__(self):
-        return hash(self.degrees)
-
-    def __repr__(self):
-        return f"GradedFreeModule({list(self.degrees)})"
-
-
 class HomogeneousMatrix:
     """Scalar part of a degree-0 map between free graded modules.
 
@@ -115,17 +88,14 @@ class HomogeneousMatrix:
     def __init__(self, field: Field, scalar, row_degrees, col_degrees):
         self.field = field
         self.scalar = field.sparse(scalar if isinstance(scalar, Columns) else matrix(scalar))
-        self.row_degrees = tuple(int(d) for d in row_degrees)
-        self.col_degrees = tuple(int(d) for d in col_degrees)
-        want = (len(self.row_degrees), len(self.col_degrees))
+        rows, cols = (np.asarray(d, dtype=np.int64) for d in (row_degrees, col_degrees))
+        self.row_degrees, self.col_degrees = tuple(rows.tolist()), tuple(cols.tolist())
+        want = (len(rows), len(cols))
         if self.scalar.shape != want:
             raise ValueError(f"scalar shape {self.scalar.shape}, degrees want {want}")
         rz = self.scalar.indices
         cz = np.repeat(np.arange(want[1]), np.diff(self.scalar.indptr))
-        bad = (
-            np.array(self.col_degrees, dtype=np.int64)[cz]
-            < np.array(self.row_degrees, dtype=np.int64)[rz]
-        )
+        bad = cols[cz] < rows[rz]
         if bad.any():
             i, j = min(zip(rz[bad].tolist(), cz[bad].tolist()))
             raise ValueError(f"entry ({i}, {j}) would need a negative t-power")
@@ -156,59 +126,6 @@ class HomogeneousMatrix:
             if self.col_degrees[j] < self.row_degrees[i]:
                 raise AssertionError(f"pivot ({i}, {j}) would need a negative t-power")
         return pivots
-
-
-def _zero_hom(field, target: GradedFreeModule, source: GradedFreeModule):
-    zero = field.sparse(zeros(target.rank, source.rank))
-    return HomogeneousMatrix(field, zero, target.degrees, source.degrees)
-
-
-class GradedComplex:
-    """Graded spaces in ascending positions with maps d_k: k -> k+1.
-
-    maps[i] joins positions i and i + 1, running up (_shift = 1) or,
-    in a GradedChainComplex, down (_shift = -1).
-    """
-
-    _shift = 1
-
-    def __init__(self, field: Field, spaces, maps):
-        self.field = field
-        self.spaces = tuple(spaces)
-        self.maps = tuple(maps)
-        if len(self.maps) != max(len(self.spaces) - 1, 0):
-            raise ValueError("need one map per consecutive pair of spaces")
-        down = self._shift < 0
-        for i, m in enumerate(self.maps):
-            source, target = (i + 1, i) if down else (i, i + 1)
-            if m.col_degrees != self.spaces[source].degrees:
-                raise ValueError(f"map {i} source degrees disagree")
-            if m.row_degrees != self.spaces[target].degrees:
-                raise ValueError(f"map {i} target degrees disagree")
-        for i in range(len(self.maps) - 1):
-            first, then = self.maps[i : i + 2]
-            if down:
-                first, then = then, first
-            if _mulcols(then.scalar, first.scalar, field.p).data.size:
-                raise ValueError(f"maps {i} and {i + 1} do not compose to zero")
-
-    def space(self, k: int) -> GradedFreeModule:
-        if 0 <= k < len(self.spaces):
-            return self.spaces[k]
-        return GradedFreeModule(())
-
-    def map_out(self, k: int) -> HomogeneousMatrix:
-        """The map out of position k as stored, or zero with the right degrees."""
-        i = min(k, k + self._shift)
-        if 0 <= i < len(self.maps):
-            return self.maps[i]
-        return _zero_hom(self.field, self.space(k + self._shift), self.space(k))
-
-
-class GradedChainComplex(GradedComplex):
-    """Graded spaces with boundaries running down: maps[i]: i+1 -> i."""
-
-    _shift = -1
 
 
 def _graded_kernel(field: Field, scalar, col_degrees):
@@ -262,20 +179,36 @@ def _graded_snf_bars(field: Field, rel, row_degrees, col_degrees):
     That module is the kernel of the zero map on the generators modulo
     the image of rel.
     """
-    gens = GradedFreeModule(row_degrees)
-    return _graded_quotient_bars(
-        _zero_hom(field, GradedFreeModule(()), gens),
-        HomogeneousMatrix(field, rel, row_degrees, col_degrees),
-    )
+    zero = HomogeneousMatrix(field, zeros(0, len(row_degrees)), (), row_degrees)
+    return _graded_quotient_bars(zero, HomogeneousMatrix(field, rel, row_degrees, col_degrees))
 
 
-def graded_barcode(gc: GradedComplex, k: int) -> Barcode:
-    """Interval multiset of the degree-k cohomology of a graded complex.
+def _graded_map(cochains: CochainComplex, k: int) -> HomogeneousMatrix:
+    """The map out of degree k of a graded (co)chain complex: its
+    stalks' wrapped one when stored (_Graded._homogeneous), else the
+    zero map _map(k) between the generator degrees of k and k + _shift."""
+    if k in cochains._maps:
+        return cochains.stalks._homogeneous[min(k, k + cochains._shift)]
+    rows, cols = (_degrees_of(cochains, j) for j in (k + cochains._shift, k))
+    return HomogeneousMatrix(cochains.field, cochains._map(k), rows, cols)
 
-    Also the degree-k homology of a GradedChainComplex
-    (graded_homology_barcode).
+
+def _degrees_of(cochains: CochainComplex, k: int) -> np.ndarray:
+    """The generator degrees of degree k of a graded (co)chain complex."""
+    return cochains.stalks._degree_array[cochains.start(k) : cochains.start(k + 1)]
+
+
+def graded_barcode(cochains: CochainComplex, k: int) -> Barcode:
+    """Interval multiset of the degree-k cohomology of a graded sheaf's
+    cochain complex (graded_cochain_complex).
+
+    Also the degree-k homology of a graded cosheaf's ChainComplex
+    (graded_homology_barcode).  The maps out of and into degree k are
+    read as their stalks' HomogeneousMatrix, so each stored map is
+    reduced once, whichever degrees read it.
     """
-    return Barcode(_graded_quotient_bars(gc.map_out(k), gc.map_out(k - gc._shift)))
+    out_map, in_map = (_graded_map(cochains, j) for j in (k, k - cochains._shift))
+    return Barcode(_graded_quotient_bars(out_map, in_map))
 
 
 graded_homology_barcode = graded_barcode
@@ -301,6 +234,26 @@ class _Graded:
         scalar = super()._map(source_id, target_id)
         return HomogeneousMatrix(self.complex.field, scalar, rows, cols)
 
+    @cached_property
+    def _degree_array(self) -> np.ndarray:
+        """Every generator degree, stalk by stalk in the global order."""
+        return np.fromiter(
+            (d for ds in self.degrees.values() for d in ds), np.int64, int(self._sizes.sum())
+        )
+
+    @cached_property
+    def _homogeneous(self) -> list:
+        """Each signed (co)boundary (_differentials) as a HomogeneousMatrix
+        between the generator degrees of its two dimensions, wrapped in
+        order, so the first that needs a negative t-power is refused."""
+        ends = np.concatenate([[0], np.cumsum(self._sizes)])[self.complex._bounds]
+        dims = [self._degree_array[a:b] for a, b in zip(ends, ends[1:])]
+        homs = []
+        for q, scalar in enumerate(self._differentials, start=1):
+            rows, cols = (dims[q - 1], dims[q]) if self._down else (dims[q], dims[q - 1])
+            homs.append(HomogeneousMatrix(self.complex.field, scalar, rows, cols))
+        return homs
+
 
 class GradedSheaf(_Graded, CellularSheaf):
     """Graded modules with homogeneous restrictions, face to coface."""
@@ -319,7 +272,7 @@ def _power_problems(stalks: _Graded) -> list:
     sims = stalks.complex.simplices
     source, target = (inc.coface, inc.face) if stalks._down else (inc.face, inc.coface)
     # entry (i, j) of a map stands for t^(col degree j - row degree i)
-    flat = np.array([d for ds in stalks.degrees.values() for d in ds], dtype=np.int64)
+    flat = stalks._degree_array
     first = _starts(stalks._sizes)
     batch = gathered.batch
     found = {}
@@ -355,35 +308,28 @@ def validate_graded_sheaf(stalks: _Graded) -> list:
 validate_graded_cosheaf = validate_graded_sheaf
 
 
-def graded_cochain_complex(stalks: _Graded) -> GradedComplex:
-    """Assemble the signed coboundaries k -> k+1 of a graded sheaf.
+def graded_cochain_complex(stalks: _Graded) -> CochainComplex:
+    """The cochain complex of a graded sheaf: its signed coboundaries
+    k -> k+1 (_differentials), each wrapped once as a HomogeneousMatrix
+    (_Graded._homogeneous) for graded_barcode.
 
-    Also assembles the boundaries k+1 -> k of a graded cosheaf into a
-    GradedChainComplex (graded_chain_complex).  Each map is one signed
-    scatter per shape group of the gathered stored maps.  Only the
-    store is checked first: the two routes of a diamond carry opposite
-    signs, so the complex refuses one that does not commute.
+    Also the ChainComplex of a graded cosheaf, with its boundaries
+    k+1 -> k (graded_chain_complex).  Only the store is checked first;
+    then the wrapping refuses a negative t-power, and consecutive maps
+    must compose to zero: the two routes of a diamond carry opposite
+    signs, so this refuses one that does not commute.
     """
     problems = _store_problems(stalks)
     if problems:
         what = "cosheaf" if stalks._down else "sheaf"
         raise ValueError(f"invalid graded {what}: " + "; ".join(problems))
-    x = stalks.complex
-    field = x.field
-    spaces = [
-        GradedFreeModule(
-            [d for s in x.simplices_of_dim(k) for d in stalks.degrees[s.id]]
-        )
-        for k in range(x.dim + 1)
-    ]
-    stalks._gathered.incidences.check_closed()
-    homs = []
-    for k, scalar in enumerate(stalks._differentials):
-        lo, hi = spaces[k], spaces[k + 1]
-        rows, cols = (lo, hi) if stalks._down else (hi, lo)
-        homs.append(HomogeneousMatrix(field, scalar, rows.degrees, cols.degrees))
-    kind = GradedChainComplex if stalks._down else GradedComplex
-    return kind(field, spaces, homs)
+    cochains = (ChainComplex if stalks._down else CochainComplex)(stalks, validate=False)
+    maps = [hom.scalar for hom in stalks._homogeneous]
+    for i, pair in enumerate(zip(maps, maps[1:])):
+        first, then = pair[::-1] if stalks._down else pair
+        if _mulcols(then, first, cochains.field.p).data.size:
+            raise ValueError(f"maps {i} and {i + 1} do not compose to zero")
+    return cochains
 
 
 graded_chain_complex = graded_cochain_complex
@@ -437,8 +383,8 @@ def diagram_graded_barcode_by_degree(diagram: SheafDiagram, degrees) -> dict:
     The graded sheaf and its cochain complex are built once, and each
     coboundary is reduced once, whichever degrees read it.
     """
-    gc = graded_cochain_complex(diagram_to_graded_sheaf(diagram))
-    return {k: graded_barcode(gc, k) for k in degrees}
+    cochains = graded_cochain_complex(diagram_to_graded_sheaf(diagram))
+    return {k: graded_barcode(cochains, k) for k in degrees}
 
 
 def diagram_graded_barcode(diagram: SheafDiagram, k: int) -> Barcode:
@@ -473,8 +419,8 @@ class SlicedComplex:
         return zeros(0, self.dim(k))
 
 
-def evaluate_at(gc: GradedComplex, n: int) -> SlicedComplex:
-    """The level-n scalar complex of a graded complex.
+def evaluate_at(cochains: CochainComplex, n: int) -> SlicedComplex:
+    """The level-n scalar complex of a graded sheaf's cochain complex.
 
     A generator of degree a contributes a dimension iff a <= n; matrix
     slices keep the rows and columns of surviving generators.  The
@@ -482,19 +428,14 @@ def evaluate_at(gc: GradedComplex, n: int) -> SlicedComplex:
     level n, widened by zeros for the level-(n+1) arrivals.
     """
     dims, deltas, t_actions, masks = {}, {}, {}, {}
-    for k in range(len(gc.spaces)):
-        degs = gc.space(k).degrees
-        mask = [i for i, a in enumerate(degs) if a <= n]
-        masks[k] = mask
-        dims[k] = len(mask)
-        next_mask = [i for i, a in enumerate(degs) if a <= n + 1]
-        t = zeros(len(next_mask), len(mask))
-        lookup = {gen: row for row, gen in enumerate(next_mask)}
-        for col, gen in enumerate(mask):
-            t[lookup[gen], col] = 1
-        t_actions[k] = t
-    for k in range(len(gc.maps)):
-        deltas[k] = gc.maps[k].scalar.dense()[np.ix_(masks[k + 1], masks[k])]
+    for k in range(cochains.complex.dim + 1):
+        degs = _degrees_of(cochains, k)
+        mask, later = np.flatnonzero(degs <= n), np.flatnonzero(degs <= n + 1)
+        masks[k], dims[k] = mask, len(mask)
+        t_actions[k] = zeros(len(later), len(mask))
+        t_actions[k][np.searchsorted(later, mask), np.arange(len(mask))] = 1
+        if k:
+            deltas[k - 1] = cochains._map(k - 1).dense()[np.ix_(mask, masks[k - 1])]
     return SlicedComplex(n, dims, deltas, t_actions)
 
 

@@ -832,6 +832,53 @@ def test_unicolored_reduces_each_coboundary_once(capsys, tmp_path, reductions, k
     assert_each_reduced_once(reductions, 2 if k is None else 1)
 
 
+@pytest.mark.parametrize("command", ["persist-t", "persist-a"])
+@pytest.mark.parametrize("k", [None, 1])
+def test_graded_engine_reduces_each_graded_map_once(
+    capsys, tmp_path, monkeypatch, reductions, command, k
+):
+    """The reductions behind the graded bars: one per stored graded
+    (co)boundary that the degrees read, whichever degrees read it.  The
+    zero maps out of the top and into degree 0 have no rows or no
+    columns; the diagram conversion reduces outside the bars."""
+    x = filled_filtration()
+    cpath = tmp_path / "complex.json"
+    cpath.write_text(serialize_json(complex_to_data(x)))
+    if command == "persist-t":
+        sheaf = constant(x, 2)
+        path = tmp_path / "sheaf.json"
+        path.write_text(serialize_json(sheaf_to_data(sheaf, embed_complex=False)))
+        argv = ["persist-t", str(cpath), str(path)]
+        top = sheaf
+    else:
+        diagram = random_monomorphic_diagram(random.Random(7), x, length=3, force_global=True)
+        path = tmp_path / "diagram.json"
+        path.write_text(serialize_json(diagram_to_data(diagram)))
+        argv = ["persist-a", str(path)]
+        top = diagram.snapshots[-1]
+    argv += ["--engine", "graded"] + ([] if k is None else ["--k", str(k)])
+    behind_bars = []
+    original = graded._graded_quotient_bars
+
+    def counted(out_map, in_map):
+        start = len(reductions)
+        try:
+            return original(out_map, in_map)
+        finally:
+            behind_bars.extend(reductions[start:])
+
+    monkeypatch.setattr(graded, "_graded_quotient_bars", counted)
+    assert run(capsys, argv)[0] == 0
+    stored = [m for m in behind_bars if m.shape[0] and m.shape[1]]
+    # every generator of the graded (co)sheaf is a basis vector of top's
+    n = [sum(top.stalk(s.id) for s in x.simplices_of_dim(q)) for q in range(x.dim + 1)]
+    shapes = [(n[q - 1], n[q]) if command == "persist-t" else (n[q], n[q - 1])
+              for q in range(1, x.dim + 1)]
+    assert len(set(shapes)) == len(shapes) and all(map(all, shapes))
+    assert sorted(m.shape for m in stored) == sorted(shapes)
+    assert_each_reduced_once(stored, len(shapes))
+
+
 def test_a_degree_far_past_the_top_is_empty_at_once(tmp_path):
     """Every space past the top degree is zero, so --k 10^9 gives the
     empty module without walking the degrees in between."""

@@ -10,9 +10,8 @@ from persheaf import (
     CochainComplex,
     Field,
     FilteredComplex,
-    GradedChainComplex,
-    GradedComplex,
-    GradedFreeModule,
+    GradedCosheaf,
+    GradedSheaf,
     HomogeneousMatrix,
     NotFreeError,
     SheafDiagram,
@@ -40,7 +39,7 @@ from persheaf.linalg import Columns
 from persheaf.typet import type_t_graded_by_degree
 
 import pergenerator
-from builders import closure, edge_diagram, nested_coordinate_diagram
+from builders import closure, dense_map, edge_diagram, nested_coordinate_diagram
 from densekernel import _mulmod
 from perincidence import codim1_pairs
 from oracles import rref_rank
@@ -165,36 +164,43 @@ def test_quotient_refuses_maps_that_do_not_compose_to_zero():
 
 
 def composable_pair(kind, p, column, row, lead):
-    """A graded complex of kind, every generator of degree 0, whose maps
-    lead and lead + 1 compose to row @ column, after lead zero maps."""
-    field = Field(p)
-    ranks = [1] * lead + [1, len(column), 1]
-    spaces = [GradedFreeModule((0,) * r) for r in ranks]
-    up = kind is GradedComplex
-    pair = [[[c] for c in column], [row]]
-    if not up:
-        pair.reverse()
-    homs = []
-    for i, m in enumerate([[[0]]] * lead + pair):
-        target, source = (i + 1, i) if up else (i, i + 1)
-        homs.append(
-            HomogeneousMatrix(field, m, spaces[target].degrees, spaces[source].degrees)
-        )
-    return kind(field, spaces, homs)
+    """A graded sheaf or cosheaf of kind on the full simplex on lead + 3
+    vertices, every generator of degree 0, whose maps lead and lead + 1
+    compose to row @ column, after lead zero maps.
+
+    Only simplices 0.1...lead (low), 0.1...lead+1 (mid) and
+    0.1...lead+2 (top) have nonzero stalks, of ranks 1, len(column) and
+    1; low -> mid is column and mid -> top is row, or, in a cosheaf,
+    top -> mid is column and mid -> low is row.
+    """
+    x = FilteredComplex(Field(p), closure(lead + 2))
+    low, mid, top = (".".join(map(str, range(n))) for n in range(lead + 1, lead + 4))
+    ranks = {low: 1, mid: len(column), top: 1}
+    degrees = {s.id: (0,) * ranks.get(s.id, 0) for s in x.simplices}
+    column, row = [[c] for c in column], [row]
+    if kind is GradedSheaf:
+        return kind(x, degrees, {(low, mid): column, (mid, top): row})
+    return kind(x, degrees, {(top, mid): column, (mid, low): row})
 
 
-@pytest.mark.parametrize("kind", [GradedComplex, GradedChainComplex])
+# keyed by the complex each one assembles: a graded sheaf's coboundaries
+# or a graded cosheaf's boundaries
+GRADED_KINDS = {"GradedComplex": GradedSheaf, "GradedChainComplex": GradedCosheaf}
+
+
+@pytest.mark.parametrize("kind", GRADED_KINDS)
 @pytest.mark.parametrize("p", [2, 3, 2**31 - 1])
 def test_graded_maps_must_compose_to_zero_mod_p(kind, p):
     q = p - 1
+    stalks = GRADED_KINDS[kind]
     for lead in (0, 1):
         # 7 (p-1)^2 = 7 mod p, which no p here divides; at 2^31 - 1 the
         # unreduced sum overflows int64
         refused = rf"^maps {lead} and {lead + 1} do not compose to zero$"
         with pytest.raises(ValueError, match=refused):
-            composable_pair(kind, p, [q] * 7, [q] * 7, lead)
+            graded_cochain_complex(composable_pair(stalks, p, [q] * 7, [q] * 7, lead))
         # 3 (p-1) p: nonzero as an integer, zero mod p
-        composable_pair(kind, p, [q, 1] * 3, [q] * 6, lead)
+        graded_cochain_complex(composable_pair(stalks, p, [q, 1] * 3, [q] * 6, lead))
 
 
 def test_graded_reduction_keeps_the_boundaries_sparse():
@@ -258,7 +264,7 @@ def test_diagram_barcode_matches_pointwise():
 def test_graded_coboundary_squares_to_zero():
     gs = diagram_to_graded_sheaf(edge_diagram())
     gc = graded_cochain_complex(gs)
-    square = _mulmod(gc.map_out(1).scalar.dense(), gc.map_out(0).scalar.dense(), gc.field.p)
+    square = _mulmod(dense_map(gc, 1), dense_map(gc, 0), gc.field.p)
     assert not square.any()
 
 
