@@ -3,8 +3,8 @@
 C^k stacks the stalks of all k-simplices in the global order; the
 coboundary block from a face to a coface is the restriction matrix
 times the orientation sign, and chain complexes do the same with
-cosheaf extensions.  Both are filled by one signed scatter per shape
-group (sheaves._signed_maps) and stored as sparse columns
+cosheaf extensions.  Both are filled by one signed scatter of all
+their entries (sheaves._signed_maps) and stored as sparse columns
 (linalg.Columns).  Representatives and induced maps are Columns too,
 so no dense C^k x H^k matrix is formed: an induced map is the sparse
 product (linalg._mulcols) of the cochain map with the

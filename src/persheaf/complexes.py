@@ -97,12 +97,6 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
     return packed
 
 
-def _unique_rows(rows: np.ndarray):
-    """np.unique(rows, axis=0, return_inverse=True) for small nonnegative ints."""
-    _, first, inverse = np.unique(_row_keys(rows), return_index=True, return_inverse=True)
-    return rows[first], inverse.reshape(-1)
-
-
 def _first_match(keys: np.ndarray, wanted: np.ndarray) -> np.ndarray:
     """The first position of each wanted key in keys, or -1."""
     both = np.concatenate([keys, wanted])
@@ -393,7 +387,7 @@ def vietoris_rips(field: Field, points, thresholds, max_dim: int) -> FilteredCom
     rows = np.flatnonzero(np.diagonal(edge) < m)[:, None]
     entries = np.diagonal(edge)[rows[:, 0]]
     found = [(rows, entries)]
-    for _ in range(max_dim):
+    while len(rows) and len(found) <= max_dim:  # no cliques grow from none
         grown = np.maximum(entries[:, None], edge[rows].max(axis=1))
         t, w = np.nonzero((grown < m) & (np.arange(n) > rows[:, -1:]))
         rows, entries = np.hstack([rows[t], w[:, None]]), grown[t, w]

@@ -17,7 +17,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .complexes import FilteredComplex, Simplex, _SimplexLists, _unique_rows
+from .complexes import FilteredComplex, Simplex, _SimplexLists
 from .linalg import Field, matrix
 from .persistence import Barcode
 from .sheaves import (
@@ -26,8 +26,8 @@ from .sheaves import (
     SheafMorphism,
     _Batch,
     _codim1_pairs,
-    _groups,
     _Maps,
+    _starts,
 )
 
 __all__ = [
@@ -128,32 +128,32 @@ def _matrix(value, where: str) -> np.ndarray:
     return a.astype(np.int64, copy=False)
 
 
-def _stack(values, rows: int, cols: int):
-    """JSON matrices of rows x cols integers as one int64 array, or None.
+def _flat(values, rows, cols):
+    """JSON matrices, values[n] of rows[n] x cols[n] integers, as one flat
+    int64 array, row by row, or None.
 
-    The group check of _matrix: every matrix a list of rows lists, each
-    of the given length, every entry an int (a bool is not one) within
-    64 bits.  It reads the entries once, flat, so numpy never has to
-    discover the nesting.  None sends the group back to _matrix, one
+    The bulk check of _matrix: every matrix a list of rows lists, each
+    of its length, every entry an int (a bool is not one) within 64
+    bits.  It reads the entries once, flat, so numpy never has to
+    discover the nesting.  None sends the list back to _matrix, one
     matrix at a time.
     """
-    if {*map(type, values)} != {list}:
+    if not {*map(type, values)} <= {list}:
         return None
     lines = list(chain.from_iterable(values))
-    if (
-        {*map(len, values)} != {rows}
-        or {*map(type, lines)} != {list}
-        or {*map(len, lines)} != {cols}
+    if not (
+        {*map(type, lines)} <= {list}
+        and np.array_equal([*map(len, values)], rows)
+        and np.array_equal([*map(len, lines)], np.repeat(cols, rows))
     ):
         return None
     flat = list(chain.from_iterable(lines))
     if not {*map(type, flat)} <= {int}:
         return None
     try:
-        a = np.array(flat, dtype=np.int64)
+        return np.array(flat, dtype=np.int64)
     except OverflowError:
         return None
-    return a.reshape(len(values), rows, cols)
 
 
 def _each_entry(entries, where: str):
@@ -167,14 +167,14 @@ def _each_entry(entries, where: str):
 
 def _restrictions(entries, stalks: dict, complex_: FilteredComplex, where: str) -> _Maps:
     """A sheaf's "restrictions" list as maps by simplex position, each id
-    looked up once, stacked and reduced mod p once.
+    looked up once, read and reduced mod p once.
 
-    The entries are grouped by the shape their stalks ask for, and each
-    group is read by _stack.  When a group does not come out as one
-    stack of integers (a bad entry, or a matrix of another shape), the
-    list is checked entry by entry, once, so the first bad entry raises
-    as in a reading one by one, and the group is read matrix by matrix.
-    A later entry for the same incidence replaces an earlier one.
+    Every matrix is read in the shape its stalks ask for by _flat; a
+    JSON [] is 0 x 0 there, as _matrix reads it.  When the list does not
+    come out as one flat array of integers (a bad entry, or a matrix of
+    another shape), it is checked entry by entry, so the first bad entry
+    raises as in a reading one by one, and read matrix by matrix.  A
+    later entry for the same incidence replaces an earlier one.
     """
     try:
         faces, cofaces, values = (
@@ -189,19 +189,15 @@ def _restrictions(entries, stalks: dict, complex_: FilteredComplex, where: str) 
     # the stalk dimensions in the global order, then a 0 for position -1
     sizes = np.fromiter(chain(map(stalks.get, ids, repeat(0)), [0]), np.int64, len(ids) + 1)
     at = complex_.positions(faces + cofaces)
-    shapes, shape_of = _unique_rows(sizes[at].reshape(2, -1)[::-1].T)  # (coface, face) dims
-    parts, checked = [], False
-    for g, members in _groups(shape_of):
-        members = members.tolist()
-        stack = _stack(list(map(values.__getitem__, members)), *shapes[g].tolist())
-        if stack is not None:
-            parts.append((members, stack % p))
-            continue
-        if not checked:  # a bad entry or another shape: the first bad entry raises
-            _each_entry(entries, where)
-            checked = True
-        parts += [([n], _matrix(values[n], where)[None] % p) for n in members]
-    return _Maps.named(complex_, faces, cofaces, _Batch.from_stacks(parts), at)
+    cols, rows = sizes[at].reshape(2, -1)  # (face, coface) dimensions
+    cols[rows == 0] = 0  # a JSON [] is 0 x 0, as _matrix reads it
+    flat = _flat(values, rows, cols)
+    if flat is not None:
+        batch = _Batch(flat % p, _starts(rows * cols), rows, cols)
+    else:  # a bad entry or another shape: the first bad entry raises
+        _each_entry(entries, where)
+        batch = _Batch.of([_matrix(m, where) % p for m in values])
+    return _Maps.named(complex_, faces, cofaces, batch, at)
 
 
 def complex_from_data(data: dict, where: str = "complex") -> FilteredComplex:

@@ -40,7 +40,6 @@ from .sheaves import (
     _check_diagram,
     _codim1_pairs,
     _diamond_problems,
-    _groups,
     _incidence_maps,
     _restriction_operator,
     _starts,
@@ -266,33 +265,22 @@ class GradedCosheaf(_Graded, CellularCosheaf):
 def _power_problems(stalks: _Graded) -> list:
     """Well-shaped stored maps with an entry that would need a negative
     t-power, in incidence order, each with the first such entry row by
-    row.  The t-powers are checked per shape group."""
+    row.  Every stored entry is checked at once (_Batch.entries)."""
     gathered = stalks._gathered
     inc = gathered.incidences
     sims = stalks.complex.simplices
     source, target = (inc.coface, inc.face) if stalks._down else (inc.face, inc.coface)
     # entry (i, j) of a map stands for t^(col degree j - row degree i)
-    flat = stalks._degree_array
-    first = _starts(stalks._sizes)
-    batch = gathered.batch
-    found = {}
-    for g, members in _groups(batch.group):
-        stack = batch.stacks[g]
-        r, c = stack.shape[1:]
-        if r == 0 or c == 0:
-            continue
-        rows = flat[first[target[members]][:, None] + np.arange(r)]
-        cols = flat[first[source[members]][:, None] + np.arange(c)]
-        negative = (stack[batch.slot[members]] != 0) & (
-            cols[:, None, :] < rows[:, :, None]
-        )
-        negative = negative.reshape(len(members), -1)
-        hit = negative.any(axis=1)
-        for n, at in zip(members[hit].tolist(), negative[hit].argmax(axis=1).tolist()):
-            i, j = divmod(at, c)
-            arrow = f"{sims[source[n]].id!r} -> {sims[target[n]].id!r}"
-            found[n] = f"{arrow}: entry ({i}, {j}) would need a negative t-power"
-    return [found[n] for n in sorted(found)]
+    degree, first = stalks._degree_array, _starts(stalks._sizes)
+    n, i, j, value = gathered.batch.entries()
+    negative = (value != 0) & (degree[first[source[n]] + j] < degree[first[target[n]] + i])
+    bad, at = np.unique(n[negative], return_index=True)
+    i, j = i[negative][at], j[negative][at]
+    return [
+        f"{sims[source[m]].id!r} -> {sims[target[m]].id!r}: entry ({a}, {b})"
+        " would need a negative t-power"
+        for m, a, b in zip(bad.tolist(), i.tolist(), j.tolist())
+    ]
 
 
 def validate_graded_sheaf(stalks: _Graded) -> list:

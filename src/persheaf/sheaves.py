@@ -6,20 +6,20 @@ extensions running the other way.  Maps touching a zero-dimensional
 stalk never need to be stored; the accessors fill in the unique zero
 matrix of the right shape.
 
-Stored maps are held stacked by shape, each with the global positions
-of its two simplices (_Maps), so every id is looked up once.  One
-walker reads them for every check and every assembly: _Gathered
-matches the position pairs with the complex's numbered incidences
-(FilteredComplex.incidences), so the presence and shape checks are
-array comparisons, and each (co)boundary is gathered into sparse
-columns with one signed scatter per shape group (_signed_maps), once
-per (co)sheaf.  The cochain complexes of cohomology.py read those, and
-so do the graded sheaves of graded.py, cellular ones whose stalk
-generators carry degrees.  The same scatter lays out the components of
-a morphism block-diagonally (_block_diagonal) and every restriction of
-a sheaf as one operator (_restriction_operator), whose blocks
-_incidence_maps reads back as stored maps; the diagram conversion of
-graded.py works on those.  The diamond and naturality checks are
+Stored maps are held in one flat entry array (_Batch), each with the
+global positions of its two simplices (_Maps), so every id is looked
+up once.  One walker reads them for every check and every assembly:
+_Gathered matches the position pairs with the complex's numbered
+incidences (FilteredComplex.incidences), so the presence and shape
+checks are array comparisons, and each (co)boundary is gathered into
+sparse columns with one signed scatter of all its entries
+(_signed_maps), once per (co)sheaf.  The cochain complexes of
+cohomology.py read those, and so do the graded sheaves of graded.py,
+cellular ones whose stalk generators carry degrees.  The same scatter
+lays out the components of a morphism block-diagonally
+(_block_diagonal) and every restriction of a sheaf as one operator
+(_restriction_operator), whose blocks _incidence_maps reads back as
+stored maps; the diagram conversion of graded.py works on those.  The diamond and naturality checks are
 sparse products (linalg._mulcols) of these operators: a diamond
 commutes exactly when its block of the product of two consecutive
 (co)boundaries is zero, and a naturality square when its block of
@@ -65,70 +65,39 @@ def _codim1_pairs(complex_: FilteredComplex):
 
 
 class _Batch:
-    """A sequence of matrices held as same-shape stacks.
+    """A sequence of int64 matrices in one flat entry array.
 
-    Matrix n is stacks[group[n]][slot[n]], and each stack is an int64
-    array of shape (count, rows, cols).
+    Matrix n is rows[n] x cols[n], stored row by row from flat[start[n]];
+    start[n] = -1 marks an empty slot, which entries() skips.
     """
 
-    def __init__(self, stacks, group, slot):
-        self.stacks = list(stacks)
-        self.group = np.asarray(group, dtype=np.int64)
-        self.slot = np.asarray(slot, dtype=np.int64)
+    def __init__(self, flat, start, rows, cols):
+        self.flat, self.start, self.rows, self.cols = flat, start, rows, cols
 
     @classmethod
     def of(cls, matrices) -> "_Batch":
-        """Stack a list of matrices by shape, shapes in first-seen order."""
-        return cls.from_stacks([([n], m[None]) for n, m in enumerate(matrices)])
-
-    @classmethod
-    def from_stacks(cls, parts) -> "_Batch":
-        """Join (members, stack) parts, matrix members[m] being stack[m].
-
-        The members of all parts together number the matrices 0..n-1.
-        Parts of one shape are concatenated into one stack, shapes in
-        first-seen order.
-        """
-        by_shape: dict[tuple, list] = {}
-        for part in parts:
-            by_shape.setdefault(part[1].shape[1:], []).append(part)
-        n = sum(len(members) for members, _ in parts)
-        group = np.zeros(n, dtype=np.int64)
-        slot = np.zeros(n, dtype=np.int64)
-        stacks = []
-        for g, same in enumerate(by_shape.values()):
-            members = np.concatenate([np.asarray(ns, dtype=np.int64) for ns, _ in same])
-            stacks.append(np.concatenate([stack for _, stack in same]))
-            group[members] = g
-            slot[members] = np.arange(len(members))
-        return cls(stacks, group, slot)
-
-    def __len__(self) -> int:
-        return len(self.group)
+        """The given matrices, in order."""
+        shapes = np.array([m.shape for m in matrices], dtype=np.int64).reshape(-1, 2)
+        flat = np.concatenate([np.zeros(0, dtype=np.int64), *(m.ravel() for m in matrices)])
+        rows, cols = shapes.T
+        return cls(flat, _starts(rows * cols), rows, cols)
 
     def __getitem__(self, n: int) -> np.ndarray:
-        return self.stacks[self.group[n]][self.slot[n]]
+        r, c = int(self.rows[n]), int(self.cols[n])
+        return self.flat[self.start[n] : self.start[n] + r * c].reshape(r, c)
 
     def take(self, idx) -> "_Batch":
-        return _Batch(self.stacks, self.group[idx], self.slot[idx])
+        return _Batch(self.flat, self.start[idx], self.rows[idx], self.cols[idx])
 
-    def shapes(self) -> np.ndarray:
-        """An (n, 2) array: the rows and columns of every matrix."""
-        dims = np.array([s.shape[1:] for s in self.stacks], dtype=np.int64)
-        return dims.reshape(-1, 2)[self.group]
-
-
-def _groups(ids):
-    """(value, positions) for each distinct value >= 0 of an int array.
-
-    Values ascend, and so do the positions within each group; a
-    negative id belongs to no group.
-    """
-    ids = np.asarray(ids, dtype=np.int64)
-    order = np.argsort(ids, kind="stable")
-    order = order[ids[order] >= 0]
-    values, starts = np.unique(ids[order], return_index=True)
-    return zip(values.tolist(), np.split(order, starts[1:]))
+    def entries(self):
+        """(n, i, j, value) for every entry of every filled matrix: n
+        ascending, and each matrix row by row."""
+        filled = np.flatnonzero(self.start >= 0)
+        size = (self.rows * self.cols)[filled]
+        n = np.repeat(filled, size)
+        k = np.arange(len(n)) - np.repeat(_starts(size), size)  # the place in its matrix
+        i, j = np.divmod(k, self.cols[n])
+        return n, i, j, self.flat[self.start[n] + k]
 
 
 class _Maps:
@@ -139,7 +108,8 @@ class _Maps:
     is the stored id pair kept, in strays.  keys, the (source id, target
     id) view, is built on first use: a later n replaces an earlier one
     of the same key, which keeps its first place.  The matrices are held
-    stacked by shape and reduced mod p (_Batch); a dict's are copied once.
+    in one flat entry array and reduced mod p (_Batch); a dict's are
+    copied once.
     """
 
     def __init__(self, ids, source, target, batch: _Batch, strays=None):
@@ -177,23 +147,27 @@ class _Maps:
     def transposed(self) -> "_Maps":
         """Every map reversed and every matrix transposed."""
         b = self.batch
-        stacks = [s.transpose(0, 2, 1).copy() for s in b.stacks]
+        n, i, j, value = b.entries()
+        flat = np.zeros_like(b.flat)
+        flat[b.start[n] + j * b.rows[n] + i] = value
         strays = {n: (y, x) for n, (x, y) in self.strays.items()}
-        return _Maps(self.ids, self.target, self.source, _Batch(stacks, b.group, b.slot), strays)
+        batch = _Batch(flat, b.start, b.cols, b.rows)
+        return _Maps(self.ids, self.target, self.source, batch, strays)
 
 
 class _Gathered:
     """A store's maps lined up with the complex's numbered incidences.
 
     batch[n] is the map stored for incidence n, the later of two, when
-    it has the shape the stalks ask for; any other incidence has group
-    -1, which _groups, and so _scatter, skips.  want and have hold each
-    incidence's wanted and stored (rows, cols), have -1 when nothing is
-    stored.  missing marks incidences between two nonzero stalks with no
-    stored map, wrong those whose stored map has another shape, and
-    unmatched lists the stored keys that name no incidence, each once,
-    in key order.  down says the maps run from coface to face.  The
-    holes of a complex that is not closed are neither missing nor wrong.
+    it has the shape the stalks ask for; any other incidence has start
+    -1, which _Batch.entries, and so _scatter, skips.  want and have
+    hold each incidence's wanted and stored (rows, cols), have -1 when
+    nothing is stored; the batch reads its shapes off have.  missing
+    marks incidences between two nonzero stalks with no stored map,
+    wrong those whose stored map has another shape, and unmatched lists
+    the stored keys that name no incidence, each once, in key order.
+    down says the maps run from coface to face.  The holes of a complex
+    that is not closed are neither missing nor wrong.
     """
 
     def __init__(self, complex_: FilteredComplex, maps: _Maps, sizes, down: bool):
@@ -211,14 +185,14 @@ class _Gathered:
         present = where >= 0
         stored = maps.batch.take(where[present])
         self.have = np.full((inc.count, 2), -1, dtype=np.int64)
-        self.have[present] = stored.shapes()
+        self.have[present] = np.stack([stored.rows, stored.cols], axis=1)
         nonzero = (self.want > 0).all(axis=1)
         self.missing = ~present & ~holes & nonzero
         self.wrong = present & (self.have != self.want).any(axis=1)
-        group, slot = np.full((2, inc.count), -1, dtype=np.int64)
+        start = np.full(inc.count, -1, dtype=np.int64)
         ok = present & ~self.wrong
-        group[ok], slot[ok] = stored.group[ok[present]], stored.slot[ok[present]]
-        self.batch = _Batch(maps.batch.stacks, group, slot)
+        start[ok] = stored.start[ok[present]]
+        self.batch = _Batch(maps.batch.flat, start, self.have[:, 0], self.have[:, 1])
 
     @property
     def faulty(self) -> np.ndarray:
@@ -337,29 +311,15 @@ def _starts(sizes) -> np.ndarray:
 
 def _scatter(shape, batch: _Batch, row_off, col_off, negate=None, p=0) -> Columns:
     """batch[n] with its first entry at (row_off[n], col_off[n]), for each
-    n, as Columns of shape; negated mod p where negate[n].
+    filled n, as Columns of shape; negated mod p where negate[n].
 
-    The blocks must not overlap.  The entries of each shape group are
-    laid out with one scatter, and no dense matrix is formed.
+    The blocks must not overlap.  Every entry is laid out with one
+    scatter (_Batch.entries), and no dense matrix is formed.
     """
-    empty = np.zeros(0, dtype=np.int64)
-    entries = [(empty, empty, empty)]
-    for g, members in _groups(batch.group):
-        stack = batch.stacks[g]
-        r, c = stack.shape[1:]
-        if r == 0 or c == 0:
-            continue
-        vals = stack[batch.slot[members]]
-        if negate is not None:
-            odd = negate[members]
-            vals[odd] = (p - vals[odd]) % p
-        rows = row_off[members][:, None, None] + np.arange(r)[:, None]
-        cols = col_off[members][:, None, None] + np.arange(c)
-        entries.append(
-            tuple(np.broadcast_to(a, vals.shape).ravel() for a in (rows, cols, vals))
-        )
-    rows, cols, vals = (np.concatenate(part) for part in zip(*entries))
-    return Columns.from_entries(shape, rows, cols, vals)
+    n, i, j, value = batch.entries()
+    if negate is not None:
+        value = np.where(negate[n], (p - value) % p, value)
+    return Columns.from_entries(shape, row_off[n] + i, col_off[n] + j, value)
 
 
 def _signed_maps(stalks: _CellularStalks) -> list:
@@ -413,28 +373,22 @@ def _restriction_operator(sheaf: CellularSheaf) -> Columns:
 def _incidence_maps(op: Columns, sheaf: CellularSheaf) -> _Maps:
     """The blocks of op, a square operator laid out as
     _restriction_operator(sheaf), as stored maps, one per incidence
-    whose restriction sheaf stores, stacked as sheaf's restrictions are.
+    whose restriction sheaf stores, laid out as sheaf's restrictions are.
 
-    Every entry of op must lie in the block of an incidence.  No dense
-    matrix over all simplices is formed.
+    Every entry of op must lie in the block of such an incidence.  No
+    dense matrix over all simplices is formed.
     """
     inc, batch, sizes = sheaf._gathered.incidences, sheaf._gathered.batch, sheaf._sizes
-    rows = op.indices
     cols = np.repeat(np.arange(op.shape[1]), np.diff(op.indptr))
     at = inc.locate(*_entry_blocks(op, sizes, sizes)[::-1])
-    if (at < 0).any():
+    if (at < 0).any() or (batch.start[at] < 0).any():
         raise AssertionError("an entry lies outside every incidence block")
     start = _starts(sizes)
-    stacks = [np.zeros_like(stack) for stack in batch.stacks]
-    for g, members in _groups(batch.group[at]):
-        hit = at[members]
-        stacks[g][
-            batch.slot[hit],
-            rows[members] - start[inc.coface[hit]],
-            cols[members] - start[inc.face[hit]],
-        ] = op.data[members]
-    n = np.flatnonzero(batch.group >= 0)
-    maps = _Batch(stacks, batch.group[n], batch.slot[n])
+    i, j = op.indices - start[inc.coface[at]], cols - start[inc.face[at]]
+    flat = np.zeros_like(batch.flat)
+    flat[batch.start[at] + i * batch.cols[at] + j] = op.data
+    n = np.flatnonzero(batch.start >= 0)
+    maps = _Batch(flat, batch.start[n], batch.rows[n], batch.cols[n])
     return _Maps(inc.complex._ids, inc.face[n], inc.coface[n], maps)
 
 
@@ -543,7 +497,7 @@ class SheafMorphism:
         ids = self.complex._ids
         rows, cols = self.target._sizes, self.source._sizes
         comps = _Batch.of([self.component(sid) for sid in ids])
-        bad = np.flatnonzero((comps.shapes() != np.stack([rows, cols], axis=1)).any(axis=1))
+        bad = np.flatnonzero((comps.rows != rows) | (comps.cols != cols))
         problems = [
             f"component at {ids[n]!r} has shape {comps[n].shape},"
             f" expected {(int(rows[n]), int(cols[n]))}"
@@ -654,9 +608,10 @@ def constant(complex_: FilteredComplex, d: int) -> CellularSheaf:
     stalks = {s.id: d for s in complex_.simplices}
     inc = complex_.incidences()
     inc.check_closed()
-    stack = np.repeat(identity(d)[None], inc.count, axis=0)
-    every = np.arange(inc.count)
-    maps = _Maps(complex_._ids, inc.face, inc.coface, _Batch([stack], np.zeros_like(every), every))
+    flat = np.tile(identity(d).ravel(), inc.count)
+    dims = np.full(inc.count, d, dtype=np.int64)
+    batch = _Batch(flat, np.arange(inc.count) * d * d, dims, dims)
+    maps = _Maps(complex_._ids, inc.face, inc.coface, batch)
     return CellularSheaf(complex_, stalks, maps)
 
 

@@ -900,6 +900,28 @@ def test_a_degree_far_past_the_top_is_empty_at_once(tmp_path):
         assert (done.returncode, done.stdout, done.stderr) == (0, want, ""), argv
 
 
+def test_a_max_dim_far_past_the_clique_number_stops_at_once(tmp_path):
+    """Cliques stop growing once a dimension has none, so --max-dim 10^9
+    gives the complex, and the bars, of any --max-dim past the clique
+    number (4 here) without walking the dimensions in between."""
+    points = [
+        (0.38, 0.93, "b"), (0.84, 0.21, "b"), (0.87, 0.64, "a"), (0.04, 0.95, "a"),
+        (0.26, 0.31, "b"), (0.42, 0.59, "b"), (0.12, 0.69, "b"), (0.83, 0.51, "a"),
+        (0.79, 0.62, "a"), (0.82, 0.18, "b"),
+    ]
+    cloud = tmp_path / "cloud.csv"
+    cloud.write_text("".join(f"{x},{y},{label}\n" for x, y, label in points))
+    argv = ["labeled", str(cloud), "--thresholds", "0.2,0.35,0.5", "--hom-n", "0"]
+    # the output at --max-dim 5, one past the clique number
+    want = "H^0: [1, inf)\nH^0: [1, inf)\nH^0: [2, inf)\nH^1: (empty)\n"
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    done = subprocess.run(
+        [sys.executable, "-m", "persheaf", *argv, "--max-dim", str(10**9)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, want, "")
+
+
 @pytest.mark.parametrize("command", ["persist-a", "bipersist"])
 def test_each_morphism_batches_its_components_once(capsys, tmp_path, monkeypatch, command):
     """Validation and the block-diagonal matrix read one batch."""
