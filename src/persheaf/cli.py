@@ -15,12 +15,15 @@ its maps is reduced once for every step.
 
 Importing this module pins OpenBLAS to one thread, unless the caller
 has set OPENBLAS_NUM_THREADS: nothing here runs BLAS, and its thread
-pool would only slow start-up.
+pool would only slow start-up.  It then freezes the objects its
+imports made (gc.freeze), so no later collection walks them; what a
+job builds is still collected.  Importing the library does neither.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import sys
@@ -48,6 +51,11 @@ from .linalg import Field, _is_prime
 from .persistence import barcodes_equal
 from .sheaves import validate_diagram, validate_sheaf
 from .typet import type_t_direct_by_degree, type_t_graded_by_degree
+
+# A CLI process runs one job, and what the imports above made lives
+# until it exits: frozen, no collection walks it again.  What the job
+# builds is collected as usual.
+gc.freeze()
 
 __all__ = ["main", "entry"]
 

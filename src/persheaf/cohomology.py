@@ -121,7 +121,7 @@ class _Stacked:
     def offset(self, k: int, sid: str) -> int:
         """Where the block of the k-simplex sid starts in degree k."""
         at = self.complex._position[sid]
-        if self.complex.simplices[at].dim != k:
+        if self.complex._dim_at(at) != k:
             raise KeyError(f"{sid!r} is not a {k}-simplex")
         return self._ends[at] - self._starts[k]
 
@@ -185,9 +185,15 @@ def _subquotient(space, k: int) -> QuotientBasis:
 
 
 def _flip(m: Columns) -> Columns:
-    """m with its rows in reverse order, each column's still ascending."""
-    cols = np.repeat(np.arange(m.shape[1]), np.diff(m.indptr))
-    return Columns.from_entries(m.shape, m.shape[0] - 1 - m.indices, cols, m.data)
+    """m with its rows in reverse order, each column's still ascending.
+
+    Read backward, m's entries are its columns in reverse order, each
+    column's rows descending, so flipped ascending: taking the columns
+    back in order needs no sort.
+    """
+    rows = m.shape[0] - 1 - m.indices[::-1]
+    back = Columns(m.shape, m.indptr[-1] - m.indptr[::-1], rows, m.data[::-1])
+    return back.take(np.arange(m.shape[1] - 1, -1, -1))
 
 
 def _step_bases(cochains: CochainComplex, degrees) -> dict:

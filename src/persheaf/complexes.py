@@ -6,7 +6,9 @@ one (n_k, k+1) int64 array of vertex ranks.  One stable argsort of
 packed (dimension, entry, vertex list) rows gives the global order, in
 which every cochain or chain basis downstream is laid out.  Entry
 indices record the filtration step at which a simplex appears; a plain
-complex is the special case steps = 1, all entries 0.
+complex is the special case steps = 1, all entries 0.  Simplex objects
+not given are made from the arrays when first asked for (simplices,
+by_id); validation and the layout of every map never ask.
 
 Row t of face_table(k), matched on packed vertex rows, holds the
 positions of the faces of the t-th k-simplex, by omitted vertex.
@@ -108,10 +110,14 @@ def _first_match(keys: np.ndarray, wanted: np.ndarray) -> np.ndarray:
 class FilteredComplex:
     """Simplices keyed by id, ordered by (dimension, entry, vertex list).
 
-    simplices are Simplex objects, kept as given, or _SimplexLists, made
-    into Simplex objects once without rerunning their checks.  _rows[k]
-    holds the k-simplices' vertex ranks in order, _keys every entry
-    rank, _bounds[k] the position of the first k-simplex.
+    simplices are Simplex objects, kept as given, or _SimplexLists.
+    Either way the complex is held as arrays in the global order: _ids,
+    _rows[k] the k-simplices' vertex ranks, _keys every entry rank, with
+    _labels and _entry_values the values of the ranks, and _bounds[k]
+    the position of the first k-simplex.  Simplex objects not given are
+    made from the arrays on first use (simplices, by_id,
+    simplices_of_dim), without rerunning their checks; validate() and
+    the layout downstream read the arrays only.
     """
 
     def __init__(self, field: Field, simplices, steps: int | None = None):
@@ -134,24 +140,49 @@ class FilteredComplex:
         self._keys = keys[order]
         pick = order.tolist()
         self._ids = list(map(ids.__getitem__, pick))
-        if given is None:  # set as Simplex.__init__ does, so instances share keys
-            given, new, set_ = [], object.__new__, object.__setattr__
-            for sid, v, e in zip(ids, vertices, entries):
-                s = new(Simplex)
-                set_(s, "id", sid)
-                set_(s, "vertices", tuple(v))
-                set_(s, "entry", e)
-                given.append(s)
-        self._order = tuple(map(given.__getitem__, pick))
-        self.by_id: dict[str, Simplex] = dict(zip(self._ids, self._order))
-        if len(self.by_id) < n:
+        if len(set(self._ids)) < n:
             seen = set()  # add returns None, so next finds the first repeat
             again = next(sid for sid in self._ids if sid in seen or seen.add(sid))
             raise ValueError(f"duplicate simplex id {again!r}")
+        if given is not None:
+            self._order = tuple(map(given.__getitem__, pick))
         self.steps = int(1 + max(entries, default=0) if steps is None else steps)
-        self._by_dim = {k: self._order[b[k] : b[k + 1]] for k in self._rows}
         self._sub_cache: dict[int, FilteredComplex] = {}
         self._face_tables: dict[int, np.ndarray] = {}
+
+    @cached_property
+    def _order(self) -> tuple:
+        """The Simplex objects in the global order, made from the arrays;
+        set as Simplex.__init__ does, so instances share keys."""
+        labels, new, set_ = self._labels, object.__new__, object.__setattr__
+        rows = chain.from_iterable(r.tolist() for r in self._rows.values())
+        entries = map(self._entry_values.__getitem__, self._keys.tolist())
+        order = []
+        for sid, row, e in zip(self._ids, rows, entries):
+            s = new(Simplex)
+            set_(s, "id", sid)
+            set_(s, "vertices", tuple(map(labels.__getitem__, row)))
+            set_(s, "entry", e)
+            order.append(s)
+        return tuple(order)
+
+    @cached_property
+    def by_id(self) -> dict:
+        return dict(zip(self._ids, self._order))
+
+    @cached_property
+    def _by_dim(self) -> dict:
+        b = self._bounds
+        return {k: self._order[b[k] : b[k + 1]] for k in self._rows}
+
+    def _dim_at(self, n: int) -> int:
+        """The dimension of the simplex at global position n."""
+        return bisect_right(self._bounds, n) - 1
+
+    def _vertices_at(self, n: int) -> tuple:
+        """The vertex labels of the simplex at global position n."""
+        k = self._dim_at(n)
+        return tuple(map(self._labels.__getitem__, self._rows[k][n - self._bounds[k]].tolist()))
 
     @property
     def simplices(self) -> tuple:
@@ -229,34 +260,33 @@ class FilteredComplex:
 
         Masks over the arrays find the simplices with a problem; those
         are then reported one by one, in the global order, after a step
-        count below 1.
+        count below 1.  Only the arrays are read.
         """
-        b, keys, sims, inc = self._bounds, self._keys, self._order, self.incidences()
-        first = np.arange(len(sims))  # the first simplex of each vertex set
+        b, keys, ids, inc = self._bounds, self._keys, self._ids, self.incidences()
+        first = np.arange(len(ids))  # the first simplex of each vertex set
         for k, rows in self._rows.items():
             row_keys = _row_keys(rows)
             first[b[k] : b[k + 1]] = b[k] + _first_match(row_keys, row_keys)
         lo, hi = (bisect_left(self._entry_values, e) for e in (0, self.steps))
-        bad = (first != np.arange(len(sims))) | (keys < lo) | (keys >= hi)
+        bad = (first != np.arange(len(ids))) | (keys < lo) | (keys >= hi)
         bad[inc.coface[(inc.face < 0) | (keys[inc.face] > keys[inc.coface])]] = True
         problems = [f"steps must be at least 1, got {self.steps}"] if self.steps < 1 else []
         for n in np.flatnonzero(bad).tolist():
-            s, twin, k = sims[n], sims[first[n]], sims[n].dim
-            if twin is not s:
+            sid, k, vertices = ids[n], self._dim_at(n), self._vertices_at(n)
+            if first[n] != n:
                 problems.append(
-                    f"simplices {twin.id!r} and {s.id!r} share the vertex set {list(s.vertices)}"
+                    f"simplices {ids[first[n]]!r} and {sid!r} share the vertex set {list(vertices)}"
                 )
-            if not 0 <= s.entry < self.steps:
-                problems.append(f"entry {s.entry} of {s.id!r} is outside 0..{self.steps - 1}")
+            entry = self._entry_values[keys[n]]
+            if not 0 <= entry < self.steps:
+                problems.append(f"entry {entry} of {sid!r} is outside 0..{self.steps - 1}")
             at = inc.start.get(k, 0) + (k + 1) * (n - b[k])  # its first incidence
             for i, f in enumerate(inc.face[at : at + k + 1].tolist() if k else ()):
                 if f < 0:
-                    fv = s.vertices[:i] + s.vertices[i + 1 :]
-                    problems.append(f"missing face {list(fv)} of {s.id!r}")
+                    fv = vertices[:i] + vertices[i + 1 :]
+                    problems.append(f"missing face {list(fv)} of {sid!r}")
                 elif keys[f] > keys[n]:
-                    problems.append(
-                        f"entry of face {sims[f].id!r} exceeds entry of coface {s.id!r}"
-                    )
+                    problems.append(f"entry of face {ids[f]!r} exceeds entry of coface {sid!r}")
         return problems
 
     def subcomplex(self, step: int) -> "FilteredComplex":
@@ -320,9 +350,9 @@ class Incidences:
         """Raise ValueError naming the first missing face, if any."""
         holes = np.flatnonzero(self.face < 0).tolist()
         if holes:
-            t, i = self.complex.simplices[self.coface[holes[0]]], int(self.omitted[holes[0]])
-            fv = t.vertices[:i] + t.vertices[i + 1 :]
-            raise ValueError(f"missing face {list(fv)} of {t.id!r}")
+            x, t, i = self.complex, int(self.coface[holes[0]]), int(self.omitted[holes[0]])
+            tv = x._vertices_at(t)
+            raise ValueError(f"missing face {list(tv[:i] + tv[i + 1 :])} of {x._ids[t]!r}")
 
 
 class SimplicialMap:

@@ -268,7 +268,7 @@ def _power_problems(stalks: _Graded) -> list:
     row.  Every stored entry is checked at once (_Batch.entries)."""
     gathered = stalks._gathered
     inc = gathered.incidences
-    sims = stalks.complex.simplices
+    ids = stalks.complex._ids
     source, target = (inc.coface, inc.face) if stalks._down else (inc.face, inc.coface)
     # entry (i, j) of a map stands for t^(col degree j - row degree i)
     degree, first = stalks._degree_array, _starts(stalks._sizes)
@@ -277,7 +277,7 @@ def _power_problems(stalks: _Graded) -> list:
     bad, at = np.unique(n[negative], return_index=True)
     i, j = i[negative][at], j[negative][at]
     return [
-        f"{sims[source[m]].id!r} -> {sims[target[m]].id!r}: entry ({a}, {b})"
+        f"{ids[source[m]]!r} -> {ids[target[m]]!r}: entry ({a}, {b})"
         " would need a negative t-power"
         for m, a, b in zip(bad.tolist(), i.tolist(), j.tolist())
     ]

@@ -201,10 +201,10 @@ class _Gathered:
     def shape_problems(self, label: str) -> list:
         """Missing and mis-shaped maps, in incidence order."""
         inc = self.incidences
-        sims = inc.complex.simplices
+        ids = inc.complex._ids
         out = []
         for n in np.flatnonzero(self.faulty).tolist():
-            f, t = sims[inc.face[n]].id, sims[inc.coface[n]].id
+            f, t = ids[inc.face[n]], ids[inc.coface[n]]
             if self.missing[n]:
                 out.append(f"missing {label} for {f!r} -> {t!r}")
             else:
@@ -215,13 +215,16 @@ class _Gathered:
 
     def stray_problems(self) -> list:
         """Stored keys that name no codimension-1 incidence, in key order."""
-        by_id = self.incidences.complex.by_id
+        if not self.unmatched:
+            return []
+        x = self.incidences.complex
+        pairs = [(t, s) if self.down else (s, t) for s, t in self.unmatched]
+        at = x.positions([f for f, _ in pairs] + [t for _, t in pairs]).reshape(2, -1)
         out = []
-        for source, target in self.unmatched:
-            fid, cid = (target, source) if self.down else (source, target)
-            f, t = by_id.get(fid), by_id.get(cid)
-            if f is None or t is None or not (
-                f.dim + 1 == t.dim and set(f.vertices) <= set(t.vertices)
+        for (source, target), f, t in zip(self.unmatched, *at.tolist()):
+            if min(f, t) < 0 or not (
+                x._dim_at(f) + 1 == x._dim_at(t)
+                and set(x._vertices_at(f)) <= set(x._vertices_at(t))
             ):
                 out.append(f"{source!r} -> {target!r} is not a codimension-1 incidence")
         return out
@@ -436,12 +439,12 @@ def _diamond_problems(stalks: _CellularStalks) -> list:
         t_of, q_of = np.divmod(rows, len(i))
         n = len(low_sizes)
         bad = _first_match(t_at * n + s_at, t_of * n + s.ravel()[rows]) >= 0
-        cof, mid, low = (x.simplices_of_dim(q) for q in (k, k - 1, k - 2))
+        cof, mid, low = (x._ids[b[q] : b[q + 1]] for q in (k, k - 1, k - 2))
         for t, q in zip(t_of[bad].tolist(), q_of[bad].tolist()):
             a, z = (cof[t], low[s[t, q]]) if down else (low[s[t, q]], cof[t])
             problems.append(
-                f"diamond {a.id!r} -> {z.id!r} does not commute"
-                f" (via {mid[ra[t, q]].id!r} vs {mid[rb[t, q]].id!r})"
+                f"diamond {a!r} -> {z!r} does not commute"
+                f" (via {mid[ra[t, q]]!r} vs {mid[rb[t, q]]!r})"
             )
     return problems
 
@@ -537,10 +540,11 @@ def validate_morphism(phi: SheafMorphism) -> list:
     that sheaf's validation.
     """
     x = phi.complex
+    at = x.positions(list(phi._component)).tolist()
     problems = phi._components[3] + [
         f"component stored under {sid!r}, which names no simplex"
-        for sid in phi._component
-        if sid not in x.by_id
+        for sid, n in zip(phi._component, at)
+        if n < 0
     ]
     if problems:
         return problems
@@ -552,9 +556,9 @@ def validate_morphism(phi: SheafMorphism) -> list:
     fails = np.zeros(inc.count, dtype=bool)
     fails[inc.locate(f, t)] = True
     fails &= ~source._gathered.faulty & ~target._gathered.faulty
-    sims = x.simplices
+    ids = x._ids
     return [
-        f"naturality fails across {sims[inc.face[n]].id!r} -> {sims[inc.coface[n]].id!r}"
+        f"naturality fails across {ids[inc.face[n]]!r} -> {ids[inc.coface[n]]!r}"
         for n in np.flatnonzero(fails).tolist()
     ]
 

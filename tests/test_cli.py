@@ -1435,6 +1435,34 @@ def test_cli_import_starts_no_thread():
     assert _fresh_python(code, OPENBLAS_NUM_THREADS=None) == (0, "1\n", "")
 
 
+def test_cli_import_freezes_its_heap_and_still_collects():
+    code = (
+        "import gc, weakref, persheaf.cli\n"
+        "print(gc.get_freeze_count() > 0, gc.isenabled())\n"
+        "class Node: pass\n"
+        "node = Node()\n"
+        "node.me = node\n"
+        "gone = weakref.ref(node)\n"
+        "del node\n"
+        "gc.collect()\n"
+        "print(gone() is None)\n"
+    )
+    assert _fresh_python(code) == (0, "True True\nTrue\n", "")
+
+
+def test_library_imports_freeze_nothing():
+    code = (
+        "import gc, importlib, pkgutil, sys, persheaf\n"
+        "names = {m.name for m in pkgutil.iter_modules(persheaf.__path__)}\n"
+        "for name in sorted(names - {'cli', '__main__'}):\n"
+        "    importlib.import_module(f'persheaf.{name}')\n"
+        "print(len(names), 'persheaf.cli' in sys.modules, gc.get_freeze_count())\n"
+    )
+    package = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src", "persheaf")
+    modules = [n for n in os.listdir(package) if n.endswith(".py") and n != "__init__.py"]
+    assert _fresh_python(code) == (0, f"{len(modules)} False 0\n", "")
+
+
 def test_package_names_load_on_first_use():
     code = (
         "import persheaf\n"
@@ -1477,6 +1505,26 @@ def test_vertex_labels_only_need_an_order(capsys, tmp_path, backward_rips, shift
     plain = _persist_t(capsys, tmp_path, data, sheaf)
     assert plain[0] == 0 and plain[1].startswith("H^0: [0, ")
     assert _persist_t(capsys, tmp_path, shifted, sheaf) == plain
+
+
+def test_a_valid_direct_job_makes_no_simplex_object(tmp_path, backward_rips):
+    data, sheaf = backward_rips
+    path = tmp_path / "complex.json"
+    path.write_text(json.dumps(data))
+    code = (
+        "import gc\n"
+        "from persheaf.complexes import Simplex\n"
+        "from persheaf.formats import parse_complex, parse_sheaf\n"
+        "from persheaf.sheaves import validate_sheaf\n"
+        "from persheaf.typet import type_t_direct_by_degree\n"
+        f"x = parse_complex({str(path)!r})\n"
+        f"sheaf = parse_sheaf({sheaf!r}, x)\n"
+        "print(x.validate(), validate_sheaf(sheaf))\n"
+        "bars = type_t_direct_by_degree(sheaf, range(x.dim + 1))\n"
+        "print(len(bars), '_order' in vars(x))\n"
+        "print(sum(isinstance(o, Simplex) for o in gc.get_objects()))\n"
+    )
+    assert _fresh_python(code) == (0, "[] []\n3 False\n0\n", "")
 
 
 def test_entry_past_int64_is_invalid_input(capsys, tmp_path, backward_rips):

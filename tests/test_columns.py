@@ -207,3 +207,29 @@ def test_sparse_product_matches_the_dense_one(p):
     assert zero_products >= 40
     with pytest.raises(ValueError, match="cannot multiply"):
         _mulcols(field.sparse(zeros(2, 3)), field.sparse(zeros(2, 3)), p)
+
+
+@pytest.mark.parametrize("p", [2, 2**31 - 1])
+def test_flip_reverses_the_rows_and_keeps_each_column_ascending(p):
+    """_flip reads the entries backward instead of sorting them; on random
+    Columns, with empty columns and empty shapes, it is the dense row
+    reversal, every column strictly ascending."""
+    field = Field(p)
+    rng = np.random.default_rng(90 + p % 1000)
+    shapes = [(0, 0), (0, 3), (3, 0), (1, 1)]
+    shapes += [tuple(int(n) for n in rng.integers(1, 15, size=2)) for _ in range(60)]
+    empty_columns = 0
+    for rows, cols in shapes:
+        m = random_matrix(rng, p, rows, cols) if rows and cols else zeros(rows, cols)
+        m[:, rng.random(cols) < 0.3] = 0
+        empty_columns += int((~m.any(axis=0)).sum())
+        flipped = _flip(field.sparse(m))
+        assert flipped.shape == m.shape
+        assert np.array_equal(flipped.dense(), m[::-1])
+        assert flipped.indptr.tolist() == field.sparse(m[::-1]).indptr.tolist()
+        for j in range(cols):
+            column = flipped.indices[flipped.indptr[j] : flipped.indptr[j + 1]]
+            assert (np.diff(column) > 0).all()
+        for name in ("indptr", "indices", "data"):
+            assert getattr(flipped, name).dtype == np.int64
+    assert empty_columns >= 20

@@ -5,7 +5,10 @@ arrays.  tests/perincidence.py walks a plain list of simplices one at a
 time instead.  Random complexes, each broken by one mutation, are
 built from Simplex objects and through the JSON parser, and the global
 order, the face tables and the problem lists are compared with the
-references, message for message, at p in {2, 3, 2^31 - 1}.
+references, message for message, at p in {2, 3, 2^31 - 1}.  Built
+from parallel lists, a complex makes its Simplex objects on first use:
+they match those built from Simplex objects, and no check of the
+complex or of a sheaf on it makes one.
 """
 
 import json
@@ -17,8 +20,17 @@ import pytest
 
 import perincidence as ref
 from builders import closure
-from genrandom import random_complex
-from persheaf import CellularSheaf, Field, FilteredComplex, Simplex, complexes, validate_sheaf
+from genrandom import random_complex, random_sheaf
+from persheaf import (
+    CellularCosheaf,
+    CellularSheaf,
+    Field,
+    FilteredComplex,
+    Simplex,
+    complexes,
+    validate_cosheaf,
+    validate_sheaf,
+)
 from persheaf.formats import complex_from_data
 
 PRIMES = [2, 3, 2**31 - 1]
@@ -224,3 +236,118 @@ def test_omitted_stalks_are_zero():
     sheaf = CellularSheaf(x, {"0": 2}, {})
     assert sheaf.stalk_dim == {s.id: 2 if s.id == "0" else 0 for s in x.simplices}
     assert sheaf._sizes.tolist() == [2, 0, 0, 0, 0, 0, 0]
+
+
+def _lists(sims):
+    """The simplices as the parser hands them over: parallel lists."""
+    return complexes._SimplexLists(
+        [s.id for s in sims], [list(s.vertices) for s in sims], [s.entry for s in sims]
+    )
+
+
+def _relabeled_by(sims, shift, scale):
+    return [
+        Simplex(s.id, tuple(scale * v + shift for v in s.vertices), s.entry) for s in sims
+    ]
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_simplex_objects_are_made_on_first_use(p):
+    # labels past int64 take _ranked's fallback; negative ones rank below 0
+    rng = random.Random(f"{p}-lazy")
+    field = Field(p)
+    for shift, scale in [(0, 1), (-5, 1), (-(2**70), 7), (2**70, 2**40)]:
+        for _ in range(8):
+            base = random_complex(rng, field, max_simplices=rng.randint(1, 40))
+            sims, steps = _shuffled(rng, _relabeled_by(base.simplices, shift, scale), base.steps)
+            if rng.random() < 0.5:
+                sims, steps = _repeated_vertex_set(rng, sims, steps)
+            given = FilteredComplex(field, sims, steps)
+            lists = FilteredComplex(field, _lists(sims), steps)
+            parsed = complex_from_data(_data(field, sims, steps))
+            assert "_order" not in vars(lists)
+            # past int64 the parser checks each simplex as a Simplex, and keeps it
+            assert ("_order" in vars(parsed)) == (abs(shift) >= 2**63)
+            for x in (lists, parsed):
+                assert x.simplices == given.simplices
+                assert x.by_id == given.by_id
+                for k in range(-1, x.dim + 2):
+                    assert x.simplices_of_dim(k) == given.simplices_of_dim(k)
+                assert all(
+                    type(v) is int and type(s.entry) is int
+                    for s in x.simplices for v in s.vertices
+                )
+                assert "_order" in vars(x)
+            # objects passed in come back as themselves
+            assert sorted(map(id, given.simplices)) == sorted(map(id, sims))
+            assert all(given.by_id[s.id] is s for s in sims)
+            for k in range(given.dim + 1):
+                assert all(given.by_id[s.id] is s for s in given.simplices_of_dim(k))
+
+
+def _broken_stores(rng, x):
+    """(stalks, maps) of a valid random sheaf on x, then of copies with
+    missing, mis-shaped and stray maps and stray stalks."""
+    sheaf = random_sheaf(rng, x, max_total=4)
+    stalks, restr = sheaf.stalk_dim, sheaf._maps.as_dict()
+    yield stalks, restr
+    keys = sorted(restr)
+    if keys:
+        dropped = set(rng.sample(keys, min(2, len(keys))))
+        yield stalks, {k: m for k, m in restr.items() if k not in dropped}
+        key = rng.choice(keys)
+        yield stalks, {**restr, key: np.vstack([restr[key], restr[key][:1]])}
+    vertices, edges = x.simplices_of_dim(0), x.simplices_of_dim(1)
+    stray = dict(restr)
+    one = np.zeros((1, 1), dtype=np.int64)
+    for v in vertices:
+        stray[(v.id, v.id)] = stray[("nowhere", v.id)] = stray[(v.id, "nowhere")] = one
+        for e in edges:
+            if v.vertices[0] not in e.vertices:
+                stray[(v.id, e.id)] = stray[(e.id, v.id)] = one
+    yield stalks, stray
+    yield {**stalks, "nope": 1, "gone": 0}, restr
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_problems_are_worded_without_simplex_objects(p):
+    """Every problem message of a complex, a sheaf and a cosheaf built
+    from parallel lists is the reference's, and none made a Simplex."""
+    rng = random.Random(f"{p}-worded")
+    field = Field(p)
+    kinds = set()
+    for mutation in sorted(MUTATIONS):
+        for _ in range(6):
+            base = random_complex(rng, field, max_simplices=rng.randint(1, 40))
+            sims, steps = MUTATIONS[mutation](rng, list(base.simplices), base.steps)
+            duplicate = ref.duplicate_id(sims)
+            for build in (
+                lambda: FilteredComplex(field, _lists(sims), steps),
+                lambda: complex_from_data(_data(field, sims, steps)),
+            ):
+                if duplicate is not None:
+                    with pytest.raises(ValueError) as err:
+                        build()
+                    assert str(err.value) == duplicate
+                    kinds.add("duplicate")
+                    continue
+                x = build()
+                had = "_order" in vars(x)  # as the parser keeps them past int64
+                got = x.validate()
+                assert ("_order" in vars(x)) == had
+                assert got == ref.validate_complex(sims, steps)
+                kinds.update(m.split(" ")[0] for m in got)
+    for _ in range(10):
+        base = random_complex(rng, field, max_simplices=rng.randint(2, 40))
+        for stalks, restr in _broken_stores(rng, base):
+            x = FilteredComplex(field, _lists(base.simplices), base.steps)
+            sheaf = CellularSheaf(x, stalks, restr)
+            ext = {(t, f): m.T for (f, t), m in restr.items()}
+            cosheaf = CellularCosheaf(x, stalks, ext)
+            got, co_got = validate_sheaf(sheaf), validate_cosheaf(cosheaf)
+            assert "_order" not in vars(x)
+            assert got == ref.validate_sheaf(CellularSheaf(base, stalks, restr))
+            assert co_got == ref.validate_cosheaf(CellularCosheaf(base, stalks, ext))
+            kinds.update(word for m in got + co_got for word in m.split(" "))
+    assert {"duplicate", "simplices", "entry", "missing", "restriction", "extension"} <= kinds
+    assert {"shape", "codimension-1", "stalk"} <= kinds
