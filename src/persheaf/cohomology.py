@@ -501,7 +501,7 @@ def persistent_cohomology(diagram: SheafDiagram, k: int):
     """Pointwise persistence of H^k along a diagram of sheaf morphisms.
 
     Returns the persistence module of induced maps together with its
-    rank-formula barcode.
+    barcode, from the pointwise sweep (persistence.decompose_by_ranks).
     """
     _check_diagram(diagram)
     return persistent_cohomology_by_degree(diagram, [k])[k]

@@ -16,15 +16,15 @@ later column whose low collides with it (the standard persistence
 reduction of PHAT and Ripser), so equal inputs always produce equal
 bases.  All the fixture matrices downstream depend on that
 determinism.  The based (co)homology of cohomology.py runs it with
-clearing on the stored columns, and the rank table of persistence.py
-on its sparse composites, and the graded engine on its (co)boundaries
+clearing on the stored columns, the sweep of persistence.py on each
+map applied to a basis, and the graded engine on its (co)boundaries
 in degree order; rank, kernel_basis, image_basis and solve reach it
 through one conversion, Field.sparse, and the diagram conversion hands
 it Columns directly, through Field._solve, the sparse core of solve.
 
 _mulcols is the one product, Columns by Columns: every term is reduced
 mod p before one segmented sum, so it is exact in int64 for every
-p < 2^31 with no limb split.  The induced maps, the rank table, the
+p < 2^31 with no limb split.  The induced maps, the sweep, the
 commutativity check of a grid, the diagram conversion, the graded
 engine's check that consecutive maps compose to zero, and the diamond
 and naturality checks of sheaves.py all multiply with it, and

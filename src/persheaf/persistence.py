@@ -2,17 +2,19 @@
 
 A module of length m is a chain of F_p spaces joined by forward maps;
 a copersistence module runs the maps backward.  The maps are held as
-linalg.Columns.  Decomposition is by the rank formula: bar
-multiplicities are an inclusion-exclusion over ranks of composite
-maps, which are sparse products (linalg._mulcols) ranked by the one
-column reduction.  The diagram is implicitly continued to the right by
-identity maps, so a class alive at the last index belongs to an
-unbounded bar, written (a, None).
+linalg.Columns.  Decomposition is the left-to-right reduction with the
+elder rule (Zomorodian and Carlsson, "Computing persistent homology",
+DCG 2005): a basis of each space, oldest class first, is pushed through
+the next map, the one column reduction finds which classes die there,
+and unit vectors complete the image to a basis of the next space.  The
+diagram is implicitly continued to the right by identity maps, so a
+class alive at the last index belongs to an unbounded bar, written
+(a, None).
 """
 
 from __future__ import annotations
 
-from .linalg import Field, _mulcols
+from .linalg import Columns, Field, _hstack, _mulcols
 
 __all__ = [
     "Barcode",
@@ -145,52 +147,31 @@ class CopersistenceModule(_Module):
         return PersistenceModule(self.field, self.dims, [m.transposed() for m in self.maps])
 
 
-def _composite_ranks(module: PersistenceModule) -> list:
-    """r[a][b] = rank of the composite map a -> b, r[a][a] = dims[a].
-
-    Row a starts from maps[a] itself and goes on from the reduced pivot
-    columns of each composite, a basis of its image, so a module of
-    length m makes (m-1)(m-2)/2 sparse products, none with an identity,
-    and each is only as wide as the rank before it.
-    """
-    m = module.length
-    field = module.field
-    r = [[0] * m for _ in range(m)]
-    for a in range(m):
-        r[a][a] = module.dims[a]
-        image = None
-        for b in range(a + 1, m):
-            step = module.maps[b - 1]
-            comp = step if image is None else _mulcols(step, image, field.p)
-            image = field._column_echelon(comp).reduced
-            r[a][b] = image.shape[1]
-    return r
-
-
 def decompose_by_ranks(module: PersistenceModule) -> Barcode:
-    """Interval decomposition via the rank formula.
+    """Interval decomposition by one left-to-right sweep.
 
-    mult[a, b] = r(a,b) - r(a-1,b) - r(a,b+1) + r(a-1,b+1) for b below
-    the last index; classes alive at the last index become unbounded
-    bars with multiplicity r(a, m-1) - r(a-1, m-1).
+    basis spans the current space, oldest class first, with one birth
+    per column; at index 0 it is the identity, so maps[0] is reduced as
+    it is.  Each map is applied to basis and reduced once: a column
+    that reduces to zero dies there, and the reduced pivot columns keep
+    their births as a basis of the image.  Unit vectors at the rows
+    that own no pivot complete it to a basis of the next space, born
+    there.
     """
-    m = module.length
-    table = _composite_ranks(module)
-
-    def r(a, b):
-        return 0 if a < 0 else table[a][b]
-
+    field = module.field
+    births = [0] * module.dims[0]
+    basis = None
     bars = []
-    for a in range(m):
-        for b in range(a, m - 1):
-            mult = r(a, b) - r(a - 1, b) - r(a, b + 1) + r(a - 1, b + 1)
-            if mult < 0:
-                raise AssertionError(f"negative multiplicity at [{a}, {b}]")
-            bars.extend([(a, b)] * mult)
-        mult = r(a, m - 1) - r(a - 1, m - 1)
-        if mult < 0:
-            raise AssertionError(f"negative multiplicity at [{a}, inf)")
-        bars.extend([(a, None)] * mult)
+    for i, step in enumerate(module.maps):
+        image = step if basis is None else _mulcols(step, basis, field.p)
+        found = field._column_echelon(image)
+        bars.extend((births[j], i) for j in found.zero)
+        births = [births[j] for j in found.pivots.values()]
+        rows = step.shape[0]
+        fresh = Columns.units(rows, [r for r in range(rows) if r not in found.pivots])
+        basis = _hstack(found.reduced, fresh)
+        births += [i + 1] * fresh.shape[1]
+    bars.extend((a, None) for a in births)
     return Barcode(bars)
 
 

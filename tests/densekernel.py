@@ -25,12 +25,16 @@ sum reaches 2^63, after the delayed-reduction products of Dumas,
 Giorgi and Pernet ("Dense linear algebra over word-size prime fields:
 the FFLAS and FFPACK packages", ACM TOMS 2008).
 
-coords and composite_ranks are the dense class arithmetic that the
-sparse QuotientBasis.coords and persistence._composite_ranks replaced:
-a back-substitution that updates every vector at once with row
-operations, and a rank table of dense composites.  Coordinates in a
-fixed basis are unique, so the tests require equal coordinates, entry
-for entry, and equal rank tables.  Nothing here calls the package.
+coords is the dense back-substitution that the sparse
+QuotientBasis.coords replaced: it updates every vector at once with row
+operations.  Coordinates in a fixed basis are unique, so the tests
+require equal coordinates, entry for entry.
+
+rank_formula_bars is the interval decomposition that the sweep of
+persistence.decompose_by_ranks replaced: an inclusion-exclusion over
+composite_ranks, a table of the ranks of dense composites.  A barcode
+is unique, so the tests require equal bars.  Nothing here calls the
+package.
 """
 
 import numpy as np
@@ -231,3 +235,29 @@ def composite_ranks(p, dims, maps):
             comp = step if comp is None else matmul(p, step, comp)
             r[a][b] = len(column_echelon(p, comp)[2])
     return r
+
+
+def rank_formula_bars(p, dims, maps):
+    """The bars (a, b) of the forward module, by the rank formula.
+
+    mult[a, b] = r(a,b) - r(a-1,b) - r(a,b+1) + r(a-1,b+1) for b below
+    the last index, with r = composite_ranks and r(-1, .) = 0; classes
+    alive at the last index are the unbounded bars (a, None), with
+    multiplicity r(a, m-1) - r(a-1, m-1).
+    """
+    m = len(dims)
+    table = composite_ranks(p, dims, maps)
+
+    def r(a, b):
+        return 0 if a < 0 else table[a][b]
+
+    bars = []
+    for a in range(m):
+        for b in range(a, m - 1):
+            mult = r(a, b) - r(a - 1, b) - r(a, b + 1) + r(a - 1, b + 1)
+            assert mult >= 0, f"negative multiplicity at [{a}, {b}]"
+            bars.extend([(a, b)] * mult)
+        mult = r(a, m - 1) - r(a - 1, m - 1)
+        assert mult >= 0, f"negative multiplicity at [{a}, inf)"
+        bars.extend([(a, None)] * mult)
+    return bars

@@ -49,6 +49,21 @@ def type_t_maps(sheaf, k):
     return bases, maps
 
 
+def diagram_at_step(diagram, i):
+    """The diagram pulled back to the step-i subcomplex: every snapshot
+    and every morphism restricted to it."""
+    incl = diagram.complex.step_inclusion(i)
+    restricted = [pullback(incl, snap) for snap in diagram.snapshots]
+    ids = [s.id for s in incl.source.simplices]
+    steps = [
+        SheafMorphism(
+            restricted[j], restricted[j + 1], {sid: phi.component(sid) for sid in ids}
+        )
+        for j, phi in enumerate(diagram.steps)
+    ]
+    return SheafDiagram(restricted, steps)
+
+
 def grid_maps(diagram, k):
     """(bases, hmaps, vmaps) of the H^k grid, one complex per grid position;
     row u is step steps - 1 - u."""
@@ -56,21 +71,11 @@ def grid_maps(diagram, k):
     mt = x.steps
     bases, hmaps = [], []
     for u in range(mt):
-        i = mt - 1 - u
-        restricted = [pullback(x.step_inclusion(i), snap) for snap in diagram.snapshots]
-        row = [cohomology_basis(pb, k, CochainComplex(pb)) for pb in restricted]
-        ids = [s.id for s in x.subcomplex(i).simplices]
+        pulled = diagram_at_step(diagram, mt - 1 - u)
+        row = [cohomology_basis(pb, k, CochainComplex(pb)) for pb in pulled.snapshots]
         hmaps.append([
-            induced_by_sheaf_morphism(
-                SheafMorphism(
-                    restricted[j],
-                    restricted[j + 1],
-                    {sid: phi.component(sid) for sid in ids},
-                ),
-                source_basis=row[j],
-                target_basis=row[j + 1],
-            )
-            for j, phi in enumerate(diagram.steps)
+            induced_by_sheaf_morphism(phi, source_basis=row[j], target_basis=row[j + 1])
+            for j, phi in enumerate(pulled.steps)
         ])
         bases.append(row)
     vmaps = [

@@ -149,7 +149,7 @@ def test_square_constant_backward_persistence():
 
 @pytest.mark.parametrize("seed", range(10))
 def test_graded_engine_matches_pointwise_oracle(seed):
-    """Free-module reduction against the rank-formula engine, 20 runs each."""
+    """Free-module reduction against the pointwise sweep, 20 runs each."""
     rng = random.Random(8100 + seed)
     for _ in range(20):
         x = random_complex(rng, Field(rng.choice([2, 5])))

@@ -2,24 +2,32 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from persheaf import (
     BiGrid,
     Field,
     FilteredComplex,
+    PersistenceModule,
     Simplex,
     SheafDiagram,
     check_commutative,
     constant,
+    decompose_by_ranks,
+    diagram_graded_barcode_by_degree,
     grid,
+    grid_by_degree,
     matrix,
     persistent_cohomology,
+    reflect,
     type_t_direct,
+    type_t_graded_by_degree,
     zeros,
 )
 
 from builders import edge_diagram
 from genrandom import random_complex, random_monomorphic_diagram
+from perstep import diagram_at_step
 
 F2 = Field(2)
 
@@ -126,3 +134,30 @@ def test_random_grids_commute():
         d = random_monomorphic_diagram(rng, x, force_global=True)
         for k in range(x.dim + 1):
             assert check_commutative(grid(d, k)) is None
+
+
+@pytest.mark.parametrize("p", [2, 3, 2**31 - 1])
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_grid_lines_match_the_graded_routes(p, seed):
+    """Each row of a grid is the diagram pulled back to its step, and
+    each column the reversed filtration of its snapshot: the sweep's
+    bars of every line equal the graded engines' bars."""
+    rng = random.Random(seed)
+    x = random_complex(rng, Field(p), min_steps=2)
+    d = random_monomorphic_diagram(rng, x)
+    degrees = range(x.dim + 1)
+    mt, ma = x.steps, len(d.snapshots)
+    rows = [
+        diagram_graded_barcode_by_degree(diagram_at_step(d, mt - 1 - u), degrees)
+        for u in range(mt)
+    ]
+    cols = [type_t_graded_by_degree(snap, degrees) for snap in d.snapshots]
+    for k, g in grid_by_degree(d, degrees).items():
+        for u in range(mt):
+            line = PersistenceModule(g.field, g.dims[u], g.hmaps[u])
+            assert decompose_by_ranks(line).closed(ma) == rows[u][k].closed(ma)
+        for j in range(ma):
+            dims = [g.dims[u][j] for u in range(mt)]
+            line = PersistenceModule(g.field, dims, [g.vmaps[u][j] for u in range(mt - 1)])
+            assert decompose_by_ranks(line).closed(mt) == reflect(cols[j][k], mt).closed(mt)

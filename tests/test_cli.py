@@ -28,7 +28,7 @@ from persheaf import (
     label_diagram,
     sheaves,
 )
-from persheaf import persistence
+from persheaf import cohomology, persistence
 from persheaf.cli import main
 from persheaf.formats import (
     complex_to_data,
@@ -755,8 +755,8 @@ def test_each_invocation_validates_once(
 @pytest.fixture
 def reductions(monkeypatch):
     """Every matrix Field._column_echelon reduces, held so that no two
-    share an id.  The rank formula's own reductions go to the dense
-    reference instead."""
+    share an id.  The interval decomposition goes to the dense rank
+    formula instead, so only the (co)boundaries are counted."""
     reduced = []
     original = Field._column_echelon
 
@@ -764,14 +764,13 @@ def reductions(monkeypatch):
         reduced.append(m)
         return original(self, m, *args, **kwargs)
 
+    def dense_bars(module):
+        maps = [m.dense() for m in module.maps]
+        return Barcode(densekernel.rank_formula_bars(module.field.p, module.dims, maps))
+
     monkeypatch.setattr(Field, "_column_echelon", counted)
-    monkeypatch.setattr(
-        persistence,
-        "_composite_ranks",
-        lambda module: densekernel.composite_ranks(
-            module.field.p, module.dims, [m.dense() for m in module.maps]
-        ),
-    )
+    monkeypatch.setattr(persistence, "decompose_by_ranks", dense_bars)
+    monkeypatch.setattr(cohomology, "decompose_by_ranks", dense_bars)
     return reduced
 
 

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -18,11 +19,10 @@ from persheaf import (
 )
 
 from persheaf import persistence
-from persheaf.persistence import _composite_ranks
 
+import densekernel
 from densekernel import _mulmod
 from genrandom import random_interval_module
-from oracles import rref_rank
 
 
 def finite_barcodes(m):
@@ -133,8 +133,48 @@ def test_single_index_module():
     assert decompose_by_ranks(module) == Barcode([(0, None)] * 3)
 
 
+def random_map(rng, p, rows, cols):
+    """A dense map rows x cols over F_p: zero, of full or lower rank, or
+    random with some rows and columns cleared."""
+    kind = rng.integers(4)
+    if kind == 0:
+        return np.zeros((rows, cols), dtype=np.int64)
+    a = rng.integers(0, p, size=(rows, cols), dtype=np.int64)
+    if kind == 1:
+        return a
+    if kind == 2:
+        inner = int(rng.integers(0, max(min(rows, cols), 1)))
+        left = rng.integers(0, p, size=(rows, inner), dtype=np.int64)
+        right = rng.integers(0, p, size=(inner, cols), dtype=np.int64)
+        return _mulmod(left, right, p)
+    a[:, rng.random(cols) < 0.4] = 0
+    a[rng.random(rows) < 0.3] = 0
+    return a
+
+
+@pytest.mark.parametrize("p", [2, 3, 65521, 2**31 - 1])
+def test_sweep_matches_the_rank_formula(p):
+    """Both decompositions against the dense inclusion-exclusion over
+    composite ranks, on modules with zero spaces and zero, full-rank
+    and low-rank maps, the module of length 1 among them."""
+    rng = np.random.default_rng(3100 + p % 1009)
+    field = Field(p)
+    lengths = [1, 1] + [int(m) for m in rng.integers(1, 8, size=60)]
+    for n, m in enumerate(lengths):
+        dims = [int(d) for d in rng.integers(0, 6, size=m)]
+        if n == 0:
+            dims = [0]
+        maps = [random_map(rng, p, dims[i + 1], dims[i]) for i in range(m - 1)]
+        want = Barcode(densekernel.rank_formula_bars(p, dims, maps))
+        assert decompose_by_ranks(PersistenceModule(field, dims, maps)) == want
+        backward = CopersistenceModule(field, dims, [a.T.copy() for a in maps])
+        assert decompose_copersistence(backward) == want
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 6])
-def test_rank_table_composes_without_identities(monkeypatch, m):
+def test_sweep_reduces_each_map_once(monkeypatch, m):
+    """One reduction per map, one product per map after the first, and
+    no identity among their operands."""
     rng = random.Random(40 + m)
     field = Field(3)
     dims = [rng.randint(2, 4) for _ in range(m)]
@@ -145,25 +185,25 @@ def test_rank_table_composes_without_identities(monkeypatch, m):
     for step in maps:
         step[0, -1] = 2  # off the diagonal, so no map is an identity
     module = PersistenceModule(field, dims, maps)
-    want = decompose_by_ranks(module)
-    products = []
-    original = persistence._mulcols
+    reduced, products = [], []
+    echelon, mulcols = Field._column_echelon, persistence._mulcols
 
-    def counted(a, b, p):
-        products.append((a, b))
-        return original(a, b, p)
+    def counted_echelon(self, a, *args, **kwargs):
+        reduced.append(a)
+        return echelon(self, a, *args, **kwargs)
 
-    monkeypatch.setattr(persistence, "_mulcols", counted)
-    assert decompose_by_ranks(module) == want
-    assert len(products) == (m - 1) * (m - 2) // 2
-    for a, b in products:
-        for operand in (a.dense(), b.dense()):
-            n = operand.shape[0]
-            assert not (operand.shape == (n, n) and (operand == identity(n)).all())
-    # the ranks are those of the composites, checked against the oracle
-    table = _composite_ranks(module)
-    for a in range(m):
-        comp = identity(dims[a])
-        for b in range(a + 1, m):
-            comp = _mulmod(maps[b - 1], comp, field.p)
-            assert table[a][b] == rref_rank(comp, 3)
+    def counted_mulcols(a, b, p):
+        products.extend((a, b))
+        return mulcols(a, b, p)
+
+    monkeypatch.setattr(Field, "_column_echelon", counted_echelon)
+    monkeypatch.setattr(persistence, "_mulcols", counted_mulcols)
+    bc = decompose_by_ranks(module)
+    assert len(reduced) == max(m - 1, 0)
+    assert m == 1 or reduced[0] is module.maps[0]
+    assert len(products) == 2 * max(m - 2, 0)
+    for operand in reduced + products:
+        a = operand.dense()
+        n = a.shape[0]
+        assert not (a.shape == (n, n) and (a == identity(n)).all())
+    assert bc == Barcode(densekernel.rank_formula_bars(3, dims, maps))

@@ -1,11 +1,10 @@
 """Sparse classes against the dense class arithmetic they replaced.
 
-Cohomology classes, the maps between them and the composites of the
-rank table are held as linalg.Columns.  Each is compared here, entry
-for entry, with the dense route of tests/densekernel.py: dense
-representatives, dense cochain maps and products, the dense
-back-substitution and the dense rank table, at small primes and at
-the largest one.
+Cohomology classes and the maps between them are held as
+linalg.Columns.  Each is compared here, entry for entry, with the dense
+route of tests/densekernel.py: dense representatives, dense cochain
+maps and products and the dense back-substitution, at small primes and
+at the largest one.
 """
 
 import io
@@ -19,7 +18,6 @@ import pytest
 from persheaf import (
     CochainComplex,
     Field,
-    PersistenceModule,
     check_commutative,
     cohomology_basis,
     constant,
@@ -29,7 +27,6 @@ from persheaf import (
 )
 from persheaf.cli import main
 from persheaf.cohomology import _induced, _step_bases
-from persheaf.persistence import _composite_ranks
 
 import densekernel as dense
 from genrandom import random_complex, random_monomorphic_diagram, random_sheaf
@@ -184,24 +181,6 @@ def test_check_commutative_matches_the_dense_products(p):
                         assert check_commutative(g) == dense_first_failing_square(g)
                         row[j] = original
     assert perturbed
-
-
-@pytest.mark.parametrize("p", PRIMES)
-def test_rank_table_matches_the_dense_composites(p):
-    rng = np.random.default_rng(4400 + p % 1009)
-    field = Field(p)
-    for _ in range(30):
-        m = int(rng.integers(1, 6))
-        dims = [int(d) for d in rng.integers(0, 6, size=m)]
-        maps = []
-        for i in range(m - 1):
-            a = rng.integers(0, p, size=(dims[i + 1], dims[i]), dtype=np.int64)
-            # low-rank and sparse maps, so composites lose rank on the way
-            a[:, rng.random(dims[i]) < 0.4] = 0
-            a[rng.random(dims[i + 1]) < 0.3] = 0
-            maps.append(a)
-        module = PersistenceModule(field, dims, maps)
-        assert _composite_ranks(module) == dense.composite_ranks(p, dims, maps)
 
 
 def top_degree_basis():
