@@ -241,7 +241,7 @@ class FilteredComplex:
     def positions(self, ids) -> np.ndarray:
         """The global position of the simplex each id names, or -1."""
         # a map of its own, freed on return: called while a parse's
-        # decoded JSON is alive, a cached one would stay through the
+        # decoded matrices are alive, a cached one would stay through the
         # reductions and raise the peak RSS of a large input
         at = dict(zip(self._ids, range(len(self._ids))))
         return np.fromiter(map(at.get, ids, repeat(-1)), np.int64, len(ids))

@@ -3,7 +3,8 @@
 Complexes, sheaves and diagrams travel as JSON with per-simplex ids so
 the data stays human-auditable; labeled point clouds travel as CSV
 with the label in the trailing column.  Serialization is deterministic:
-identical objects produce identical bytes.
+identical objects produce identical bytes.  A sheaf file's restriction
+entries are read off as they are decoded, so none becomes a JSON object.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import itemgetter
@@ -156,18 +158,28 @@ def _flat(values, rows, cols):
         return None
 
 
+class _Reread(Exception):
+    """A captured entry cannot be named as bad: parse_sheaf reads its file again."""
+
+
+_ENTRY = object()  # a restriction entry captured by parse_sheaf
+
+
 def _each_entry(entries, where: str):
     """Check a "restrictions" list entry by entry: the first bad entry raises."""
     for n, entry in enumerate(entries):
+        if entry is _ENTRY:
+            raise _Reread
         at = f"{where}.restrictions[{n}]"
         _require(entry, "face", at, str)
         _require(entry, "coface", at, str)
         _matrix(_require(entry, "matrix", at), f"{at}.matrix")
 
 
-def _restrictions(entries, stalks: dict, complex_: FilteredComplex, where: str) -> _Maps:
+def _restrictions(entries, stalks: dict, complex_: FilteredComplex, where: str, captured) -> _Maps:
     """A sheaf's "restrictions" list as maps by simplex position, each id
-    looked up once, read and reduced mod p once.
+    looked up once, read and reduced mod p once.  captured, if given, is
+    parse_sheaf's lists of the entries' faces, cofaces and matrices.
 
     Every matrix is read in the shape its stalks ask for by _flat; a
     JSON [] is 0 x 0 there, as _matrix reads it.  When the list does not
@@ -177,7 +189,7 @@ def _restrictions(entries, stalks: dict, complex_: FilteredComplex, where: str) 
     later entry for the same incidence replaces an earlier one.
     """
     try:
-        faces, cofaces, values = (
+        faces, cofaces, values = captured or (
             list(map(itemgetter(key), entries)) for key in ("face", "coface", "matrix")
         )
         if not {*map(type, faces), *map(type, cofaces)} <= {str}:
@@ -274,6 +286,10 @@ def _complex_of(data, complex_, where: str, what: str) -> FilteredComplex:
 def sheaf_from_data(
     data: dict, complex_: FilteredComplex | None = None, where: str = "sheaf"
 ) -> CellularSheaf:
+    return _sheaf(data, complex_, where, None)
+
+
+def _sheaf(data, complex_, where: str, captured) -> CellularSheaf:
     stalk_data = _require(data, "stalks", where, dict)
     restriction_data = _require(data, "restrictions", where, list)
     complex_ = _complex_of(data, complex_, where, "sheaf")
@@ -284,7 +300,7 @@ def sheaf_from_data(
         raise ValueError(
             f"{where}.stalks[{sid!r}]: expected a dimension from 0 to 2^63 - 1, got {dim}"
         )
-    restrictions = _restrictions(restriction_data, stalk_data, complex_, where)
+    restrictions = _restrictions(restriction_data, stalk_data, complex_, where, captured)
     return CellularSheaf(complex_, stalk_data, restrictions)
 
 
@@ -338,13 +354,15 @@ def barcode_from_data(data) -> Barcode:
     return Barcode((a, b) for a, b in data)
 
 
-def _load(path: str):
-    """The JSON in a file; nesting too deep to decode is a ValueError."""
+def _load(path: str, object_pairs_hook=None):
+    """The JSON in a file; text that does not decode is a ValueError naming it."""
     with open(path, encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            return json.loads(fh.read(), object_pairs_hook=object_pairs_hook)
         except RecursionError:
             raise ValueError(f"{path}: JSON is nested too deeply to read") from None
+        except ValueError as err:  # not JSON, or not UTF-8
+            raise ValueError(f"{path}: {err}") from None
 
 
 def parse_complex(path: str) -> FilteredComplex:
@@ -352,6 +370,29 @@ def parse_complex(path: str) -> FilteredComplex:
 
 
 def parse_sheaf(path: str, complex_: FilteredComplex | None = None) -> CellularSheaf:
+    """The sheaf in a file.  Each object keyed "face", "coface", "matrix"
+    is read off onto three lists as it is decoded.  When "restrictions"
+    is not exactly those objects, or the text does not decode, or an
+    entry is bad, sheaf_from_data reads the file's whole tree instead."""
+    captured = faces, cofaces, values = [], [], []
+
+    def entry(pairs):
+        if len(pairs) == 3:
+            (kf, face), (kc, coface), (km, value) = pairs
+            if (kf, kc, km) == ("face", "coface", "matrix"):
+                faces.append(face)
+                cofaces.append(coface)
+                values.append(value)
+                return _ENTRY
+        return dict(pairs)
+
+    data = None
+    with suppress(ValueError):  # sheaf_from_data below names the fault
+        data = _load(path, entry)
+    entries = data.get("restrictions") if type(data) is dict else None
+    with suppress(_Reread):
+        if type(entries) is list and entries.count(_ENTRY) == len(entries) == len(faces):
+            return _sheaf(data, complex_, "sheaf", captured)
     return sheaf_from_data(_load(path), complex_)
 
 
@@ -380,21 +421,24 @@ def parse_points(path: str):
     points, labels = [], []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        for row in reader:
-            line = reader.line_num
-            cells = [(n, cell.strip()) for n, cell in enumerate(row, 1) if cell.strip()]
-            if not cells:
-                continue
-            if len(cells) < 2:
-                raise ValueError(f"line {line}: each row needs coordinates and a label")
-            point = tuple(_coordinate(c, line, n) for n, c in cells[:-1])
-            if points and len(point) != len(points[0]):
-                raise ValueError(
-                    f"line {line}: expected {len(points[0])} coordinates "
-                    f"as in the first row, got {len(point)}"
-                )
-            points.append(point)
-            labels.append(cells[-1][1])
+        try:
+            for row in reader:
+                line = reader.line_num
+                cells = [(n, cell.strip()) for n, cell in enumerate(row, 1) if cell.strip()]
+                if not cells:
+                    continue
+                if len(cells) < 2:
+                    raise ValueError(f"line {line}: each row needs coordinates and a label")
+                point = tuple(_coordinate(c, line, n) for n, c in cells[:-1])
+                if points and len(point) != len(points[0]):
+                    raise ValueError(
+                        f"line {line}: expected {len(points[0])} coordinates "
+                        f"as in the first row, got {len(point)}"
+                    )
+                points.append(point)
+                labels.append(cells[-1][1])
+        except UnicodeDecodeError as err:
+            raise ValueError(f"{path}: {err}") from None
     return points, labels
 
 

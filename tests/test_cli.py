@@ -1238,6 +1238,33 @@ def test_deeply_nested_json_is_invalid_input(capsys, tmp_path, argv, nested):
         assert err == f"error: {tmp_path / f'in-{deep}'}: JSON is nested too deeply to read\n"
 
 
+UNDECODABLE = {
+    "complex": ("triangle.json", ["cohomology", None, fx("triangle_sheaf.json")]),
+    "sheaf": ("square_sheaf.json", ["persist-t", fx("square.json"), None]),
+    "diagram": ("edge_diagram.json", ["persist-a", None, "--k", "0"]),
+    "csv": ("points.csv", ["unicolored", None, "--thresholds", "0.5,1.5"]),
+}
+
+
+@pytest.mark.parametrize(
+    "kind, fault",
+    [(kind, "truncated") for kind in ("complex", "sheaf", "diagram")]
+    + [(kind, "not-utf-8") for kind in UNDECODABLE],
+)
+def test_undecodable_input_names_its_file(capsys, tmp_path, kind, fault):
+    broken, argv = UNDECODABLE[kind]
+    with open(fx(broken), "rb") as fh:
+        raw = fh.read()
+    raw = raw[: len(raw) // 2] if fault == "truncated" else raw[:5] + b"\xff" + raw[5:]
+    path = tmp_path / broken
+    path.write_bytes(raw)
+    with pytest.raises(ValueError) as decoding:
+        json.loads(raw.decode("utf-8"))
+    code, out, err = run(capsys, [str(path) if a is None else a for a in argv])
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: {decoding.value}\n"
+
+
 def test_python_dash_m(tmp_path):
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     env = dict(os.environ, PYTHONPATH=src)

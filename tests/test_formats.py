@@ -5,12 +5,13 @@ import json
 import os
 import random
 import sys
+import tracemalloc
 
 import pytest
 
 from builders import bench_input, edge_diagram, square_filtration
 from genrandom import random_complex, random_sheaf
-from persheaf import Barcode, Field, validate_diagram, validate_sheaf
+from persheaf import Barcode, Field, constant, validate_diagram, validate_sheaf, vietoris_rips
 from persheaf.sheaves import _codim1_pairs
 from persheaf.formats import (
     BarcodeReport,
@@ -141,6 +142,39 @@ def test_parsed_diagram_keeps_no_decoded_json(tmp_path):
     gc.collect()
     assert [_entry_refcounts(s, owned) for s in data["snapshots"]] == before
     assert validate_diagram(diagram) == []
+
+
+def _traced_peak(read):
+    """The tracemalloc peak, in bytes, of a call of read."""
+    tracemalloc.start()
+    try:
+        read()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_parse_sheaf_holds_no_decoded_tree(tmp_path):
+    """parse_sheaf decodes no dict per restriction entry, so it peaks
+    below json.loads of its text alone, which does; a bad entry still
+    raises its whole-tree message."""
+    rng = random.Random(1)
+    points = [(rng.random(), rng.random()) for _ in range(60)]
+    x = vietoris_rips(Field(2), points, [0.2, 0.3], max_dim=2)
+    data = sheaf_to_data(constant(x, 1), embed_complex=False)
+    assert len(data["restrictions"]) == 4057
+    path = tmp_path / "sheaf.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    text = path.read_text(encoding="utf-8")
+    parse_sheaf(str(path), x)  # imports and caches outside the trace
+    assert _traced_peak(lambda: parse_sheaf(str(path), x)) < _traced_peak(
+        lambda: json.loads(text)
+    )
+    data["restrictions"][2000]["matrix"] = [[1.5]]
+    path.write_text(json.dumps(data), encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        parse_sheaf(str(path), x)
+    assert str(err.value) == "sheaf.restrictions[2000].matrix: expected integer entries"
 
 
 def test_barcode_round_trip():

@@ -4,22 +4,30 @@ The restriction lists of small random sheaves are mutated (fields
 dropped or retyped, cells of every JSON type, ragged and resized
 matrices, zero stalks, repeated incidences, ids that name no simplex,
 simplex pairs that are no incidence) and read both by
-formats.sheaf_from_data and by the one-entry-at-a-time reference of
-perentry.py.  The two must raise the same ValueError message, or store
-the same maps under the same keys in the same order and report the
-same validate_sheaf problems.
+formats.sheaf_from_data, by the one-entry-at-a-time reference of
+perentry.py and, written to a file, by formats.parse_sheaf.  The three
+must raise the same ValueError message, or store the same maps under
+the same keys in the same order and report the same validate_sheaf
+problems.  Text that no decoded document can mutate into (keys in
+another order, repeated keys, entry-shaped objects elsewhere) is read
+both by parse_sheaf and by sheaf_from_data of json.loads.
 """
 
 import copy
+import json
+import os
 import random
+import tempfile
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import perentry
 from genrandom import random_complex, random_sheaf
-from persheaf import Field, validate_sheaf
-from persheaf.formats import sheaf_from_data, sheaf_to_data
+from persheaf import Field, constant, validate_sheaf
+from persheaf.formats import parse_complex, parse_sheaf, sheaf_from_data, sheaf_to_data
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 PRIMES = [2, 3, 2**31 - 1]
 
@@ -115,6 +123,15 @@ def _mutate(data, x, sheaf_data):
                         r.pop()
 
 
+def _from_file(sheaf_data, x):
+    """parse_sheaf of the document written to a file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "sheaf.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(sheaf_data, fh)
+        return parse_sheaf(path, x)
+
+
 def _outcome(read, sheaf_data, x):
     """The ValueError message, or the stored maps and problem list."""
     try:
@@ -141,3 +158,44 @@ def test_bulk_parser_matches_the_per_entry_reader(p, data):
         _mutate(data, x, sheaf_data)
     got = _outcome(sheaf_from_data, sheaf_data, x)
     assert got == _outcome(perentry.sheaf_from_data, sheaf_data, x)
+    assert got == _outcome(_from_file, sheaf_data, x)
+
+
+def _first_entry(d):
+    return dict(d["restrictions"][0])
+
+
+def _reordered(d):
+    e = d["restrictions"][0]
+    d["restrictions"][0] = {"coface": e["coface"], "face": e["face"], "matrix": e["matrix"]}
+
+
+# each edits the document of a constant rank-2 sheaf on the triangle, or
+# returns its text
+TEXT_CASES = {
+    "keys in another order": _reordered,
+    "extra key": lambda d: d["restrictions"][1].update(note=1),
+    "entry as a top-level value": lambda d: d.update(note=_first_entry(d)),
+    "entry as a stalk": lambda d: d["stalks"].update({"0": _first_entry(d)}),
+    "entry in a matrix": lambda d: d["restrictions"][1].update(matrix=[[_first_entry(d)]]),
+    "restrictions repeated, then empty": lambda d: json.dumps(d)[:-1] + ', "restrictions": []}',
+    "restrictions empty, then repeated": lambda d: '{"restrictions": [], ' + json.dumps(d)[1:],
+    "restrictions first": lambda d: json.dumps({"restrictions": d.pop("restrictions"), **d}),
+    "empty list": lambda d: d.update(restrictions=[]),
+    "indented": lambda d: json.dumps(d, indent=2),
+    "null entry": lambda d: d["restrictions"].insert(2, None),
+    "list entry": lambda d: d["restrictions"].append([1]),
+    "string entry": lambda d: d["restrictions"].insert(0, "face"),
+    "bad entry": lambda d: d["restrictions"][3].update(face=7),
+}
+
+
+@pytest.mark.parametrize("case", TEXT_CASES)
+def test_file_reader_matches_the_tree_reader_on_text(tmp_path, case):
+    x = parse_complex(os.path.join(FIXTURES, "triangle.json"))
+    d = sheaf_to_data(constant(x, 2), embed_complex=False)
+    text = TEXT_CASES[case](d) or json.dumps(d)
+    path = tmp_path / "sheaf.json"
+    path.write_text(text, encoding="utf-8")
+    got = _outcome(lambda _, x: parse_sheaf(str(path), x), None, x)
+    assert got == _outcome(lambda _, x: sheaf_from_data(json.loads(text), x), None, x)
